@@ -29,11 +29,12 @@ from .grid import (
     apply_shift,
     apply_spectral_d2,
     displacement_factors,
+    min_time_substeps,
     squeeze_factors,
     time_displacement_factors,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "run_checks"]
 
 DEFAULT_SEED = 20260810
 
@@ -71,10 +72,6 @@ def _phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(reference)))
     ratio = reference[i] / candidate[i]
     return candidate * (ratio / abs(ratio))
-
-
-def _substeps_for(t: float) -> int:
-    return max(1, math.floor(abs(t) / 1.2) + 1)
 
 
 # --- analytic suite -----------------------------------------------------------
@@ -201,25 +198,40 @@ def check_evenodd_raw_integral(grid: Grid):
     return results
 
 
+def evenodd_grid_densities(grid: Grid, spec: states.EvenOddSpec, times):
+    """Closed-form and grid-propagated densities of an even/odd pair at each t.
+
+    The normalized t = 0 state is advanced by the time chain with the fewest
+    admissible substeps.  Returns (rho, rho_grid, raw_integral): rho_spm
+    renormalized to unit integral and the grid density, both of shape
+    (len(times), n), and the quadrature of rho_spm as written, one per t.
+    """
+    x, dx = grid.x, grid.dx
+    initial = WaveFunction.from_callable(
+        grid, lambda xs: states.psi_spm(xs, 0.0, spec), normalize=True
+    )
+    rho = np.empty((len(times), grid.n))
+    rho_grid = np.empty_like(rho)
+    raw_integral = np.empty(len(times))
+    for i, t in enumerate(map(float, times)):
+        rho_raw = states.rho_spm(x, t, spec)
+        raw_integral[i] = np.sum(rho_raw) * dx
+        rho[i] = rho_raw / raw_integral[i]
+        chain = time_displacement_factors(t, min_time_substeps(t))
+        rho_grid[i] = apply_chain(initial, chain).density()
+    return rho, rho_grid, raw_integral
+
+
 def check_evenodd_grid_evolution(grid: Grid):
     """Grid propagation of the t = 0 pair tracks the renormalized analytic density."""
-    x, dx = grid.x, grid.dx
     results = []
     for sign in (+1, -1):
         spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
-        initial = WaveFunction.from_callable(
-            grid, lambda xs: states.psi_spm(xs, 0.0, spec), normalize=True
-        )
-        for t in EVEN_ODD_TIMES:
-            if t == 0.0:
-                evolved = initial
-            else:
-                evolved = apply_chain(initial, time_displacement_factors(t, _substeps_for(t)))
-            rho = states.rho_spm(x, t, spec)
-            rho /= np.sum(rho) * dx
+        rho, rho_grid, _ = evenodd_grid_densities(grid, spec, EVEN_ODD_TIMES)
+        for t, expected, got in zip(EVEN_ODD_TIMES, rho, rho_grid):
             results.append(
                 CheckResult("analytic", f"evenodd_grid_density_sign{sign:+d}_t{t:.4g}",
-                            _max_abs(evolved.density(), rho), 1e-5)
+                            _max_abs(got, expected), 1e-5)
             )
     return results
 

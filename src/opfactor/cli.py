@@ -152,10 +152,8 @@ def _fmt17(value: float) -> str:
 
 def _write_rows(columns, rows, config: RunConfig, stream) -> None:
     if config.fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt17(v) for v in row])
+        np.savetxt(stream, rows, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header=",".join(columns), comments="")
     else:
         payload = {
             "config": config.summary(),
@@ -317,25 +315,16 @@ def cmd_density(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    x, dx = grid.x, grid.dx
-    initial = WaveFunction.from_callable(
-        grid, lambda xs: states.psi_spm(xs, 0.0, spec), normalize=True
-    )
-    rows = []
-    for t in np.linspace(args.t_min, args.t_max, args.t_steps):
-        t = float(t)
-        rho_raw = states.rho_spm(x, t, spec)
-        raw_integral = float(np.sum(rho_raw) * dx)
-        rho = rho_raw / raw_integral
-        if t == 0.0:
-            evolved = initial
-        else:
-            substeps = max(1, math.floor(abs(t) / 1.2) + 1)
-            evolved = apply_chain(initial, time_displacement_factors(t, substeps))
-        rho_grid = evolved.density()
-        delta = np.abs(rho - rho_grid)
-        for j in range(grid.n):
-            rows.append((t, x[j], rho[j], rho_grid[j], delta[j], raw_integral))
+    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+    rho, rho_grid, raw_integral = checks.evenodd_grid_densities(grid, spec, ts)
+    rows = np.column_stack([
+        np.repeat(ts, grid.n),
+        np.tile(grid.x, args.t_steps),
+        rho.ravel(),
+        rho_grid.ravel(),
+        np.abs(rho - rho_grid).ravel(),
+        np.repeat(raw_integral, grid.n),
+    ])
     _emit(DENSITY_COLUMNS, rows, config)
     return 0
 

@@ -3,7 +3,8 @@
 The factor set covers shifts (spectral), dilations (cubic-spline resampling),
 exp[c d^2/dx^2] convolutions (spectral multiplier exp(-c k^2)), and pointwise
 quadratic/linear/scalar phases.  Chains of factors realize displacement,
-squeeze, and time-displacement operators on sampled states.
+squeeze, and time-displacement operators on sampled states.  Time chains use
+only chirps and Fresnel steps; the spline dilation serves the squeeze family.
 
 Spectral steps treat the grid as periodic, so states are expected to decay to
 negligible values at the boundary; the default window [-12, 12) with n = 2048
@@ -21,13 +22,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
-from .algebra import (
-    CausticError,
-    FactorizationCoefficients,
-    SqueezeParameter,
-    squeeze_factorization,
-    time_displacement_factorization,
-)
+from .algebra import CausticError, SqueezeParameter, squeeze_factorization
 
 __all__ = [
     "ChainError",
@@ -49,6 +44,7 @@ __all__ = [
     "apply_shift",
     "apply_spectral_d2",
     "displacement_factors",
+    "min_time_substeps",
     "squeeze_factors",
     "time_displacement_factors",
 ]
@@ -333,20 +329,15 @@ def displacement_factors(x0: float, p0: float) -> list[OperatorFactor]:
     return factors
 
 
-def _coefficient_factors(c: FactorizationCoefficients) -> list[OperatorFactor]:
-    """[SpectralD2(i gamma), Dilation(e^beta), QuadraticPhase(alpha), Scalar(e^delta)].
+def squeeze_factors(z: SqueezeParameter) -> list[OperatorFactor]:
+    """Factor chain of the squeeze operator with argument z.
 
     Listed in application order for the product
-    exp[delta] exp[i alpha x^2] exp[beta x d/dx] exp[i gamma d^2/dx^2].
-    Requires real coefficients, which both implemented families provide away
-    from caustics; identity factors are dropped, the scalar is always kept.
+    exp[delta] exp[i alpha x^2] exp[beta x d/dx] exp[i gamma d^2/dx^2], whose
+    coefficients are real for every z; identity factors are dropped, the
+    scalar is always kept.
     """
-    worst_imag = max(abs(v.imag) for v in c.as_tuple())
-    if worst_imag > 1e-12:
-        raise ValueError(
-            f"grid factors need real coefficients (worst imaginary part {worst_imag:.3e}); "
-            "compose shorter steps instead"
-        )
+    c = squeeze_factorization(z, 1.0)
     alpha, beta, gamma, delta = (v.real for v in (c.alpha, c.beta, c.gamma, c.delta))
     factors: list[OperatorFactor] = []
     if gamma != 0.0:
@@ -359,28 +350,32 @@ def _coefficient_factors(c: FactorizationCoefficients) -> list[OperatorFactor]:
     return factors
 
 
-def squeeze_factors(z: SqueezeParameter) -> list[OperatorFactor]:
-    """Factor chain of the squeeze operator with argument z."""
-    return _coefficient_factors(squeeze_factorization(z, 1.0))
+def min_time_substeps(t: float) -> int:
+    """Fewest equal substeps that keep each one of a time displacement t below pi/2."""
+    return math.floor(abs(t) / (0.5 * math.pi)) + 1
 
 
-def time_displacement_factors(
-    t: float, substeps: int = 1, caustic_eps: float = 1e-9
-) -> list[OperatorFactor]:
+def time_displacement_factors(t: float, substeps: int = 1) -> list[OperatorFactor]:
     """Factor chain advancing oscillator time by t, split into equal substeps.
 
-    Each substep must stay strictly inside (-pi/2, pi/2), where the dilation
-    scale 1/cos stays positive; longer displacements are composed from
-    shorter ones, which also carries states smoothly through the caustics of
-    the individual factors.
+    Each substep tau uses the chirp-Fresnel-chirp identity
+    exp(-iH tau) = exp[-i (tan(tau/2)/2) x^2] exp[i (sin(tau)/2) d^2/dx^2]
+    exp[-i (tan(tau/2)/2) x^2], exact with unit scalar for |tau| < pi, and the
+    chirps of neighbouring substeps are fused into one.  Substeps must stay
+    strictly inside (-pi/2, pi/2), which bounds the chirp rate tan(|tau|/2)
+    below 1; min_time_substeps gives the smallest admissible count.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps!r}")
     tau = t / substeps
     if abs(tau) >= 0.5 * math.pi:
-        needed = math.floor(abs(t) / (0.5 * math.pi)) + 1
         raise CausticError(
-            f"substep {tau:.6g} reaches pi/2; use at least {needed} substeps for t = {t:.6g}"
+            f"substep {tau:.6g} reaches pi/2; use at least {min_time_substeps(t)} "
+            f"substeps for t = {t:.6g}"
         )
-    step = _coefficient_factors(time_displacement_factorization(tau, caustic_eps))
-    return step * substeps
+    half_chirp = -0.5 * math.tan(0.5 * tau)
+    fresnel = SpectralD2(0.5j * math.sin(tau))
+    factors: list[OperatorFactor] = [QuadraticPhase(half_chirp), fresnel]
+    factors += [QuadraticPhase(2.0 * half_chirp), fresnel] * (substeps - 1)
+    factors.append(QuadraticPhase(half_chirp))
+    return factors

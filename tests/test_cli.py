@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line surface."""
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from opfactor.cli import main, read_wavefunction
-from opfactor.states import EvenOddSpec
+from opfactor.algebra import SqueezeParameter
+from opfactor.cli import RunConfig, _write_rows, main, read_wavefunction
+from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi_ss
 
 
 def run(capsys, *argv):
@@ -114,6 +116,32 @@ class TestEvolve:
         l2 = math.sqrt(float(np.sum((np.abs(psi) ** 2 - expected) ** 2) * dx))
         assert l2 < 1e-6
 
+    def test_two_substeps_match_evolved_coherent(self, capsys, tmp_path):
+        # an intermediate step of a spline-dilation chain wrapped content
+        # around the window here and was off by 7e-5 with exit status 0
+        path = tmp_path / "coherent.csv"
+        code, _, _ = run(
+            capsys,
+            "evolve", "--initial", "coherent:x0=3,p0=1", "--op", "time:t=2.0,substeps=2",
+            "--out", str(path),
+        )
+        assert code == 0
+        x, psi = read_wavefunction(str(path))
+        assert np.abs(psi - coherent_evolved(x, 2.0, 3.0, 1.0)).max() < 1e-12
+
+    def test_full_period_negates_squeezed_state(self, capsys, tmp_path):
+        path = tmp_path / "period.csv"
+        code, _, _ = run(
+            capsys,
+            "evolve", "--initial", "squeezed:x0=2,p0=1,r=0.5,phi=1.0",
+            "--op", f"time:t={2 * math.pi},substeps=8",
+            "--out", str(path),
+        )
+        assert code == 0
+        x, psi = read_wavefunction(str(path))
+        spec = SqueezedStateSpec(2.0, 1.0, SqueezeParameter(0.5, 1.0))
+        assert np.abs(psi + psi_ss(x, spec)).max() < 1e-8
+
     def test_substep_violation_is_an_error(self, capsys):
         code, _, err = run(capsys, "evolve", "--initial", "ground", "--op", "time:t=2.0")
         assert code == 2
@@ -200,15 +228,18 @@ class TestDensity:
 
     def test_analytic_grid_agreement(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
-        code, _, _ = run(
-            capsys,
-            "density", "--x0", "2", "--s", "1.5", "--sign", "1",
-            "--t-min", "0", "--t-max", "1.2", "--t-steps", "5",
-            "--out", str(path),
-        )
-        assert code == 0
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows[:, 4].max() < 1e-5
+        cases = [
+            (["--sign", "1", "--t-min", "0", "--t-max", "1.2", "--t-steps", "5"], 1e-5),
+            # the README trace, which passes pi/2 and ends next to pi
+            (["--sign", "-1", "--t-min", "0", "--t-max", "3.14159", "--t-steps", "9"], 1e-9),
+        ]
+        for argv, tol in cases:
+            code, _, _ = run(
+                capsys, "density", "--x0", "2", "--s", "1.5", *argv, "--out", str(path)
+            )
+            assert code == 0
+            rows = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert rows[:, 4].max() < tol, argv
 
     def test_raw_integral_column(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -225,3 +256,15 @@ class TestDensity:
         d = math.sqrt(spec.width_sq(0.6))
         expected = (1.0 + damp) / (1.0 + d * damp)
         assert rows[0, 5] == pytest.approx(expected, abs=1e-9)
+
+
+class TestOutputFormat:
+    def test_csv_bytes(self):
+        stream = io.StringIO()
+        rows = np.array([[-0.0, 1e-320, 0.1], [1.0, 2.5, -1.0 / 3.0]])
+        _write_rows(["a", "b", "c"], rows, RunConfig(), stream)
+        assert stream.getvalue() == (
+            "a,b,c\r\n"
+            "-0,9.9998886718268301e-321,0.10000000000000001\r\n"
+            "1,2.5,-0.33333333333333331\r\n"
+        )

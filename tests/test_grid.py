@@ -24,6 +24,7 @@ from opfactor.grid import (
     apply_shift,
     apply_spectral_d2,
     displacement_factors,
+    min_time_substeps,
     squeeze_factors,
     time_displacement_factors,
 )
@@ -192,11 +193,25 @@ class TestFactorSequences:
 
     def test_time_quarter_period_structure(self):
         factors = time_displacement_factors(math.pi / 4, 1)
-        assert [type(f) for f in factors] == [SpectralD2, Dilation, QuadraticPhase, Scalar]
-        assert factors[0].c == pytest.approx(0.5j, abs=1e-14)
-        assert factors[1].scale == pytest.approx(math.sqrt(2.0), abs=1e-14)
-        assert factors[2].a == pytest.approx(-0.5, abs=1e-14)
-        assert factors[3].s == pytest.approx(2.0**0.25, abs=1e-14)
+        assert [type(f) for f in factors] == [QuadraticPhase, SpectralD2, QuadraticPhase]
+        assert factors[0].a == pytest.approx(-0.5 * math.tan(math.pi / 8), abs=1e-15)
+        assert factors[1].c == pytest.approx(0.5j * math.sin(math.pi / 4), abs=1e-15)
+        assert factors[2] == factors[0]
+
+    def test_time_substep_chirps_fuse(self):
+        factors = time_displacement_factors(2.0, 3)
+        assert [type(f) for f in factors] == [QuadraticPhase, SpectralD2] * 3 + [QuadraticPhase]
+        edge = -0.5 * math.tan(1.0 / 3.0)
+        assert [f.a for f in factors[::2]] == [edge, 2 * edge, 2 * edge, edge]
+
+    def test_min_time_substeps(self):
+        assert [min_time_substeps(t) for t in (0.0, 0.6, math.pi / 2, 2.0, -math.pi)] == [
+            1, 1, 2, 2, 3
+        ]
+        for t in (math.pi / 2, 2.0, -7.0, 32 * math.pi):
+            time_displacement_factors(t, min_time_substeps(t))
+            with pytest.raises(CausticError):
+                time_displacement_factors(t, min_time_substeps(t) - 1)
 
     def test_substep_guard(self):
         with pytest.raises(CausticError):
