@@ -33,6 +33,7 @@ from .grid import (
 
 WAVEFUNCTION_COLUMNS = ["x", "re", "im", "density"]
 DENSITY_COLUMNS = ["t", "x", "rho_analytic", "rho_grid", "abs_delta", "raw_integral"]
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -80,7 +81,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, float]]:
-    """Parse 'name:key=value,key=value' option strings against allowed key sets."""
+    """Parse 'name:key=value,key=value' option strings against allowed key sets.
+
+    Values must be finite; the keys in _WHOLE_KEYS must be whole numbers and
+    come back as int.
+    """
     name, _, rest = text.partition(":")
     name = name.strip()
     if name not in allowed:
@@ -97,11 +102,22 @@ def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tupl
                     f"{what} {name!r} takes keys {allowed[name]}, not {key!r}"
                 )
             try:
-                params[key] = float(value)
+                number = float(value)
             except ValueError as exc:
                 raise ValueError(f"bad {what} value in {text!r}: {exc}") from exc
+            if not math.isfinite(number):
+                raise ValueError(f"bad {what} value in {text!r}: {key} must be finite")
+            if key in _WHOLE_KEYS:
+                if not number.is_integer():
+                    raise ValueError(
+                        f"bad {what} value in {text!r}: {key} must be a whole number"
+                    )
+                number = int(number)
+            params[key] = number
     return name, params
 
+
+_WHOLE_KEYS = ("substeps", "sign")
 
 _STATE_KEYS = {
     "ground": (),
@@ -131,7 +147,7 @@ def _initial_state(spec: str, grid: Grid) -> WaveFunction:
             SqueezeParameter(p.get("r", 0.0), p.get("phi", 0.0)),
         )
         return WaveFunction.from_callable(grid, lambda x: states.psi_ss(x, sspec))
-    espec = states.EvenOddSpec(p["x0"], p["s"], int(p.get("sign", 1)))
+    espec = states.EvenOddSpec(p["x0"], p["s"], p.get("sign", 1))
     return WaveFunction.from_callable(
         grid, lambda x: states.psi_spm(x, 0.0, espec), normalize=True
     )
@@ -143,7 +159,7 @@ def _operator_factors(spec: str):
         return squeeze_factors(SqueezeParameter(p.get("r", 0.0), p.get("phi", 0.0)))
     if name == "displace":
         return displacement_factors(p.get("x0", 0.0), p.get("p0", 0.0))
-    return time_displacement_factors(p["t"], int(p.get("substeps", 1)))
+    return time_displacement_factors(p["t"], p.get("substeps", 1))
 
 
 def _fmt17(value: float) -> str:
@@ -152,13 +168,17 @@ def _fmt17(value: float) -> str:
 
 def _write_rows(columns, rows, config: RunConfig, stream) -> None:
     if config.fmt == "csv":
-        np.savetxt(stream, rows, fmt="%.17g", delimiter=",", newline="\r\n",
-                   header=",".join(columns), comments="")
+        # one %-format per block of rows; blocks keep the formatted text small
+        stream.write(",".join(columns) + "\r\n")
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            stream.write((line * len(block)) % tuple(block.ravel().tolist()))
     else:
         payload = {
             "config": config.summary(),
             "columns": columns,
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": rows.tolist(),
         }
         json.dump(payload, stream, indent=1)
         stream.write("\n")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import FactorizationCoefficients, GeneratorCoefficients, SqueezeParameter
 from .grid import Grid, WaveFunction
@@ -98,6 +97,8 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     norm1 = float(np.linalg.norm(m, 1))
     if norm1 > _EXPM_NORM_BOUND:
         raise OverflowError(f"matrix 1-norm {norm1:.3e} exceeds {_EXPM_NORM_BOUND:.0e}")
+    from scipy.linalg import expm  # only the Fock oracle pays this import
+
     return expm(m)
 
 

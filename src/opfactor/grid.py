@@ -9,6 +9,11 @@ only chirps and Fresnel steps; the spline dilation serves the squeeze family.
 Spectral steps treat the grid as periodic, so states are expected to decay to
 negligible values at the boundary; the default window [-12, 12) with n = 2048
 comfortably holds every state this package constructs.
+
+The Fresnel multiplier exp(-c k^2) and the chirp exp(i a x^2) are computed
+once per (grid, parameter) and reused from a small bounded cache, so a time
+chain of k substeps evaluates its three distinct multipliers once rather than
+2k + 1 times.  The cached arrays are read-only.
 """
 from __future__ import annotations
 
@@ -16,11 +21,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .algebra import CausticError, SqueezeParameter, squeeze_factorization
 
@@ -50,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_OVERFLOW_FRAC = 1e-6
+_MULTIPLIER_CACHE_SIZE = 8
 
 
 class ShiftRangeError(ValueError):
@@ -194,6 +199,22 @@ OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase, LinearPhase,
 # --- elementary actions ------------------------------------------------------
 
 
+@lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
+def _fresnel_multiplier(grid: Grid, c: complex) -> np.ndarray:
+    """Read-only spectral multiplier exp(-c k^2) on grid's wavenumbers."""
+    out = np.exp(-c * grid.k**2)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
+def _chirp_multiplier(grid: Grid, a: float) -> np.ndarray:
+    """Read-only pointwise chirp exp(i a x^2) on grid's positions."""
+    out = np.exp(1j * a * grid.x**2)
+    out.flags.writeable = False
+    return out
+
+
 def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
     """Return samples of psi(x + c) via the spectral shift theorem.
 
@@ -229,6 +250,8 @@ def apply_dilation(
         raise ValueError(f"dilation scale must be > 0, got {scale!r}")
     if scale == 1.0:
         return psi
+    from scipy.interpolate import make_interp_spline  # only squeeze chains pay this import
+
     x = psi.grid.x
     xq = scale * x
     spline_re = make_interp_spline(x, psi.samples.real, k=3)
@@ -264,7 +287,7 @@ def apply_spectral_d2(psi: WaveFunction, c: complex) -> WaveFunction:
     if c == 0.0:
         return psi
     spectrum = np.fft.fft(psi.samples)
-    return psi.with_samples(np.fft.ifft(spectrum * np.exp(-c * psi.grid.k**2)))
+    return psi.with_samples(np.fft.ifft(spectrum * _fresnel_multiplier(psi.grid, c)))
 
 
 def apply_phase(
@@ -274,7 +297,7 @@ def apply_phase(
     if isinstance(factor, QuadraticPhase):
         if factor.a == 0.0:
             return psi
-        return psi.with_samples(psi.samples * np.exp(1j * factor.a * psi.grid.x**2))
+        return psi.with_samples(psi.samples * _chirp_multiplier(psi.grid, factor.a))
     if isinstance(factor, LinearPhase):
         if factor.p == 0.0:
             return psi
@@ -367,6 +390,8 @@ def time_displacement_factors(t: float, substeps: int = 1) -> list[OperatorFacto
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps!r}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     tau = t / substeps
     if abs(tau) >= 0.5 * math.pi:
         raise CausticError(

@@ -2,12 +2,16 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from opfactor.algebra import SqueezeParameter
-from opfactor.cli import RunConfig, _write_rows, main, read_wavefunction
+from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main, read_wavefunction
 from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi_ss
 
 
@@ -158,6 +162,19 @@ class TestEvolve:
             assert code == 0
         assert paths[0].read_text() == paths[1].read_text()
 
+    @pytest.mark.parametrize("initial, op", [
+        ("ground", "time:t=inf"),
+        ("ground", "time:t=2,substeps=inf"),
+        ("ground", "time:t=nan"),
+        ("ground", "displace:x0=nan"),
+        ("ground", "time:t=2,substeps=2.7"),
+        ("evenodd:x0=2,s=1,sign=1.5", "time:t=1"),
+    ])
+    def test_nonfinite_or_fractional_parameters_refused(self, capsys, initial, op):
+        code, _, err = run(capsys, "evolve", "--initial", initial, "--op", op, "--grid-n", "64")
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_unknown_state_rejected(self, capsys):
         code, _, err = run(capsys, "evolve", "--initial", "plane-wave")
         assert code == 2
@@ -260,11 +277,43 @@ class TestDensity:
 
 class TestOutputFormat:
     def test_csv_bytes(self):
-        stream = io.StringIO()
-        rows = np.array([[-0.0, 1e-320, 0.1], [1.0, 2.5, -1.0 / 3.0]])
-        _write_rows(["a", "b", "c"], rows, RunConfig(), stream)
-        assert stream.getvalue() == (
+        small = np.array([[-0.0, 1e-320, 0.1], [1.0, 2.5, -1.0 / 3.0]])
+        small_text = (
             "a,b,c\r\n"
             "-0,9.9998886718268301e-321,0.10000000000000001\r\n"
             "1,2.5,-0.33333333333333331\r\n"
         )
+        # more rows than one block, with the literal rows straddling a block edge
+        big = np.random.default_rng(5).standard_normal((2 * CSV_BLOCK_ROWS + 3, 3))
+        big[CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = small
+        big_text = io.StringIO()
+        np.savetxt(big_text, big, fmt="%.17g", delimiter=",", newline="\r\n",
+                   header="a,b,c", comments="")
+        for rows, expected in [(small, small_text), (big, big_text.getvalue())]:
+            stream = io.StringIO()
+            _write_rows(["a", "b", "c"], rows, RunConfig(), stream)
+            assert stream.getvalue() == expected
+
+
+class TestImportCost:
+    def test_time_chains_do_not_load_scipy(self, tmp_path):
+        script = textwrap.dedent(f"""
+            import sys
+            from opfactor.cli import main
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+            out = {str(tmp_path / "state.csv")!r}
+            assert main(["evolve", "--initial", "coherent:x0=1", "--op", "time:t=2,substeps=2",
+                         "--op", "displace:x0=0.5,p0=0.2", "--grid-n", "256", "--out", out]) == 0
+            assert scipy_modules() == [], scipy_modules()
+            assert main(["evolve", "--initial", "ground", "--op", "squeeze:r=0.5,phi=0",
+                         "--out", out]) == 0
+            assert "scipy.interpolate" in sys.modules
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

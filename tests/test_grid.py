@@ -28,6 +28,7 @@ from opfactor.grid import (
     squeeze_factors,
     time_displacement_factors,
 )
+from opfactor.grid import _chirp_multiplier, _fresnel_multiplier
 from opfactor.states import coherent_state, psi0
 
 
@@ -176,6 +177,45 @@ class TestPhases:
         assert out.norm() == pytest.approx(math.exp(-0.5) * ground.norm(), abs=1e-12)
 
 
+class TestMultiplierCache:
+    def test_cached_multipliers_are_read_only(self, grid):
+        for multiplier in (_fresnel_multiplier(grid, 0.25j), _chirp_multiplier(grid, 0.3)):
+            with pytest.raises(ValueError):
+                multiplier[0] = 0.0
+
+    def test_windows_get_their_own_multipliers(self):
+        wide, narrow = Grid(-12.0, 12.0, 256), Grid(-6.0, 6.0, 256)
+        assert not np.allclose(_fresnel_multiplier(wide, 0.25j), _fresnel_multiplier(narrow, 0.25j))
+        assert not np.allclose(_chirp_multiplier(wide, 0.3), _chirp_multiplier(narrow, 0.3))
+
+    def test_long_time_chain_matches_uncached_reference(self, grid):
+        psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 2.0, 0.5))
+        factors = time_displacement_factors(32 * math.pi, 128)
+        expected = psi.samples
+        for f in factors:
+            if isinstance(f, QuadraticPhase):
+                expected = expected * np.exp(1j * f.a * grid.x**2)
+            else:
+                expected = np.fft.ifft(np.fft.fft(expected) * np.exp(-f.c * grid.k**2))
+        _fresnel_multiplier.cache_clear()
+        _chirp_multiplier.cache_clear()
+        out = apply_chain(psi, factors)
+        assert np.abs(out.samples - expected).max() < 1e-13
+        # one Fresnel multiplier and two chirps (edge and fused), each computed once
+        assert _fresnel_multiplier.cache_info().misses == 1
+        assert _chirp_multiplier.cache_info().misses == 2
+
+    def test_cache_stays_bounded(self, ground):
+        for cache in (_fresnel_multiplier, _chirp_multiplier):
+            assert cache.cache_info().maxsize is not None
+        for i in range(1, 3 * _fresnel_multiplier.cache_info().maxsize):
+            apply_spectral_d2(ground, 1e-3j * i)
+            apply_phase(ground, QuadraticPhase(1e-3 * i))
+            for cache in (_fresnel_multiplier, _chirp_multiplier):
+                info = cache.cache_info()
+                assert info.currsize <= info.maxsize
+
+
 class TestFactorSequences:
     def test_zero_displacement_is_scalar_one(self):
         assert displacement_factors(0.0, 0.0) == [Scalar(1.0 + 0j)]
@@ -217,6 +257,9 @@ class TestFactorSequences:
         with pytest.raises(CausticError):
             time_displacement_factors(2.0, 1)
         time_displacement_factors(2.0, 2)  # fine once split
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                time_displacement_factors(t, 4)
 
     def test_zero_time_is_identity_chain(self, ground):
         out = apply_chain(ground, time_displacement_factors(0.0, 3))
