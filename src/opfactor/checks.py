@@ -297,7 +297,7 @@ def check_shift_gaussian(grid: Grid):
 
 
 def check_dilation_gaussian(grid: Grid):
-    """Cubic-spline dilation reproduces the analytic substitution."""
+    """Spectral (chirp-z) dilation reproduces the analytic substitution."""
     psi = WaveFunction.from_callable(grid, lambda x: np.exp(-0.5 * x * x))
     out = apply_dilation(psi, 2.0)
     expected = np.exp(-2.0 * grid.x**2)

@@ -1,19 +1,22 @@
 """Wavefunctions on a uniform position grid and the elementary factor actions.
 
-The factor set covers shifts (spectral), dilations (cubic-spline resampling),
-exp[c d^2/dx^2] convolutions (spectral multiplier exp(-c k^2)), and pointwise
-quadratic/linear/scalar phases.  Chains of factors realize displacement,
-squeeze, and time-displacement operators on sampled states.  Time chains use
-only chirps and Fresnel steps; the spline dilation serves the squeeze family.
+The factor set covers shifts (spectral), dilations (band-limited spectral
+resampling by a chirp-z convolution), exp[c d^2/dx^2] convolutions (spectral
+multiplier exp(-c k^2)), and pointwise quadratic/linear/scalar phases.  Chains
+of factors realize displacement, squeeze, and time-displacement operators on
+sampled states.  Time chains use only chirps and Fresnel steps; the dilation
+serves the squeeze family.  Every factor is an FFT step or a pointwise
+multiply, and none needs scipy.
 
 Spectral steps treat the grid as periodic, so states are expected to decay to
 negligible values at the boundary; the default window [-12, 12) with n = 2048
 comfortably holds every state this package constructs.
 
-The Fresnel multiplier exp(-c k^2) and the chirp exp(i a x^2) are computed
-once per (grid, parameter) and reused from a small bounded cache, so a time
-chain of k substeps evaluates its three distinct multipliers once rather than
-2k + 1 times.  The cached arrays are read-only.
+The Fresnel multiplier exp(-c k^2), the chirp exp(i a x^2) and the
+dilation's chirp-z factors are computed once per (grid, parameter) and reused
+from small bounded caches, so a time chain of k substeps evaluates its three
+distinct multipliers once rather than 2k + 1 times.  The cached arrays are
+read-only.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_OVERFLOW_FRAC = 1e-6
+MAX_TIME_SUBSTEPS = 2**16
 _MULTIPLIER_CACHE_SIZE = 8
 
 
@@ -112,7 +116,9 @@ class WaveFunction:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != (self.grid.n,):
             raise ValueError(f"samples must have shape ({self.grid.n},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # one reduction settles the usual case; an overflowing one falls back
+        # to the element scan, so huge finite samples are still accepted
+        if not np.isfinite(np.vdot(arr, arr)) and not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr)
 
@@ -215,6 +221,41 @@ def _chirp_multiplier(grid: Grid, a: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
+def _dilation_chirps(
+    grid: Grid, scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Bluestein factors (pre, kernel spectrum, post, Nyquist) of a dilation.
+
+    The samples' trigonometric interpolant is (1/n) sum_m F_m exp(i k_m (x - x_min))
+    over signed m in [-n/2, n/2), with F = fft(samples) and the Nyquist term
+    split evenly between k = -pi/dx and +pi/dx, i.e. F_{n/2} cos(pi (x - x_min)/dx) / n.
+    With the centred output index j' = j - n/2 and c = pi scale / n,
+    k_m (scale x_j - x_min) = m theta + 2 c m j', and
+    2 m j' = m^2 + j'^2 - (j' - m)^2 turns the sum over m into the linear
+    convolution of F_m exp(i (c m^2 + m theta)) with the chirp exp(-i c q^2),
+    |q| < n, taken by FFTs of length 2n.  Centring keeps the chirp phases of
+    the significant terms at or below about pi scale n / 4.  post and nyquist
+    are zero where scale * x_j leaves [x_0, x_{n-1}].
+    """
+    n = grid.n
+    c = math.pi * scale / n
+    theta = grid.k[1] * (scale * grid.x[n // 2] - grid.x_min)
+    centred = np.arange(-(n // 2), n // 2)
+    xq = scale * grid.x
+    inside = (xq >= grid.x[0]) & (xq <= grid.x[-1])
+
+    pre = np.exp(1j * (c * centred**2 + theta * centred)) / n
+    pre[0] = 0.0  # the Nyquist term goes through `nyquist`
+    q = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
+    kernel = np.fft.fft(np.exp(-1j * c * q**2))
+    post = np.where(inside, np.exp(1j * c * centred**2), 0.0)
+    nyquist = np.where(inside, np.cos(0.5 * n * theta + math.pi * scale * centred) / n, 0.0)
+    for arr in (pre, kernel, post, nyquist):
+        arr.flags.writeable = False
+    return pre, kernel, post, nyquist
+
+
 def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
     """Return samples of psi(x + c) via the spectral shift theorem.
 
@@ -237,28 +278,26 @@ def apply_dilation(
     scale: float,
     overflow_frac: float = DEFAULT_OVERFLOW_FRAC,
 ) -> WaveFunction:
-    """Return samples of psi(scale * x) by cubic-spline resampling.
+    """Return samples of psi(scale * x) by band-limited spectral resampling.
 
-    Points mapped outside the original grid read as zero, which is exact for
-    states that decay inside the window.  The continuum identity
-    ||psi(scale x)||^2 = ||psi||^2 / scale is used for norm accounting: if
-    more than overflow_frac of the expected output norm is missing, the
-    dilated support crossed the window edge and a SupportOverflowWarning is
-    issued.
+    The grid's own trigonometric interpolant is evaluated at scale * x_j with
+    one chirp-z (Bluestein) convolution; see _dilation_chirps.  Points mapped
+    outside [x_0, x_{n-1}] read as zero, which is exact for states that decay
+    inside the window, and no point is read across the periodic boundary.
+    The continuum identity ||psi(scale x)||^2 = ||psi||^2 / scale is used for
+    norm accounting: if more than overflow_frac of the expected output norm is
+    missing, the dilated support crossed the window edge and a
+    SupportOverflowWarning is issued.
     """
     if not scale > 0.0:
         raise ValueError(f"dilation scale must be > 0, got {scale!r}")
     if scale == 1.0:
         return psi
-    from scipy.interpolate import make_interp_spline  # only squeeze chains pay this import
-
-    x = psi.grid.x
-    xq = scale * x
-    spline_re = make_interp_spline(x, psi.samples.real, k=3)
-    spline_im = make_interp_spline(x, psi.samples.imag, k=3)
-    inside = (xq >= x[0]) & (xq <= x[-1])
-    values = np.zeros(psi.grid.n, dtype=complex)
-    values[inside] = spline_re(xq[inside]) + 1j * spline_im(xq[inside])
+    n = psi.grid.n
+    pre, kernel, post, nyquist = _dilation_chirps(psi.grid, scale)
+    spectrum = np.fft.fft(psi.samples)
+    chirped = np.fft.fft(np.fft.fftshift(spectrum) * pre, 2 * n)
+    values = post * np.fft.ifft(chirped * kernel)[:n] + spectrum[n // 2] * nyquist
     out = psi.with_samples(values)
 
     expected = psi.norm() ** 2 / scale
@@ -386,10 +425,13 @@ def time_displacement_factors(t: float, substeps: int = 1) -> list[OperatorFacto
     exp[-i (tan(tau/2)/2) x^2], exact with unit scalar for |tau| < pi, and the
     chirps of neighbouring substeps are fused into one.  Substeps must stay
     strictly inside (-pi/2, pi/2), which bounds the chirp rate tan(|tau|/2)
-    below 1; min_time_substeps gives the smallest admissible count.
+    below 1; min_time_substeps gives the smallest admissible count.  More than
+    MAX_TIME_SUBSTEPS substeps are refused before any factor list is built.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps!r}")
+    if substeps > MAX_TIME_SUBSTEPS:
+        raise ValueError(f"substeps must be <= {MAX_TIME_SUBSTEPS}, got {substeps:.6g}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     tau = t / substeps

@@ -238,6 +238,13 @@ class TestIntegrator:
         err = max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple()))
         assert err < 1e-8
 
+    def test_constant_generator_matches_constant_callables_bitwise(self):
+        base = GeneratorCoefficients.squeeze(SqueezeParameter(0.8, math.pi / 3))
+        as_callables = GeneratorCoefficients(*(lambda t, v=v: v for v in base.at(0.0)))
+        hoisted = integrate_wei_norman(base, 1.0, steps=200)
+        per_step = integrate_wei_norman(as_callables, 1.0, steps=200)
+        assert hoisted == per_step
+
     def test_blowup_detection(self):
         with pytest.raises(BlowUpError):
             integrate_wei_norman(

@@ -7,6 +7,7 @@ import pytest
 
 from opfactor.algebra import CausticError, SqueezeParameter
 from opfactor.grid import (
+    MAX_TIME_SUBSTEPS,
     ChainError,
     Dilation,
     Grid,
@@ -28,8 +29,14 @@ from opfactor.grid import (
     squeeze_factors,
     time_displacement_factors,
 )
-from opfactor.grid import _chirp_multiplier, _fresnel_multiplier
+from opfactor.grid import _chirp_multiplier, _dilation_chirps, _fresnel_multiplier
 from opfactor.states import coherent_state, psi0
+
+
+# the dilation in the chain of squeeze:r=1.5,phi=2
+SQUEEZE_SCALE = next(
+    f.scale for f in squeeze_factors(SqueezeParameter(1.5, 2.0)) if isinstance(f, Dilation)
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +74,17 @@ class TestWaveFunction:
         samples[0] = np.nan
         with pytest.raises(ValueError):
             WaveFunction(grid, samples)
+
+    def test_finiteness_check_survives_overflow(self, grid):
+        # |samples|^2 overflows the one-reduction check, so the element scan decides
+        huge = np.full(grid.n, 1e200 + 1e200j)
+        assert np.array_equal(WaveFunction(grid, huge).samples, huge)
+        for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
+            for fill in (0.0, 1e200):
+                samples = np.full(grid.n, fill, dtype=complex)
+                samples[7] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    WaveFunction(grid, samples)
 
     def test_normalized(self, grid):
         psi = WaveFunction.from_callable(grid, lambda x: 3.0 * np.exp(-0.5 * x * x))
@@ -121,6 +139,48 @@ class TestDilation:
         psi = WaveFunction.from_callable(grid, lambda x: np.exp(-0.5 * (x - 8.0) ** 2))
         with pytest.warns(SupportOverflowWarning):
             apply_dilation(psi, 0.5)
+
+    @pytest.mark.parametrize("n", [2**11, 2**14])
+    @pytest.mark.parametrize("scale", [SQUEEZE_SCALE, 1.37])
+    def test_off_grid_scales_match_gaussian(self, n, scale):
+        g = Grid(-12.0, 12.0, n)
+        psi = WaveFunction.from_callable(g, lambda x: np.exp(-0.5 * x * x))
+        out = apply_dilation(psi, scale)
+        assert np.abs(out.samples - np.exp(-0.5 * (scale * g.x) ** 2)).max() <= 1e-11
+
+    def test_asymmetric_window(self):
+        g = Grid(-8.0, 16.0, 2048)
+        psi = WaveFunction.from_callable(g, lambda x: np.exp(-0.5 * (x - 1.0) ** 2))
+        for scale in (SQUEEZE_SCALE, 1.37):
+            out = apply_dilation(psi, scale)
+            assert np.abs(out.samples - np.exp(-0.5 * (scale * g.x - 1.0) ** 2)).max() <= 1e-11
+
+    @pytest.mark.filterwarnings("ignore::opfactor.grid.SupportOverflowWarning")
+    def test_matches_interpolant_summed_term_by_term(self):
+        # (1/n) sum_m F_m exp(i k_m (scale x - x_min)), Nyquist term as F_{n/2} cos(pi u / dx)
+        g = Grid(-3.0, 5.0, 64)
+        rng = np.random.default_rng(8)
+        samples = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        spectrum = np.fft.fft(samples)
+        for scale in (0.7, 1.3):
+            u = scale * g.x - g.x_min
+            terms = spectrum * np.exp(1j * np.outer(u, g.k))
+            terms[:, g.n // 2] = spectrum[g.n // 2] * np.cos(np.pi * u / g.dx)
+            inside = (scale * g.x >= g.x[0]) & (scale * g.x <= g.x[-1])
+            expected = np.where(inside, terms.sum(axis=1) / g.n, 0.0)
+            out = apply_dilation(WaveFunction(g, samples), scale)
+            assert np.abs(out.samples - expected).max() < 1e-12
+
+    @pytest.mark.filterwarnings("ignore::opfactor.grid.SupportOverflowWarning")
+    def test_points_mapped_outside_read_zero(self, grid):
+        rng = np.random.default_rng(3)
+        psi = WaveFunction(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+        for scale in (1.37, 2.0):
+            out = apply_dilation(psi, scale)
+            outside = (scale * grid.x < grid.x[0]) | (scale * grid.x > grid.x[-1])
+            assert outside.any()
+            assert np.all(out.samples[outside] == 0.0)
+            assert np.all(out.samples[~outside] != 0.0)
 
     def test_rejects_nonpositive_scale(self, ground):
         with pytest.raises(ValueError):
@@ -179,7 +239,8 @@ class TestPhases:
 
 class TestMultiplierCache:
     def test_cached_multipliers_are_read_only(self, grid):
-        for multiplier in (_fresnel_multiplier(grid, 0.25j), _chirp_multiplier(grid, 0.3)):
+        multipliers = [_fresnel_multiplier(grid, 0.25j), _chirp_multiplier(grid, 0.3)]
+        for multiplier in multipliers + list(_dilation_chirps(grid, 1.37)):
             with pytest.raises(ValueError):
                 multiplier[0] = 0.0
 
@@ -206,12 +267,14 @@ class TestMultiplierCache:
         assert _chirp_multiplier.cache_info().misses == 2
 
     def test_cache_stays_bounded(self, ground):
-        for cache in (_fresnel_multiplier, _chirp_multiplier):
+        caches = (_fresnel_multiplier, _chirp_multiplier, _dilation_chirps)
+        for cache in caches:
             assert cache.cache_info().maxsize is not None
         for i in range(1, 3 * _fresnel_multiplier.cache_info().maxsize):
             apply_spectral_d2(ground, 1e-3j * i)
             apply_phase(ground, QuadraticPhase(1e-3 * i))
-            for cache in (_fresnel_multiplier, _chirp_multiplier):
+            apply_dilation(ground, 1.0 + 1e-3 * i)
+            for cache in caches:
                 info = cache.cache_info()
                 assert info.currsize <= info.maxsize
 
@@ -260,6 +323,13 @@ class TestFactorSequences:
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 time_displacement_factors(t, 4)
+
+    def test_substep_count_bounded(self):
+        # refused before the factor list is built, so a huge count costs nothing
+        for substeps in (MAX_TIME_SUBSTEPS + 1, int(1e300), 1e300):
+            with pytest.raises(ValueError, match=f"<= {MAX_TIME_SUBSTEPS}"):
+                time_displacement_factors(1.0, substeps)
+        assert len(time_displacement_factors(1.0, MAX_TIME_SUBSTEPS)) == 2 * MAX_TIME_SUBSTEPS + 1
 
     def test_zero_time_is_identity_chain(self, ground):
         out = apply_chain(ground, time_displacement_factors(0.0, 3))
