@@ -292,14 +292,14 @@ def integrate_wei_norman(
     h = t_end / steps
     alpha = beta = gamma = delta = 0j
     # a constant generator is evaluated once, not three times per step
-    time_dependent = any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4))
-    fixed = None if time_dependent else b.at(0.0)
+    at = b.at
+    if not any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4)):
+        at = lambda _t, fixed=b.at(0.0): fixed
     for step in range(steps):
         t0 = step * h
-        if fixed is None:
-            bv0, bvh, bv1 = b.at(t0), b.at(t0 + 0.5 * h), b.at(t0 + h)
-        else:
-            bv0 = bvh = bv1 = fixed
+        bv0 = at(t0)
+        bvh = at(t0 + 0.5 * h)
+        bv1 = at(t0 + h)
         ka = _rhs(alpha, beta, *bv0)
         kb = _rhs(alpha + 0.5 * h * ka[0], beta + 0.5 * h * ka[1], *bvh)
         kc = _rhs(alpha + 0.5 * h * kb[0], beta + 0.5 * h * kb[1], *bvh)

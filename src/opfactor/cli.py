@@ -22,11 +22,13 @@ from .algebra import (
 )
 from .fock import FockBasis
 from .grid import (
+    MAX_TIME_SUBSTEPS,
     ChainError,
     Grid,
     WaveFunction,
     apply_chain,
     displacement_factors,
+    min_time_substeps,
     squeeze_factors,
     time_displacement_factors,
 )
@@ -331,6 +333,11 @@ def cmd_density(args: argparse.Namespace) -> int:
         spec = states.EvenOddSpec(args.x0, args.s, args.sign)
         if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < 1:
             raise ValueError("need a finite t range and t_steps >= 1")
+        t_far = max(abs(args.t_min), abs(args.t_max))
+        if min_time_substeps(t_far) > MAX_TIME_SUBSTEPS:
+            raise ValueError(
+                f"|t| = {t_far:.6g} needs more than {MAX_TIME_SUBSTEPS} time substeps"
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

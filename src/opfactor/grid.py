@@ -12,11 +12,10 @@ Spectral steps treat the grid as periodic, so states are expected to decay to
 negligible values at the boundary; the default window [-12, 12) with n = 2048
 comfortably holds every state this package constructs.
 
-The Fresnel multiplier exp(-c k^2), the chirp exp(i a x^2) and the
-dilation's chirp-z factors are computed once per (grid, parameter) and reused
-from small bounded caches, so a time chain of k substeps evaluates its three
-distinct multipliers once rather than 2k + 1 times.  The cached arrays are
-read-only.
+The Fresnel multiplier exp(-c k^2) and the chirp exp(i a x^2) are computed
+once per (grid, parameter) and reused from a small bounded cache, so a time
+chain of k substeps evaluates its three distinct multipliers once rather than
+2k + 1 times.  The cached arrays are read-only.
 """
 from __future__ import annotations
 
@@ -116,9 +115,7 @@ class WaveFunction:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != (self.grid.n,):
             raise ValueError(f"samples must have shape ({self.grid.n},), got {arr.shape}")
-        # one reduction settles the usual case; an overflowing one falls back
-        # to the element scan, so huge finite samples are still accepted
-        if not np.isfinite(np.vdot(arr, arr)) and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr)
 
@@ -221,41 +218,6 @@ def _chirp_multiplier(grid: Grid, a: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
-def _dilation_chirps(
-    grid: Grid, scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only Bluestein factors (pre, kernel spectrum, post, Nyquist) of a dilation.
-
-    The samples' trigonometric interpolant is (1/n) sum_m F_m exp(i k_m (x - x_min))
-    over signed m in [-n/2, n/2), with F = fft(samples) and the Nyquist term
-    split evenly between k = -pi/dx and +pi/dx, i.e. F_{n/2} cos(pi (x - x_min)/dx) / n.
-    With the centred output index j' = j - n/2 and c = pi scale / n,
-    k_m (scale x_j - x_min) = m theta + 2 c m j', and
-    2 m j' = m^2 + j'^2 - (j' - m)^2 turns the sum over m into the linear
-    convolution of F_m exp(i (c m^2 + m theta)) with the chirp exp(-i c q^2),
-    |q| < n, taken by FFTs of length 2n.  Centring keeps the chirp phases of
-    the significant terms at or below about pi scale n / 4.  post and nyquist
-    are zero where scale * x_j leaves [x_0, x_{n-1}].
-    """
-    n = grid.n
-    c = math.pi * scale / n
-    theta = grid.k[1] * (scale * grid.x[n // 2] - grid.x_min)
-    centred = np.arange(-(n // 2), n // 2)
-    xq = scale * grid.x
-    inside = (xq >= grid.x[0]) & (xq <= grid.x[-1])
-
-    pre = np.exp(1j * (c * centred**2 + theta * centred)) / n
-    pre[0] = 0.0  # the Nyquist term goes through `nyquist`
-    q = np.fft.fftfreq(2 * n, 1.0 / (2 * n))
-    kernel = np.fft.fft(np.exp(-1j * c * q**2))
-    post = np.where(inside, np.exp(1j * c * centred**2), 0.0)
-    nyquist = np.where(inside, np.cos(0.5 * n * theta + math.pi * scale * centred) / n, 0.0)
-    for arr in (pre, kernel, post, nyquist):
-        arr.flags.writeable = False
-    return pre, kernel, post, nyquist
-
-
 def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
     """Return samples of psi(x + c) via the spectral shift theorem.
 
@@ -281,9 +243,9 @@ def apply_dilation(
     """Return samples of psi(scale * x) by band-limited spectral resampling.
 
     The grid's own trigonometric interpolant is evaluated at scale * x_j with
-    one chirp-z (Bluestein) convolution; see _dilation_chirps.  Points mapped
-    outside [x_0, x_{n-1}] read as zero, which is exact for states that decay
-    inside the window, and no point is read across the periodic boundary.
+    one chirp-z (Bluestein) convolution.  Points mapped outside
+    [x_0, x_{n-1}] read as zero, which is exact for states that decay inside
+    the window, and no point is read across the periodic boundary.
     The continuum identity ||psi(scale x)||^2 = ||psi||^2 / scale is used for
     norm accounting: if more than overflow_frac of the expected output norm is
     missing, the dilated support crossed the window edge and a
@@ -293,12 +255,33 @@ def apply_dilation(
         raise ValueError(f"dilation scale must be > 0, got {scale!r}")
     if scale == 1.0:
         return psi
-    n = psi.grid.n
-    pre, kernel, post, nyquist = _dilation_chirps(psi.grid, scale)
-    spectrum = np.fft.fft(psi.samples)
-    chirped = np.fft.fft(np.fft.fftshift(spectrum) * pre, 2 * n)
-    values = post * np.fft.ifft(chirped * kernel)[:n] + spectrum[n // 2] * nyquist
-    out = psi.with_samples(values)
+    # The interpolant is (1/n) sum_m F_m exp(i k_m (x - x_min)) over signed
+    # m in [-n/2, n/2), F = fft(samples), with the Nyquist term split evenly
+    # between k = -pi/dx and +pi/dx, i.e. F_{n/2} cos(pi (x - x_min)/dx) / n.
+    # With the centred output index j' = j - n/2 and c = pi scale / n,
+    # k_m (scale x_j - x_min) = m theta + 2 c m j', and
+    # 2 m j' = m^2 + j'^2 - (j' - m)^2 turns the sum over m into the linear
+    # convolution of F_m exp(i (c m^2 + m theta)) with the chirp exp(-i c q^2),
+    # |q| < n, taken by FFTs of length 2n.  Centring keeps the chirp phases of
+    # the significant terms at or below about pi scale n / 4.
+    grid = psi.grid
+    n = grid.n
+    c = math.pi * scale / n
+    theta = grid.k[1] * (scale * grid.x[n // 2] - grid.x_min)
+    centred = np.arange(-(n // 2), n // 2)
+    inside = (scale * grid.x >= grid.x[0]) & (scale * grid.x <= grid.x[-1])
+    # exp(-i c q^2) is even in q: evaluate it for q = 0..n only
+    half = np.exp(-1j * c * np.arange(n + 1) ** 2)
+    chirp = half[np.abs(centred)].conj()
+
+    spectrum = np.fft.fftshift(np.fft.fft(psi.samples))
+    nyquist = spectrum[0]
+    spectrum[0] = 0.0
+    chirped = np.fft.fft(spectrum * chirp * np.exp(1j * theta * centred), 2 * n)
+    kernel = np.fft.fft(np.concatenate([half[:n], half[n:0:-1]]))
+    values = chirp * np.fft.ifft(chirped * kernel)[:n]
+    values += nyquist * np.cos(0.5 * n * theta + math.pi * scale * centred)
+    out = psi.with_samples(np.where(inside, values / n, 0.0))
 
     expected = psi.norm() ** 2 / scale
     if expected > 0.0:
@@ -436,10 +419,11 @@ def time_displacement_factors(t: float, substeps: int = 1) -> list[OperatorFacto
         raise ValueError(f"t must be finite, got {t!r}")
     tau = t / substeps
     if abs(tau) >= 0.5 * math.pi:
-        raise CausticError(
-            f"substep {tau:.6g} reaches pi/2; use at least {min_time_substeps(t)} "
-            f"substeps for t = {t:.6g}"
-        )
+        needed = min_time_substeps(t)
+        hint = f"use at least {needed} substeps for t = {t:.6g}"
+        if needed > MAX_TIME_SUBSTEPS:
+            hint += f", more than the {MAX_TIME_SUBSTEPS} allowed, so shorten |t|"
+        raise CausticError(f"substep {tau:.6g} reaches pi/2; {hint}")
     half_chirp = -0.5 * math.tan(0.5 * tau)
     fresnel = SpectralD2(0.5j * math.sin(tau))
     factors: list[OperatorFactor] = [QuadraticPhase(half_chirp), fresnel]

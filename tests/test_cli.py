@@ -261,6 +261,16 @@ class TestDensity:
             rows = np.loadtxt(path, delimiter=",", skiprows=1)
             assert rows[:, 4].max() < tol, argv
 
+    @pytest.mark.parametrize("t_min, t_max", [("0", "2e5"), ("-2e5", "1")])
+    def test_time_beyond_substep_bound_refused(self, capsys, t_min, t_max):
+        # |t| = 2e5 needs 127324 substeps, more than MAX_TIME_SUBSTEPS
+        code, _, err = run(
+            capsys, "density", "--x0", "2", "--s", "1.5", "--sign", "1",
+            f"--t-min={t_min}", f"--t-max={t_max}", "--t-steps", "2", "--grid-n", "64",
+        )
+        assert code == 2
+        assert err.startswith("error:") and str(MAX_TIME_SUBSTEPS) in err
+
     def test_raw_integral_column(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run(

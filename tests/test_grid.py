@@ -29,7 +29,7 @@ from opfactor.grid import (
     squeeze_factors,
     time_displacement_factors,
 )
-from opfactor.grid import _chirp_multiplier, _dilation_chirps, _fresnel_multiplier
+from opfactor.grid import _chirp_multiplier, _fresnel_multiplier
 from opfactor.states import coherent_state, psi0
 
 
@@ -74,17 +74,6 @@ class TestWaveFunction:
         samples[0] = np.nan
         with pytest.raises(ValueError):
             WaveFunction(grid, samples)
-
-    def test_finiteness_check_survives_overflow(self, grid):
-        # |samples|^2 overflows the one-reduction check, so the element scan decides
-        huge = np.full(grid.n, 1e200 + 1e200j)
-        assert np.array_equal(WaveFunction(grid, huge).samples, huge)
-        for bad in (np.inf, -np.inf, np.nan, complex(0.0, np.inf)):
-            for fill in (0.0, 1e200):
-                samples = np.full(grid.n, fill, dtype=complex)
-                samples[7] = bad
-                with pytest.raises(ValueError, match="finite"):
-                    WaveFunction(grid, samples)
 
     def test_normalized(self, grid):
         psi = WaveFunction.from_callable(grid, lambda x: 3.0 * np.exp(-0.5 * x * x))
@@ -239,8 +228,7 @@ class TestPhases:
 
 class TestMultiplierCache:
     def test_cached_multipliers_are_read_only(self, grid):
-        multipliers = [_fresnel_multiplier(grid, 0.25j), _chirp_multiplier(grid, 0.3)]
-        for multiplier in multipliers + list(_dilation_chirps(grid, 1.37)):
+        for multiplier in (_fresnel_multiplier(grid, 0.25j), _chirp_multiplier(grid, 0.3)):
             with pytest.raises(ValueError):
                 multiplier[0] = 0.0
 
@@ -267,14 +255,12 @@ class TestMultiplierCache:
         assert _chirp_multiplier.cache_info().misses == 2
 
     def test_cache_stays_bounded(self, ground):
-        caches = (_fresnel_multiplier, _chirp_multiplier, _dilation_chirps)
-        for cache in caches:
+        for cache in (_fresnel_multiplier, _chirp_multiplier):
             assert cache.cache_info().maxsize is not None
         for i in range(1, 3 * _fresnel_multiplier.cache_info().maxsize):
             apply_spectral_d2(ground, 1e-3j * i)
             apply_phase(ground, QuadraticPhase(1e-3 * i))
-            apply_dilation(ground, 1.0 + 1e-3 * i)
-            for cache in caches:
+            for cache in (_fresnel_multiplier, _chirp_multiplier):
                 info = cache.cache_info()
                 assert info.currsize <= info.maxsize
 
@@ -330,6 +316,14 @@ class TestFactorSequences:
             with pytest.raises(ValueError, match=f"<= {MAX_TIME_SUBSTEPS}"):
                 time_displacement_factors(1.0, substeps)
         assert len(time_displacement_factors(1.0, MAX_TIME_SUBSTEPS)) == 2 * MAX_TIME_SUBSTEPS + 1
+
+    def test_caustic_hint_names_substep_bound(self):
+        with pytest.raises(CausticError, match="use at least 3 substeps") as small:
+            time_displacement_factors(4.0)
+        assert "allowed" not in str(small.value)
+        # 2e5 needs 127324 substeps, which the bound refuses
+        with pytest.raises(CausticError, match=f"127324 .*more than the {MAX_TIME_SUBSTEPS}"):
+            time_displacement_factors(2e5)
 
     def test_zero_time_is_identity_chain(self, ground):
         out = apply_chain(ground, time_displacement_factors(0.0, 3))
