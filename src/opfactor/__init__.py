@@ -29,6 +29,7 @@ from .fock import (
     matrix_exponential,
     position_to_fock,
     squeeze_generator,
+    unitary_exponential,
     xp_matrices,
 )
 from .grid import (

@@ -258,8 +258,8 @@ def check_oracle_triangle(grid: Grid, fock_dim: int = 128):
 
     # Displaced squeezed state: direct ladder exponentials on the vacuum.
     z = SqueezeParameter(0.8, math.pi / 3)
-    d_mat = fock.matrix_exponential(fock.displacement_generator(x0, p0, fock_dim))
-    s_mat = fock.matrix_exponential(fock.squeeze_generator(z, fock_dim))
+    d_mat = fock.unitary_exponential(fock.displacement_generator(x0, p0, fock_dim))
+    s_mat = fock.unitary_exponential(fock.squeeze_generator(z, fock_dim))
     vacuum = np.zeros(fock_dim, dtype=complex)
     vacuum[0] = 1.0
     via_ladder = fock.fock_to_position(d_mat @ (s_mat @ vacuum), grid)
@@ -465,12 +465,12 @@ def check_fock_oscillator_generator(fock_dim: int = 128):
     ]
 
 
-def check_expm_unitarity(dim: int = 8, seed: int = DEFAULT_SEED):
-    """The exponential of a random anti-Hermitian matrix is unitary."""
+def check_unitary_exponential(dim: int = 8, seed: int = DEFAULT_SEED):
+    """The oracle's exponential of a random anti-Hermitian matrix is unitary."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     anti = 0.5 * (raw - raw.conj().T)
-    u = fock.matrix_exponential(anti)
+    u = fock.unitary_exponential(anti)
     return [
         CheckResult("fock", "expm_antihermitian_unitary",
                     _max_abs(u @ u.conj().T, np.eye(dim)), 1e-11)
@@ -503,7 +503,7 @@ def check_fock_squeeze_oracle():
         for phi in (0.0, math.pi / 3, math.pi / 2):
             z = SqueezeParameter(r, phi)
             m = fock.factored_matrix(squeeze_factorization(z, 1.0), dim)
-            direct = fock.matrix_exponential(fock.squeeze_generator(z, dim))
+            direct = fock.unitary_exponential(fock.squeeze_generator(z, dim))
             err = _max_abs(m[:block, :block], direct[:block, :block])
             results.append(
                 CheckResult("fock", f"squeeze_oracle_r{r:g}_phi{phi:.4g}", err, 1e-6)
@@ -524,7 +524,7 @@ def check_fock_truncation_monotonicity():
         errs = {}
         for dim in (64, 128):
             m = fock.factored_matrix(squeeze_factorization(z, 1.0), dim)
-            direct = fock.matrix_exponential(fock.squeeze_generator(z, dim))
+            direct = fock.unitary_exponential(fock.squeeze_generator(z, dim))
             errs[dim] = _max_abs(m[:block, :block], direct[:block, :block])
         excess = max(0.0, errs[128] - errs[64])
         results.append(CheckResult("fock", f"truncation_monotonic_r{r:g}", excess, 1e-14))
@@ -575,7 +575,7 @@ def run_checks(
     if suite in ("fock", "all"):
         results += check_fock_commutators(fock_dim)
         results += check_fock_oscillator_generator(fock_dim)
-        results += check_expm_unitarity(seed=seed)
+        results += check_unitary_exponential(seed=seed)
         results += check_fock_time_diagonal()
         results += check_fock_squeeze_oracle()
         results += check_fock_truncation_monotonicity()

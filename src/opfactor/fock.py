@@ -1,7 +1,11 @@
 """Dense truncated number-basis matrices: an independent route to every operator.
 
-Operators assembled from ladder matrices are exponentiated directly (scipy's
-scaling-and-squaring Pade expm) and compared against factored products.
+Factored products are built from spectral decompositions of the truncated X
+(real symmetric tridiagonal, the Gauss-Hermite DVR matrix) and of X D, cached
+per dimension; D^2 reuses X's decomposition through D = -i F^dag X F with
+F = diag(i^n).  Direct exponentials of anti-Hermitian ladder generators come
+from a Hermitian eigendecomposition.  Neither route needs scipy; the general
+`matrix_exponential` (scipy's expm) stays as an independent reference.
 Truncation noise concentrates in the high-index rows, so comparisons restrict
 to low-index blocks; see the README for a measured error-versus-dimension
 table.
@@ -9,9 +13,10 @@ table.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,12 +34,14 @@ __all__ = [
     "matrix_exponential",
     "position_to_fock",
     "squeeze_generator",
+    "unitary_exponential",
     "xp_matrices",
 ]
 
 MIN_DIM = 8
 MAX_HERMITE = 512
 _EXPM_NORM_BOUND = 1e6
+_ANTI_HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,18 +104,77 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     norm1 = float(np.linalg.norm(m, 1))
     if norm1 > _EXPM_NORM_BOUND:
         raise OverflowError(f"matrix 1-norm {norm1:.3e} exceeds {_EXPM_NORM_BOUND:.0e}")
-    from scipy.linalg import expm  # only the Fock oracle pays this import
+    from scipy.linalg import expm  # only callers of this general reference pay the import
 
     return expm(m)
 
 
-def factored_matrix(c: FactorizationCoefficients, dim: int) -> np.ndarray:
-    """exp(delta) exp(i alpha X^2) exp(beta X D) exp(i gamma D^2) as one matrix."""
+def _finite_or_raise(m: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise OverflowError("matrix exponential overflowed to non-finite entries")
+    return m
+
+
+def unitary_exponential(g: np.ndarray) -> np.ndarray:
+    """exp(g) of an anti-Hermitian g, as W e^{-i w} W^dag from eigh(i g)."""
+    g = np.asarray(g, dtype=complex)
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
+        raise ValueError(f"need a non-empty square matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix entries must be finite")
+    residue = float(np.abs(g + g.conj().T).max())
+    if residue > _ANTI_HERMITIAN_RTOL * max(1.0, float(np.abs(g).max())):
+        raise ValueError(f"matrix is not anti-Hermitian: max |g + g^dag| = {residue:.3e}")
+    w, vecs = np.linalg.eigh(1j * g)
+    return _finite_or_raise((vecs * np.exp(-1j * w)) @ vecs.conj().T)
+
+
+class _Spectra(NamedTuple):
+    """Read-only decompositions of the truncated X and X D at one dimension.
+
+    X = U diag(lam) U^T with U real orthogonal; X D = V diag(mu) V^-1, where
+    the truncation corner makes X D non-normal; f is the diagonal of F.
+    """
+
+    lam: np.ndarray
+    u: np.ndarray
+    mu: np.ndarray
+    v: np.ndarray
+    v_inv: np.ndarray
+    f: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _spectra(dim: int) -> _Spectra:
     x, d = xp_matrices(dim)
-    quad = matrix_exponential(1j * c.alpha * (x @ x))
-    mixed = matrix_exponential(c.beta * (x @ d))
-    deriv = matrix_exponential(1j * c.gamma * (d @ d))
-    return cmath.exp(c.delta) * (quad @ mixed @ deriv)
+    x, d = x.real, d.real
+    lam, u = np.linalg.eigh(x)
+    mu, v = np.linalg.eig(x @ d)
+    f = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+    out = _Spectra(lam, u, mu, v, np.linalg.inv(v), f)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def factored_matrix(c: FactorizationCoefficients, dim: int) -> np.ndarray:
+    """exp(delta) exp(i alpha X^2) exp(beta X D) exp(i gamma D^2) as one matrix.
+
+    exp(i gamma D^2) = F^dag exp(-i gamma X^2) F, so X's decomposition serves
+    both quadratic factors.  Raises OverflowError when the product is not
+    finite, which is how the truncation wall shows at large |beta|.
+    """
+    if not all(cmath.isfinite(v) for v in c.as_tuple()):
+        raise ValueError(f"coefficients must be finite, got {c.as_tuple()}")
+    s = _spectra(dim)
+    lam2 = s.lam * s.lam
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (s.u * np.exp(1j * c.alpha * lam2)) @ s.u.T
+        mixed = (s.v * np.exp(c.beta * s.mu)) @ s.v_inv
+        deriv = (s.u * np.exp(-1j * c.gamma * lam2)) @ s.u.T
+        deriv = s.f.conj()[:, None] * deriv * s.f
+        out = cmath.exp(c.delta) * (quad @ mixed @ deriv)
+    return _finite_or_raise(out)
 
 
 def squeeze_generator(z: SqueezeParameter, dim: int) -> np.ndarray:

@@ -10,10 +10,47 @@ import textwrap
 import numpy as np
 import pytest
 
+from opfactor import checks
 from opfactor.algebra import SqueezeParameter
 from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main, read_wavefunction
 from opfactor.grid import MAX_TIME_SUBSTEPS
 from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi_ss
+
+
+# Every `verify all` check, in report order.
+ALL_CHECK_NAMES = [
+    # fock
+    "ladder_commutator_block", "xd_commutator_block", "x_hermitian_d_antihermitian",
+    "oscillator_generator_diagonal", "expm_antihermitian_unitary",
+    "time_diagonal_dim64_t0.3", "time_diagonal_dim64_t1",
+    "squeeze_oracle_r0.25_phi0", "squeeze_oracle_r0.25_phi1.047", "squeeze_oracle_r0.25_phi1.571",
+    "squeeze_oracle_r0.5_phi0", "squeeze_oracle_r0.5_phi1.047", "squeeze_oracle_r0.5_phi1.571",
+    "squeeze_oracle_r1_phi0", "squeeze_oracle_r1_phi1.047", "squeeze_oracle_r1_phi1.571",
+    "truncation_monotonic_r0.5", "truncation_monotonic_r1",
+    "position_roundtrip", "hermite_parseval",
+    # grid
+    "shift_gaussian", "dilation_gaussian", "spectral_d2_vs_quadrature", "fresnel_free_gaussian",
+    "squeeze_chain_vs_cs_r0.5", "squeeze_chain_vs_cs_r1", "time_chain_vs_coherent_evolved",
+    "unitary_norm_drift", "time_group_property",
+    "box_mode_phase_n1", "box_mode_phase_n2", "box_mode_phase_n3", "chain_linearity",
+    # analytic
+    "ode_vs_closed_form_squeeze", "ode_vs_closed_form_oscillator", "unitarity_residue",
+    "squeeze_scale_two_forms", "psi_ss_real_z_reduction", "coherent_evolved_t0_reduction",
+    "psi_spm_parity",
+    "evenodd_psi_vs_rho_sign+1_t0", "evenodd_psi_vs_rho_sign+1_t0.6",
+    "evenodd_psi_vs_rho_sign+1_t1.571", "evenodd_psi_vs_rho_sign+1_t2",
+    "evenodd_psi_vs_rho_sign-1_t0", "evenodd_psi_vs_rho_sign-1_t0.6",
+    "evenodd_psi_vs_rho_sign-1_t1.571", "evenodd_psi_vs_rho_sign-1_t2",
+    "evenodd_raw_integral_sign+1_t0", "evenodd_raw_integral_sign+1_t0.6",
+    "evenodd_raw_integral_sign+1_t1.571", "evenodd_raw_integral_sign+1_t2",
+    "evenodd_raw_integral_sign-1_t0", "evenodd_raw_integral_sign-1_t0.6",
+    "evenodd_raw_integral_sign-1_t1.571", "evenodd_raw_integral_sign-1_t2",
+    "evenodd_grid_density_sign+1_t0", "evenodd_grid_density_sign+1_t0.6",
+    "evenodd_grid_density_sign+1_t1.571", "evenodd_grid_density_sign+1_t2",
+    "evenodd_grid_density_sign-1_t0", "evenodd_grid_density_sign-1_t0.6",
+    "evenodd_grid_density_sign-1_t1.571", "evenodd_grid_density_sign-1_t2",
+    "psi_ss_vs_grid_chain", "triangle_fock_evolved_coherent", "triangle_fock_displaced_squeezed",
+]
 
 
 def run(capsys, *argv):
@@ -216,6 +253,10 @@ class TestVerify:
         assert all(v == "PASS" for v in others.values())
         assert code == 1
 
+    def test_all_check_names_are_pinned(self):
+        # perfbench/gate.py and downstream reports key on these names, in this order.
+        assert [r.name for r in checks.run_checks("all")] == ALL_CHECK_NAMES
+
     def test_json_format(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, _, _ = run(capsys, "verify", "grid", "--format", "json", "--out", str(path))
@@ -309,14 +350,25 @@ class TestOutputFormat:
 
 
 class TestImportCost:
-    def test_time_chains_do_not_load_scipy(self, tmp_path):
-        script = textwrap.dedent(f"""
+    @staticmethod
+    def run_scipy_free(body):
+        """Run body after `from opfactor.cli import main` in a fresh interpreter;
+        body calls scipy_modules() to list the scipy modules loaded so far."""
+        script = textwrap.dedent("""
             import sys
             from opfactor.cli import main
 
             def scipy_modules():
                 return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        """) + textwrap.dedent(body)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
+    def test_time_chains_do_not_load_scipy(self, tmp_path):
+        self.run_scipy_free(f"""
             out = {str(tmp_path / "state.csv")!r}
             assert main(["evolve", "--initial", "coherent:x0=1", "--op", "time:t=2,substeps=2",
                          "--op", "displace:x0=0.5,p0=0.2", "--grid-n", "256", "--out", out]) == 0
@@ -325,8 +377,11 @@ class TestImportCost:
                          "--out", out]) == 0
             assert scipy_modules() == [], scipy_modules()
         """)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+
+    def test_verify_all_does_not_load_scipy(self, tmp_path):
+        # Exit 1 is the known red time_diagonal_dim64_t1 (see tests/test_acceptance.py).
+        self.run_scipy_free(f"""
+            out = {str(tmp_path / "report.json")!r}
+            assert main(["verify", "all", "--format", "json", "--out", out]) in (0, 1)
+            assert scipy_modules() == [], scipy_modules()
+        """)

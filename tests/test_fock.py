@@ -1,9 +1,11 @@
 """Tests for the truncated number-basis matrices and the direct-exponential oracle."""
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from opfactor import fock
 from opfactor.algebra import (
     GeneratorCoefficients,
     SqueezeParameter,
@@ -21,6 +23,7 @@ from opfactor.fock import (
     matrix_exponential,
     position_to_fock,
     squeeze_generator,
+    unitary_exponential,
     xp_matrices,
 )
 from opfactor.grid import Grid, WaveFunction
@@ -152,6 +155,86 @@ class TestFactoredMatrix:
         from_ladder = squeeze_generator(z, n)
         from_xd = generator_matrix(GeneratorCoefficients.squeeze(z), n)
         assert np.abs(from_ladder[: n - 1, : n - 1] - from_xd[: n - 1, : n - 1]).max() < 1e-12
+
+
+def expm_product(c, dim):
+    """exp(delta) times the three factors, each through scipy's expm."""
+    x, d = xp_matrices(dim)
+    return cmath.exp(c.delta) * (
+        matrix_exponential(1j * c.alpha * (x @ x))
+        @ matrix_exponential(c.beta * (x @ d))
+        @ matrix_exponential(1j * c.gamma * (d @ d))
+    )
+
+
+SPECTRAL_CASES = {
+    "time_t0.3": time_displacement_factorization(0.3),
+    "time_t1": time_displacement_factorization(1.0),
+    "squeeze_r1_phi1.047": squeeze_factorization(SqueezeParameter(1.0, math.pi / 3), 1.0),
+    "squeeze_r2_phi1": squeeze_factorization(SqueezeParameter(2.0, 1.0), 1.0),
+    "squeeze_r1.5_phi2": squeeze_factorization(SqueezeParameter(1.5, 2.0), 1.0),
+}
+
+
+class TestSpectralRoutes:
+    @pytest.mark.parametrize("dim", [64, 128, 256, 512])
+    def test_factored_matrix_matches_expm_product(self, dim):
+        quarter = slice(0, dim // 4)
+        for name, c in SPECTRAL_CASES.items():
+            got = factored_matrix(c, dim)[quarter, quarter]
+            ref = expm_product(c, dim)[quarter, quarter]
+            rel = np.abs(got - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-12, (name, rel)
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_unitary_exponential_matches_expm(self, dim):
+        generators = [
+            squeeze_generator(SqueezeParameter(0.8, math.pi / 3), dim),
+            squeeze_generator(SqueezeParameter(2.0, 1.0), dim),
+            displacement_generator(1.0, 0.5, dim),
+            displacement_generator(-2.0, 1.5, dim),
+        ]
+        for g in generators:
+            assert np.abs(unitary_exponential(g) - matrix_exponential(g)).max() <= 1e-12
+
+    def test_decomposition_cache_is_read_only_and_bounded(self):
+        for dim in (8, 16, 24, 32, 40, 48):
+            bundle = fock._spectra(dim)
+            assert fock._spectra(dim) is bundle
+            assert all(not a.flags.writeable for a in bundle)
+            with pytest.raises(ValueError):
+                bundle.u[0, 0] = 1.0
+        info = fock._spectra.cache_info()
+        assert info.currsize <= info.maxsize
+
+    def test_decompositions_reconstruct_x_and_xd(self):
+        dim = 32
+        s = fock._spectra(dim)
+        x, d = xp_matrices(dim)
+        assert np.abs((s.u * s.lam) @ s.u.T - x).max() < 1e-13
+        assert np.abs((s.v * s.mu) @ s.v_inv - x @ d).max() < 1e-12
+        assert np.abs(-1j * (s.f.conj()[:, None] * x * s.f) - d).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "g",
+        [np.zeros((3, 4)), np.diag([1j, np.inf, 0.0]), np.eye(3), np.zeros((0, 0))],
+        ids=["non_square", "non_finite", "hermitian", "empty"],
+    )
+    def test_unitary_exponential_rejects(self, g):
+        with pytest.raises(ValueError):
+            unitary_exponential(g)
+
+    @pytest.mark.parametrize("dim", [256, 512])
+    def test_truncation_wall_overflow_is_refused(self, dim):
+        # beta = -ln cos 2 has imaginary part -pi, so e^{beta mu} overflows.
+        with pytest.raises(OverflowError):
+            factored_matrix(time_displacement_factorization(2.0), dim)
+
+    def test_nonfinite_coefficients_rejected(self):
+        from opfactor.algebra import FactorizationCoefficients
+
+        with pytest.raises(ValueError):
+            factored_matrix(FactorizationCoefficients(0j, complex(math.nan), 0j, 0j), 16)
 
 
 class TestFockBasis:
