@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 __all__ = [
     "BlowUpError",
@@ -32,8 +32,8 @@ __all__ = [
     "wei_norman_rhs",
 ]
 
-DEFAULT_CAUSTIC_EPS = 1e-9
-DEFAULT_BLOWUP_BOUND = 1e12
+CAUSTIC_EPS = 1e-9
+BLOWUP_BOUND = 1e12
 
 CoefficientLike = Union[complex, float, Callable[[float], complex]]
 
@@ -164,23 +164,21 @@ def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationC
     )
 
 
-def time_displacement_factorization(
-    t: float, caustic_eps: float = DEFAULT_CAUSTIC_EPS
-) -> FactorizationCoefficients:
+def time_displacement_factorization(t: float) -> FactorizationCoefficients:
     """Closed-form product coefficients for oscillator time displacement.
 
         alpha = -tan(t)/2,  beta = -ln(cos t),  gamma = tan(t)/2,  delta = beta/2
 
-    Raises CausticError within caustic_eps of odd multiples of pi/2, where the
-    individual factors diverge even though the total operator is regular.  For
-    cos(t) < 0 the logarithm takes its principal branch; grid propagation
-    should instead compose substeps shorter than pi/2.
+    Raises CausticError where |cos t| < CAUSTIC_EPS, next to odd multiples of
+    pi/2, where the individual factors diverge even though the total operator
+    is regular.  For cos(t) < 0 the logarithm takes its principal branch; grid
+    propagation should instead compose substeps shorter than pi/2.
     """
     c = math.cos(t)
-    if abs(c) < caustic_eps:
+    if abs(c) < CAUSTIC_EPS:
         raise CausticError(
             f"time displacement factors are singular at t={t!r}: "
-            f"|cos t| = {abs(c):.3e} < {caustic_eps:.1e}"
+            f"|cos t| = {abs(c):.3e} < {CAUSTIC_EPS:.1e}"
         )
     half_tan = 0.5 * math.tan(t)
     beta = -cmath.log(complex(c))
@@ -210,7 +208,7 @@ def _rhs(
 
 def wei_norman_rhs(
     coefficients: FactorizationCoefficients,
-    b: GeneratorCoefficients | Sequence[complex],
+    b: GeneratorCoefficients,
     t: float | None = None,
 ) -> tuple[complex, complex, complex, complex]:
     """Time derivatives (alpha', beta', gamma', delta') of the product coefficients.
@@ -224,14 +222,9 @@ def wei_norman_rhs(
         gamma' = -i b4 exp(2 beta)
         delta' = b1 + 2i b4 alpha
 
-    b may be a GeneratorCoefficients (evaluated at t, defaulting to the t
-    carried by `coefficients`) or an already-evaluated 4-sequence.
+    b is evaluated at t, defaulting to the t carried by `coefficients`.
     """
-    if isinstance(b, GeneratorCoefficients):
-        when = coefficients.t if t is None else t
-        b1, b2, b3, b4 = b.at(when)
-    else:
-        b1, b2, b3, b4 = (complex(v) for v in b)
+    b1, b2, b3, b4 = b.at(coefficients.t if t is None else t)
     return _rhs(coefficients.alpha, coefficients.beta, b1, b2, b3, b4)
 
 
@@ -266,24 +259,19 @@ class CoefficientTrajectory:
 
 
 def integrate_wei_norman(
-    b: GeneratorCoefficients | Sequence[complex],
-    t_end: float,
-    steps: int = 1000,
-    blowup_bound: float = DEFAULT_BLOWUP_BOUND,
+    b: GeneratorCoefficients, t_end: float, steps: int = 1000
 ) -> CoefficientTrajectory:
     """Integrate the coefficient ODEs from all-zero initial data to t_end.
 
     Classical fixed-step fourth-order Runge-Kutta, fully deterministic for
     fixed arguments.  Raises BlowUpError once any coefficient magnitude
-    exceeds blowup_bound or turns non-finite, the signature of integrating
-    across a caustic.
+    exceeds BLOWUP_BOUND or turns non-finite, or a stage overflows, the
+    signature of integrating across a caustic.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
-    if not isinstance(b, GeneratorCoefficients):
-        b = GeneratorCoefficients(*b)
 
     samples = [FactorizationCoefficients.zero(0.0)]
     if t_end == 0.0:
@@ -300,19 +288,23 @@ def integrate_wei_norman(
         bv0 = at(t0)
         bvh = at(t0 + 0.5 * h)
         bv1 = at(t0 + h)
-        ka = _rhs(alpha, beta, *bv0)
-        kb = _rhs(alpha + 0.5 * h * ka[0], beta + 0.5 * h * ka[1], *bvh)
-        kc = _rhs(alpha + 0.5 * h * kb[0], beta + 0.5 * h * kb[1], *bvh)
-        kd = _rhs(alpha + h * kc[0], beta + h * kc[1], *bv1)
+        try:
+            ka = _rhs(alpha, beta, *bv0)
+            kb = _rhs(alpha + 0.5 * h * ka[0], beta + 0.5 * h * ka[1], *bvh)
+            kc = _rhs(alpha + 0.5 * h * kb[0], beta + 0.5 * h * kb[1], *bvh)
+            kd = _rhs(alpha + h * kc[0], beta + h * kc[1], *bv1)
+        except OverflowError as exc:  # exp(2 beta) of a stage, before the test below
+            raise BlowUpError(f"an RK4 stage overflowed in the step from t = {t0:.6g}; "
+                              f"the path likely crosses a caustic") from exc
         alpha += h / 6.0 * (ka[0] + 2.0 * kb[0] + 2.0 * kc[0] + kd[0])
         beta += h / 6.0 * (ka[1] + 2.0 * kb[1] + 2.0 * kc[1] + kd[1])
         gamma += h / 6.0 * (ka[2] + 2.0 * kb[2] + 2.0 * kc[2] + kd[2])
         delta += h / 6.0 * (ka[3] + 2.0 * kb[3] + 2.0 * kc[3] + kd[3])
 
         worst = max(abs(alpha), abs(beta), abs(gamma), abs(delta))
-        if not math.isfinite(worst) or worst > blowup_bound:
+        if not math.isfinite(worst) or worst > BLOWUP_BOUND:
             raise BlowUpError(
-                f"coefficient magnitude {worst:.3e} exceeded {blowup_bound:.1e} "
+                f"coefficient magnitude {worst:.3e} exceeded {BLOWUP_BOUND:.1e} "
                 f"at t = {t0 + h:.6g}; the path likely crosses a caustic"
             )
         samples.append(FactorizationCoefficients(delta, alpha, beta, gamma, (step + 1) * h))

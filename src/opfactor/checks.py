@@ -42,6 +42,13 @@ EVEN_ODD_X0 = 2.0
 EVEN_ODD_S = 1.5
 EVEN_ODD_TIMES = (0.0, 0.6, math.pi / 2, 2.0)
 
+# fixed sizes of the checks' own sampling; the command line sets none of them
+ODE_SQUEEZE_SAMPLES = 20
+SCALE_FORM_SAMPLES = 200
+RESIDUE_ODE_STEPS = 400
+QUADRATURE_PROBES = 32
+RANDOM_GENERATOR_DIM = 8
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -77,11 +84,11 @@ def _phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
 # --- analytic suite -----------------------------------------------------------
 
 
-def check_ode_squeeze(ode_steps: int = 1000, samples: int = 20, seed: int = DEFAULT_SEED):
+def check_ode_squeeze(ode_steps: int = 1000, seed: int = DEFAULT_SEED):
     """RK4 trajectories reproduce the squeeze closed forms at t = 1."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(ODE_SQUEEZE_SAMPLES):
         z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
         closed = squeeze_factorization(z, 1.0)
         final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, ode_steps).final
@@ -99,26 +106,26 @@ def check_ode_oscillator(ode_steps: int = 1000):
     return [CheckResult("analytic", "ode_vs_closed_form_oscillator", worst, 1e-7)]
 
 
-def check_unitarity_residue(ode_steps: int = 400):
+def check_unitarity_residue():
     """exp(2 delta - beta) stays 1 along both families, closed form and ODE."""
     worst = 0.0
     for t in (0.25, 0.7, 1.0):
         worst = max(worst, time_displacement_factorization(t).unitarity_residue())
-        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), t, ode_steps).final
+        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), t, RESIDUE_ODE_STEPS).final
         worst = max(worst, final.unitarity_residue())
     for r, phi in ((0.5, 0.0), (1.0, math.pi / 3), (2.0, 5.0)):
         z = SqueezeParameter(r, phi)
         worst = max(worst, squeeze_factorization(z, 1.0).unitarity_residue())
-        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, ode_steps).final
+        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, RESIDUE_ODE_STEPS).final
         worst = max(worst, final.unitarity_residue())
     return [CheckResult("analytic", "unitarity_residue", worst, 1e-10)]
 
 
-def check_squeeze_scale_forms(samples: int = 200, seed: int = DEFAULT_SEED):
+def check_squeeze_scale_forms(seed: int = DEFAULT_SEED):
     """Both algebraic forms of the t = 1 squeeze scale agree."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(SCALE_FORM_SAMPLES):
         r = 2.0 * rng.random()
         phi = 2.0 * math.pi * rng.random()
         hyperbolic = squeeze_scale(SqueezeParameter(r, phi), 1.0)
@@ -273,15 +280,11 @@ def check_oracle_triangle(grid: Grid, fock_dim: int = 128):
 
 def check_psi_ss_vs_grid(grid: Grid):
     """The displaced-squeezed closed form agrees with its factor-chain construction."""
-    x = grid.x
     spec = states.SqueezedStateSpec(x0=1.0, p0=0.5, z=SqueezeParameter(0.8, math.pi / 3))
     chain = squeeze_factors(spec.z) + displacement_factors(spec.x0, spec.p0)
     built = apply_chain(WaveFunction.from_callable(grid, states.psi0), chain)
-    analytic = states.psi_ss(x, spec)
-    # Global phase fixed at the sample nearest x0.
-    i = int(np.argmin(np.abs(x - spec.x0)))
-    ratio = analytic[i] / built.samples[i]
-    aligned = built.samples * (ratio / abs(ratio))
+    analytic = states.psi_ss(grid.x, spec)
+    aligned = _phase_aligned(analytic, built.samples)
     return [CheckResult("analytic", "psi_ss_vs_grid_chain", _max_abs(analytic, aligned), 1e-7)]
 
 
@@ -304,13 +307,13 @@ def check_dilation_gaussian(grid: Grid):
     return [CheckResult("grid", "dilation_gaussian", _max_abs(out.samples, expected), 1e-8)]
 
 
-def check_spectral_quadrature(grid: Grid, probes: int = 32):
+def check_spectral_quadrature(grid: Grid):
     """Spectral exp[c d^2/dx^2] with real c matches direct kernel quadrature."""
     c = 0.25
     psi = WaveFunction.from_callable(grid, lambda x: np.exp(-0.5 * x * x))
     out = apply_spectral_d2(psi, c)
     x, dx = grid.x, grid.dx
-    idx = np.linspace(0, grid.n - 1, probes).astype(int)
+    idx = np.linspace(0, grid.n - 1, QUADRATURE_PROBES).astype(int)
     # Restrict probes to the central half so the kernel support is sampled fully.
     idx = idx[(np.abs(x[idx]) < 0.25 * grid.span)]
     prefactor = 1.0 / math.sqrt(4.0 * math.pi * c)
@@ -465,8 +468,9 @@ def check_fock_oscillator_generator(fock_dim: int = 128):
     ]
 
 
-def check_unitary_exponential(dim: int = 8, seed: int = DEFAULT_SEED):
+def check_unitary_exponential(seed: int = DEFAULT_SEED):
     """The oracle's exponential of a random anti-Hermitian matrix is unitary."""
+    dim = RANDOM_GENERATOR_DIM
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     anti = 0.5 * (raw - raw.conj().T)

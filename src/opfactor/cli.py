@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .algebra import (
     squeeze_factorization,
     time_displacement_factorization,
 )
-from .fock import FockBasis
+from .fock import MAX_HERMITE, MIN_DIM, FockBasis
 from .grid import (
     MAX_TIME_SUBSTEPS,
     ChainError,
@@ -36,28 +36,30 @@ from .grid import (
 WAVEFUNCTION_COLUMNS = ["x", "re", "im", "density"]
 DENSITY_COLUMNS = ["t", "x", "rho_analytic", "rho_grid", "abs_delta", "raw_integral"]
 CSV_BLOCK_ROWS = 4096
+FORMATS = ("csv", "json")
 
 
 @dataclass
 class RunConfig:
-    """Run-wide defaults, overridable from the command line."""
+    """The options shared by evolve, verify and density: their one set of
+    defaults and one set of checks, which build a Grid and a FockBasis."""
 
-    grid_min: float = -12.0
-    grid_max: float = 12.0
-    grid_n: int = 2048
-    fock_dim: int = 128
+    grid_min: float = Grid.x_min
+    grid_max: float = Grid.x_max
+    grid_n: int = Grid.n
+    fock_dim: int = FockBasis.dim
     ode_steps: int = 1000
     norm_tol: float = 1e-8
     fmt: str = "csv"
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.grid_max <= self.grid_min:
-            raise ValueError("grid_max must exceed grid_min")
-        for field in ("grid_n", "fock_dim", "ode_steps", "norm_tol"):
+        self.make_grid()
+        FockBasis(self.fock_dim)
+        for field in ("ode_steps", "norm_tol"):
             if not getattr(self, field) > 0:
                 raise ValueError(f"{field} must be positive")
-        if self.fmt not in ("csv", "json"):
+        if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
 
     def make_grid(self) -> Grid:
@@ -70,16 +72,7 @@ class RunConfig:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        grid_min=args.grid_min,
-        grid_max=args.grid_max,
-        grid_n=args.grid_n,
-        fock_dim=args.fock_dim,
-        ode_steps=args.ode_steps,
-        norm_tol=args.tol,
-        fmt=args.format,
-        out=args.out,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, float]]:
@@ -214,6 +207,8 @@ def read_wavefunction(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_factorize(args: argparse.Namespace) -> int:
     try:
+        if not math.isfinite(args.t) or args.ode_steps < 1:
+            raise ValueError("need a finite --t and --ode-steps >= 1")
         if args.family == "squeeze":
             z = SqueezeParameter(args.r, args.phi)
             coeffs = squeeze_factorization(z, args.t)
@@ -221,9 +216,12 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         else:
             coeffs = time_displacement_factorization(args.t)
             generator = GeneratorCoefficients.oscillator()
-    except CausticError as exc:
+    except CausticError as exc:  # a singularity of valid input, not a refusal
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     for name in ("delta", "alpha", "beta", "gamma"):
         value = getattr(coeffs, name)
@@ -252,7 +250,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: missing required parameter {exc}", file=sys.stderr)
         return 2
-    except (ValueError, CausticError) as exc:
+    except ValueError as exc:  # CausticError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -285,7 +283,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         config = _config_from(args)
-        FockBasis(config.fock_dim)
     except ValueError as exc:
         print(f"error: refusing to run: {exc}", file=sys.stderr)
         return 2
@@ -360,15 +357,17 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-min", type=float, default=-12.0, help="left grid edge")
-    parser.add_argument("--grid-max", type=float, default=12.0, help="right grid edge")
-    parser.add_argument("--grid-n", type=int, default=2048, help="grid points (power of two)")
-    parser.add_argument("--fock-dim", "--dim", dest="fock_dim", type=int, default=128,
-                        help="truncated number-basis dimension (>= 8)")
-    parser.add_argument("--ode-steps", type=int, default=1000, help="RK4 steps")
-    parser.add_argument("--tol", type=float, default=1e-8, help="norm-drift tolerance")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    """Add RunConfig's fields as flags, each dest its field name and each default its default."""
+    parser.add_argument("--grid-min", type=float, help="left grid edge")
+    parser.add_argument("--grid-max", type=float, help="right grid edge")
+    parser.add_argument("--grid-n", type=int, help="grid points (power of two >= 16)")
+    parser.add_argument("--fock-dim", "--dim", dest="fock_dim", type=int,
+                        help=f"truncated number-basis dimension ({MIN_DIM}..{MAX_HERMITE})")
+    parser.add_argument("--ode-steps", type=int, help="RK4 steps")
+    parser.add_argument("--tol", dest="norm_tol", type=float, help="norm-drift tolerance")
+    parser.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.set_defaults(**asdict(RunConfig()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fact.add_argument("--phi", type=float, default=0.0, help="squeeze phase (radians)")
     p_fact.add_argument("--ode-check", action="store_true",
                         help="also integrate the ODE system and print the deviation")
-    p_fact.add_argument("--ode-steps", type=int, default=1000)
+    p_fact.add_argument("--ode-steps", type=int, default=RunConfig.ode_steps, help="RK4 steps")
     p_fact.set_defaults(func=cmd_factorize)
 
     p_evolve = sub.add_parser("evolve", help="apply operator chains to an initial state")

@@ -46,13 +46,14 @@ _ANTI_HERMITIAN_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Truncated number basis keeping states 0 .. dim-1."""
+    """Truncated number basis keeping states 0 .. dim-1, up to the Hermite limit MAX_HERMITE."""
 
     dim: int = 128
 
     def __post_init__(self) -> None:
-        if self.dim < MIN_DIM:
-            raise ValueError(f"Fock dimension must be >= {MIN_DIM}, got {self.dim!r}")
+        if not MIN_DIM <= self.dim <= MAX_HERMITE:
+            raise ValueError(f"Fock dimension must be >= {MIN_DIM} and <= {MAX_HERMITE}, "
+                             f"got {self.dim!r}")
 
 
 def ladder_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,14 +78,9 @@ def xp_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return inv_rt2 * (a + adag), inv_rt2 * (a - adag)
 
 
-def generator_matrix(
-    b: GeneratorCoefficients | Sequence[complex], dim: int, t: float = 0.0
-) -> np.ndarray:
-    """b1 I + b2 X^2 + b3 X D + b4 D^2 on the truncated basis."""
-    if isinstance(b, GeneratorCoefficients):
-        b1, b2, b3, b4 = b.at(t)
-    else:
-        b1, b2, b3, b4 = (complex(v) for v in b)
+def generator_matrix(b: GeneratorCoefficients, dim: int, t: float = 0.0) -> np.ndarray:
+    """b1 I + b2 X^2 + b3 X D + b4 D^2 on the truncated basis, with b evaluated at t."""
+    b1, b2, b3, b4 = b.at(t)
     x, d = xp_matrices(dim)
     return (
         b1 * np.eye(dim, dtype=complex)

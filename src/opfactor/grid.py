@@ -55,7 +55,7 @@ __all__ = [
     "time_displacement_factors",
 ]
 
-DEFAULT_OVERFLOW_FRAC = 1e-6
+OVERFLOW_FRAC = 1e-6
 MAX_TIME_SUBSTEPS = 2**16
 _MULTIPLIER_CACHE_SIZE = 8
 
@@ -81,8 +81,8 @@ class Grid:
     n: int = 2048
 
     def __post_init__(self) -> None:
-        if not self.x_max > self.x_min:
-            raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        if not (math.isfinite(self.x_min) and self.x_min < self.x_max < math.inf):
+            raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n!r}")
 
@@ -235,11 +235,7 @@ def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
     return psi.with_samples(np.fft.ifft(spectrum * np.exp(1j * psi.grid.k * c)))
 
 
-def apply_dilation(
-    psi: WaveFunction,
-    scale: float,
-    overflow_frac: float = DEFAULT_OVERFLOW_FRAC,
-) -> WaveFunction:
+def apply_dilation(psi: WaveFunction, scale: float) -> WaveFunction:
     """Return samples of psi(scale * x) by band-limited spectral resampling.
 
     The grid's own trigonometric interpolant is evaluated at scale * x_j with
@@ -247,7 +243,7 @@ def apply_dilation(
     [x_0, x_{n-1}] read as zero, which is exact for states that decay inside
     the window, and no point is read across the periodic boundary.
     The continuum identity ||psi(scale x)||^2 = ||psi||^2 / scale is used for
-    norm accounting: if more than overflow_frac of the expected output norm is
+    norm accounting: if more than OVERFLOW_FRAC of the expected output norm is
     missing, the dilated support crossed the window edge and a
     SupportOverflowWarning is issued.
     """
@@ -286,7 +282,7 @@ def apply_dilation(
     expected = psi.norm() ** 2 / scale
     if expected > 0.0:
         lost = expected - out.norm() ** 2
-        if lost > overflow_frac * expected:
+        if lost > OVERFLOW_FRAC * expected:
             warnings.warn(
                 SupportOverflowWarning(
                     f"dilation by {scale:.6g} lost a fraction {lost / expected:.3e} "

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _ROOT4_PI_INV = math.pi**-0.25
+# |cos t| below which psi_spm's antisymmetric normalization takes its caustic limit
+CAUSTIC_NORM_EPS = 1e-8
 
 
 def psi0(x):
@@ -114,14 +116,14 @@ class EvenOddSpec:
         return s2 * math.cos(t) ** 2 + math.sin(t) ** 2 / s2
 
 
-def psi_spm(x, t: float, spec: EvenOddSpec, caustic_eps: float = 1e-8):
+def psi_spm(x, t: float, spec: EvenOddSpec):
     """Evolved symmetric (sign=+1) / antisymmetric (sign=-1) Gaussian pair.
 
     The exponents are evaluated in a combined form in which the individually
     divergent tan(t) phases cancel algebraically, so the expression stays
     finite at odd multiples of pi/2 (where d^2 = 1/s^2).  The antisymmetric
     normalization constant 1 - exp(-x0^2 cos^2 t) has a vanishing limit
-    there; within caustic_eps of the caustic the norm-preserving value
+    there; where |cos t| < CAUSTIC_NORM_EPS the norm-preserving value
     1 - exp(-x0^2 / s^2) is substituted.  Away from caustics the constants
     are kept as written even though they do not conserve the norm in t;
     renormalize before pointwise comparisons.
@@ -139,7 +141,7 @@ def psi_spm(x, t: float, spec: EvenOddSpec, caustic_eps: float = 1e-8):
 
     if spec.sign == +1:
         denom = 1.0 + math.exp(-spec.x0**2 * c * c)
-    elif abs(c) >= caustic_eps:
+    elif abs(c) >= CAUSTIC_NORM_EPS:
         denom = -math.expm1(-spec.x0**2 * c * c)
     else:
         denom = -math.expm1(-spec.x0**2 / s2)

@@ -40,7 +40,7 @@ def report(results):
 
 def test_criterion_01_closed_form_ode_equivalence():
     """RK4 (1000 steps) reproduces both closed-form families to 1e-7."""
-    report(checks.check_ode_squeeze(ode_steps=1000, samples=20))
+    report(checks.check_ode_squeeze(ode_steps=1000))
     report(checks.check_ode_oscillator(ode_steps=1000))
 
 

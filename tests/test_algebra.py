@@ -116,11 +116,13 @@ class TestTimeDisplacement:
         with pytest.raises(CausticError):
             time_displacement_factorization(math.pi / 2)
 
-    def test_caustic_eps_configurable(self):
-        t = math.pi / 2 - 1e-6
-        time_displacement_factorization(t)  # fine with the default eps
+    def test_caustic_boundary(self):
+        # CAUSTIC_EPS = 1e-9 bounds |cos t| from below
+        time_displacement_factorization(math.pi / 2 - 1e-6)
+        t = math.pi / 2 - 5e-10
+        assert abs(math.cos(t)) < 1e-9
         with pytest.raises(CausticError):
-            time_displacement_factorization(t, caustic_eps=1e-3)
+            time_displacement_factorization(t)
 
     def test_principal_branch_past_half_pi(self):
         c = time_displacement_factorization(2.0)
@@ -246,10 +248,9 @@ class TestIntegrator:
         assert hoisted == per_step
 
     def test_blowup_detection(self):
-        with pytest.raises(BlowUpError):
-            integrate_wei_norman(
-                GeneratorCoefficients.oscillator(), 1.6, steps=20000, blowup_bound=1e3
-            )
+        # a stage's exp(2 beta) overflows here before any step ends past the bound
+        with pytest.raises(BlowUpError, match="caustic"):
+            integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.6, steps=20000)
 
     def test_zero_t_end(self):
         traj = integrate_wei_norman(GeneratorCoefficients.oscillator(), 0.0)

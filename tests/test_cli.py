@@ -93,6 +93,12 @@ class TestFactorize:
         deviation = float(out.strip().splitlines()[-1].split(" = ")[1])
         assert deviation < 1e-8
 
+    def test_ode_check_across_caustic_fails(self, capsys):
+        # an RK4 stage overflows on the way across pi/2
+        code, _, err = run(capsys, "factorize", "oscillator", "--t", "1.6", "--ode-check")
+        assert code == 1
+        assert err.startswith("error: ode check failed") and "caustic" in err
+
 
 class TestEvolve:
     def test_ground_squeeze_matches_closed_form(self, capsys, tmp_path):
@@ -135,6 +141,18 @@ class TestEvolve:
         assert payload["config"]["grid_n"] == 2048
         x, psi = read_wavefunction(str(path))
         assert x.size == 2048
+
+    def test_json_config_block_is_pinned(self, capsys, tmp_path):
+        # key order sets the bytes of the frozen format
+        path = tmp_path / "state.json"
+        code, _, _ = run(
+            capsys, "evolve", "--initial", "ground", "--format", "json", "--out", str(path)
+        )
+        assert code == 0
+        assert list(json.loads(path.read_text())["config"].items()) == [
+            ("grid_min", -12.0), ("grid_max", 12.0), ("grid_n", 2048), ("fock_dim", 128),
+            ("ode_steps", 1000), ("norm_tol", 1e-8), ("fmt", "json"),
+        ]
 
     def test_no_ops_echoes_input(self, capsys, tmp_path):
         path = tmp_path / "echo.csv"
@@ -327,6 +345,24 @@ class TestDensity:
         d = math.sqrt(spec.width_sq(0.6))
         expected = (1.0 + damp) / (1.0 + d * damp)
         assert rows[0, 5] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    "verify fock --fock-dim 600",
+    "verify grid --grid-n 1000",
+    "verify grid --grid-min=-inf",
+    "factorize oscillator --t 1 --ode-check --ode-steps 0",
+    "factorize oscillator --t nan",
+    "factorize squeeze --r -1",
+    "evolve --initial ground --fock-dim 600",
+])
+def test_refused_input_exits_2(capsys, argv):
+    # a refusal must not read as a failed check (1) or a finished run (0)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestOutputFormat:

@@ -243,6 +243,12 @@ class TestFockBasis:
         with pytest.raises(ValueError):
             FockBasis(4)
 
+    def test_maximum_dimension(self):
+        # the Hermite recurrence is validated up to MAX_HERMITE = 512 functions
+        FockBasis(512)
+        with pytest.raises(ValueError):
+            FockBasis(513)
+
 
 class TestHermite:
     def test_ground_state(self, grid):

@@ -63,6 +63,9 @@ class TestGrid:
             Grid(n=8)  # too small
         with pytest.raises(ValueError):
             Grid(x_min=3.0, x_max=-3.0)
+        for edges in ((-math.inf, 12.0), (-12.0, math.inf), (math.nan, 12.0)):
+            with pytest.raises(ValueError):
+                Grid(*edges)
 
 
 class TestWaveFunction:

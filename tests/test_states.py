@@ -160,7 +160,7 @@ class TestEvenOdd:
 
     def test_near_caustic_branch_handoff(self, grid):
         # renormalized amplitude and density stay consistent on both sides of
-        # the caustic_eps switch in the antisymmetric normalization constant
+        # the CAUSTIC_NORM_EPS switch in the antisymmetric normalization constant
         x, dx = grid.x, grid.dx
         for spec in (self.spec_plus, self.spec_minus):
             for eps in (1e-6, 1e-7, 1e-9, 1e-11, 0.0):
