@@ -16,6 +16,7 @@ from .algebra import (
     squeeze_factorization,
     squeeze_scale,
     time_displacement_factorization,
+    wei_norman_final,
     wei_norman_rhs,
 )
 from .fock import (

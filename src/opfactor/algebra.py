@@ -10,13 +10,15 @@ system with all four vanishing at t = 0.  Closed forms are provided for the
 squeeze family and for harmonic-oscillator time displacement; a fixed-step
 RK4 integrator handles arbitrary, possibly time-dependent, generator
 coefficients and doubles as an independent oracle for the closed forms.
+`integrate_wei_norman` returns every step as a CoefficientTrajectory, and
+`wei_norman_final` runs the same step loop but keeps only its last state.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 __all__ = [
     "BlowUpError",
@@ -29,6 +31,7 @@ __all__ = [
     "squeeze_factorization",
     "squeeze_scale",
     "time_displacement_factorization",
+    "wei_norman_final",
     "wei_norman_rhs",
 ]
 
@@ -134,8 +137,18 @@ def squeeze_scale(z: SqueezeParameter, t: float = 1.0) -> float:
     exact: the function is identically 1 there.  At t = 1 this equals
     e^r cos^2(phi/2) + e^{-r} sin^2(phi/2), so it is positive for every r and
     phi.
+
+    Raises ValueError, a refusal of the input rather than a singularity, once
+    cosh(r t) or the scale itself overflows, near |r t| = 709.8.
     """
-    return math.cosh(z.r * t) + math.cos(z.phi) * math.sinh(z.r * t)
+    rt = z.r * t
+    try:
+        scale = math.cosh(rt) + math.cos(z.phi) * math.sinh(rt)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"squeeze scale overflows at r*t = {rt!r}; need |r*t| below about 709")
+    return scale
 
 
 def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationCoefficients:
@@ -191,18 +204,20 @@ def time_displacement_factorization(t: float) -> FactorizationCoefficients:
     )
 
 
+def _terms(b1: complex, b2: complex, b3: complex, b4: complex) -> tuple[complex, ...]:
+    """The generator products that _rhs reads, formed once per evaluation time."""
+    return (b1, b3, -1j * b2, 2.0 * b3, 4j * b4, -1j * b4, 2j * b4)
+
+
 def _rhs(
-    alpha: complex,
-    beta: complex,
-    b1: complex,
-    b2: complex,
-    b3: complex,
-    b4: complex,
+    alpha: complex, beta: complex, terms: tuple[complex, ...]
 ) -> tuple[complex, complex, complex, complex]:
-    dalpha = -1j * b2 + 2.0 * b3 * alpha + 4j * b4 * alpha * alpha
-    dbeta = b3 + 4j * b4 * alpha
-    dgamma = -1j * b4 * cmath.exp(2.0 * beta)
-    ddelta = b1 + 2j * b4 * alpha
+    """wei_norman_rhs from the products of _terms, grouped as in its formulas."""
+    b1, b3, c0, c1, c2, cg, cd = terms
+    dalpha = c0 + c1 * alpha + c2 * alpha * alpha
+    dbeta = b3 + c2 * alpha
+    dgamma = cg * cmath.exp(2.0 * beta)
+    ddelta = b1 + cd * alpha
     return dalpha, dbeta, dgamma, ddelta
 
 
@@ -224,8 +239,8 @@ def wei_norman_rhs(
 
     b is evaluated at t, defaulting to the t carried by `coefficients`.
     """
-    b1, b2, b3, b4 = b.at(coefficients.t if t is None else t)
-    return _rhs(coefficients.alpha, coefficients.beta, b1, b2, b3, b4)
+    terms = _terms(*b.at(coefficients.t if t is None else t))
+    return _rhs(coefficients.alpha, coefficients.beta, terms)
 
 
 @dataclass(frozen=True)
@@ -258,48 +273,53 @@ class CoefficientTrajectory:
         return self.samples[-1]
 
 
-def integrate_wei_norman(
-    b: GeneratorCoefficients, t_end: float, steps: int = 1000
-) -> CoefficientTrajectory:
-    """Integrate the coefficient ODEs from all-zero initial data to t_end.
-
-    Classical fixed-step fourth-order Runge-Kutta, fully deterministic for
-    fixed arguments.  Raises BlowUpError once any coefficient magnitude
-    exceeds BLOWUP_BOUND or turns non-finite, or a stage overflows, the
-    signature of integrating across a caustic.
-    """
+def _check_span(t_end: float, steps: int) -> None:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
 
-    samples = [FactorizationCoefficients.zero(0.0)]
-    if t_end == 0.0:
-        return CoefficientTrajectory(tuple(samples))
 
+def _rk4_states(
+    b: GeneratorCoefficients, t_end: float, steps: int
+) -> Iterator[tuple[complex, complex, complex, complex, float]]:
+    """Yield (delta, alpha, beta, gamma, t) after each step, from all-zero data at t = 0.
+
+    Classical fixed-step fourth-order Runge-Kutta, fully deterministic for
+    fixed arguments.  Yields nothing for t_end = 0.  Raises BlowUpError once
+    any coefficient magnitude exceeds BLOWUP_BOUND or turns non-finite, or a
+    stage overflows, the signature of integrating across a caustic.
+    """
+    if t_end == 0.0:
+        return
     h = t_end / steps
+    half, sixth = 0.5 * h, h / 6.0
+    if any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4)):
+        def terms(t: float) -> tuple[complex, ...]:
+            return _terms(*b.at(t))
+    else:  # a constant generator is evaluated once, not three times per step
+        fixed = _terms(*b.at(0.0))
+
+        def terms(t: float) -> tuple[complex, ...]:
+            return fixed
     alpha = beta = gamma = delta = 0j
-    # a constant generator is evaluated once, not three times per step
-    at = b.at
-    if not any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4)):
-        at = lambda _t, fixed=b.at(0.0): fixed
     for step in range(steps):
         t0 = step * h
-        bv0 = at(t0)
-        bvh = at(t0 + 0.5 * h)
-        bv1 = at(t0 + h)
+        tv0 = terms(t0)
+        tvh = terms(t0 + half)
+        tv1 = terms(t0 + h)
         try:
-            ka = _rhs(alpha, beta, *bv0)
-            kb = _rhs(alpha + 0.5 * h * ka[0], beta + 0.5 * h * ka[1], *bvh)
-            kc = _rhs(alpha + 0.5 * h * kb[0], beta + 0.5 * h * kb[1], *bvh)
-            kd = _rhs(alpha + h * kc[0], beta + h * kc[1], *bv1)
+            ka = _rhs(alpha, beta, tv0)
+            kb = _rhs(alpha + half * ka[0], beta + half * ka[1], tvh)
+            kc = _rhs(alpha + half * kb[0], beta + half * kb[1], tvh)
+            kd = _rhs(alpha + h * kc[0], beta + h * kc[1], tv1)
         except OverflowError as exc:  # exp(2 beta) of a stage, before the test below
             raise BlowUpError(f"an RK4 stage overflowed in the step from t = {t0:.6g}; "
                               f"the path likely crosses a caustic") from exc
-        alpha += h / 6.0 * (ka[0] + 2.0 * kb[0] + 2.0 * kc[0] + kd[0])
-        beta += h / 6.0 * (ka[1] + 2.0 * kb[1] + 2.0 * kc[1] + kd[1])
-        gamma += h / 6.0 * (ka[2] + 2.0 * kb[2] + 2.0 * kc[2] + kd[2])
-        delta += h / 6.0 * (ka[3] + 2.0 * kb[3] + 2.0 * kc[3] + kd[3])
+        alpha += sixth * (ka[0] + 2.0 * kb[0] + 2.0 * kc[0] + kd[0])
+        beta += sixth * (ka[1] + 2.0 * kb[1] + 2.0 * kc[1] + kd[1])
+        gamma += sixth * (ka[2] + 2.0 * kb[2] + 2.0 * kc[2] + kd[2])
+        delta += sixth * (ka[3] + 2.0 * kb[3] + 2.0 * kc[3] + kd[3])
 
         worst = max(abs(alpha), abs(beta), abs(gamma), abs(delta))
         if not math.isfinite(worst) or worst > BLOWUP_BOUND:
@@ -307,6 +327,30 @@ def integrate_wei_norman(
                 f"coefficient magnitude {worst:.3e} exceeded {BLOWUP_BOUND:.1e} "
                 f"at t = {t0 + h:.6g}; the path likely crosses a caustic"
             )
-        samples.append(FactorizationCoefficients(delta, alpha, beta, gamma, (step + 1) * h))
+        yield delta, alpha, beta, gamma, (step + 1) * h
 
+
+def integrate_wei_norman(
+    b: GeneratorCoefficients, t_end: float, steps: int = 1000
+) -> CoefficientTrajectory:
+    """Integrate the coefficient ODEs from all-zero initial data to t_end, keeping every step.
+
+    See _rk4_states for the scheme and its BlowUpError.  Callers that read
+    only the end point should use wei_norman_final, which returns the same
+    final coefficients without building the samples.
+    """
+    _check_span(t_end, steps)
+    samples = [FactorizationCoefficients.zero(0.0)]
+    samples += (FactorizationCoefficients(*state) for state in _rk4_states(b, t_end, steps))
     return CoefficientTrajectory(tuple(samples))
+
+
+def wei_norman_final(
+    b: GeneratorCoefficients, t_end: float, steps: int = 1000
+) -> FactorizationCoefficients:
+    """integrate_wei_norman(b, t_end, steps).final, bit for bit, without the samples."""
+    _check_span(t_end, steps)
+    state = (0j, 0j, 0j, 0j, 0.0)
+    for state in _rk4_states(b, t_end, steps):
+        pass
+    return FactorizationCoefficients(*state)

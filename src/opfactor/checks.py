@@ -16,10 +16,10 @@ from . import fock, states
 from .algebra import (
     GeneratorCoefficients,
     SqueezeParameter,
-    integrate_wei_norman,
     squeeze_factorization,
     squeeze_scale,
     time_displacement_factorization,
+    wei_norman_final,
 )
 from .grid import (
     Grid,
@@ -91,7 +91,7 @@ def check_ode_squeeze(ode_steps: int = 1000, seed: int = DEFAULT_SEED):
     for _ in range(ODE_SQUEEZE_SAMPLES):
         z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
         closed = squeeze_factorization(z, 1.0)
-        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, ode_steps).final
+        final = wei_norman_final(GeneratorCoefficients.squeeze(z), 1.0, ode_steps)
         worst = max(worst, _coeff_distance(final, closed))
     return [CheckResult("analytic", "ode_vs_closed_form_squeeze", worst, 1e-7)]
 
@@ -101,7 +101,7 @@ def check_ode_oscillator(ode_steps: int = 1000):
     worst = 0.0
     for t in (0.3, 0.7, 1.0, 1.4):
         closed = time_displacement_factorization(t)
-        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), t, ode_steps).final
+        final = wei_norman_final(GeneratorCoefficients.oscillator(), t, ode_steps)
         worst = max(worst, _coeff_distance(final, closed))
     return [CheckResult("analytic", "ode_vs_closed_form_oscillator", worst, 1e-7)]
 
@@ -111,12 +111,12 @@ def check_unitarity_residue():
     worst = 0.0
     for t in (0.25, 0.7, 1.0):
         worst = max(worst, time_displacement_factorization(t).unitarity_residue())
-        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), t, RESIDUE_ODE_STEPS).final
+        final = wei_norman_final(GeneratorCoefficients.oscillator(), t, RESIDUE_ODE_STEPS)
         worst = max(worst, final.unitarity_residue())
     for r, phi in ((0.5, 0.0), (1.0, math.pi / 3), (2.0, 5.0)):
         z = SqueezeParameter(r, phi)
         worst = max(worst, squeeze_factorization(z, 1.0).unitarity_residue())
-        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, RESIDUE_ODE_STEPS).final
+        final = wei_norman_final(GeneratorCoefficients.squeeze(z), 1.0, RESIDUE_ODE_STEPS)
         worst = max(worst, final.unitarity_residue())
     return [CheckResult("analytic", "unitarity_residue", worst, 1e-10)]
 

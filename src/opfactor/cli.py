@@ -16,9 +16,9 @@ from .algebra import (
     CausticError,
     GeneratorCoefficients,
     SqueezeParameter,
-    integrate_wei_norman,
     squeeze_factorization,
     time_displacement_factorization,
+    wei_norman_final,
 )
 from .fock import MAX_HERMITE, MIN_DIM, FockBasis
 from .grid import (
@@ -230,7 +230,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
     if args.ode_check:
         try:
-            final = integrate_wei_norman(generator, args.t, args.ode_steps).final
+            final = wei_norman_final(generator, args.t, args.ode_steps)
         except BlowUpError as exc:
             print(f"error: ode check failed: {exc}", file=sys.stderr)
             return 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from opfactor import checks
 from opfactor.algebra import (
     BlowUpError,
     CausticError,
@@ -16,6 +17,7 @@ from opfactor.algebra import (
     squeeze_factorization,
     squeeze_scale,
     time_displacement_factorization,
+    wei_norman_final,
     wei_norman_rhs,
 )
 
@@ -57,6 +59,13 @@ class TestSqueezeScale:
                 math.exp(r) * math.cos(phi / 2) ** 2 + math.exp(-r) * math.sin(phi / 2) ** 2
             )
             assert abs(hyperbolic - half_angle) < 1e-12
+
+    def test_overflow_is_a_refusal_not_a_caustic(self):
+        assert math.isfinite(squeeze_scale(SqueezeParameter(400.0), 1.0))
+        for r, t in ((1000.0, 1.0), (400.0, 2.0), (400.0, -2.0)):
+            with pytest.raises(ValueError, match="r\\*t") as info:
+                squeeze_scale(SqueezeParameter(r, 0.5), t)
+            assert not isinstance(info.value, CausticError)
 
     def test_positive_everywhere(self):
         for t in (-2.0, -0.5, 0.0, 0.5, 3.0):
@@ -259,6 +268,61 @@ class TestIntegrator:
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):
             integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.0, steps=0)
+
+
+def _verify_all_integrations():
+    """The (generator, t_end, steps) triples that `verify all` integrates."""
+    rng = np.random.default_rng(checks.DEFAULT_SEED)
+    cases = []
+    for _ in range(checks.ODE_SQUEEZE_SAMPLES):
+        z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
+        cases.append((GeneratorCoefficients.squeeze(z), 1.0, 1000))
+    cases += [(GeneratorCoefficients.oscillator(), t, 1000) for t in (0.3, 0.7, 1.0, 1.4)]
+    cases += [(GeneratorCoefficients.oscillator(), t, checks.RESIDUE_ODE_STEPS)
+              for t in (0.25, 0.7, 1.0)]
+    cases += [(GeneratorCoefficients.squeeze(SqueezeParameter(r, phi)), 1.0,
+               checks.RESIDUE_ODE_STEPS)
+              for r, phi in ((0.5, 0.0), (1.0, math.pi / 3), (2.0, 5.0))]
+    return cases
+
+
+class TestFinalOnly:
+    """wei_norman_final is integrate_wei_norman(...).final, bit for bit."""
+
+    @pytest.mark.parametrize("b, t_end, steps", _verify_all_integrations())
+    def test_verify_all_integrations(self, b, t_end, steps):
+        assert wei_norman_final(b, t_end, steps) == integrate_wei_norman(b, t_end, steps).final
+
+    @pytest.mark.parametrize("b, t_end, steps", [
+        (GeneratorCoefficients(b2=lambda t: -0.5j * (1.0 + t), b3=lambda t: 0.3 * math.sin(t),
+                               b4=0.5j), 1.2, 300),
+        (GeneratorCoefficients.oscillator(), 0.0, 1000),
+        (GeneratorCoefficients.oscillator(), -0.9, 500),
+        (GeneratorCoefficients.squeeze(SqueezeParameter(0.8, 1.0)), -1.0, 1),
+    ])
+    def test_callable_zero_and_negative_spans(self, b, t_end, steps):
+        final = wei_norman_final(b, t_end, steps)
+        assert final == integrate_wei_norman(b, t_end, steps).final
+        assert final.t == pytest.approx(t_end, abs=1e-15)
+        if t_end == 0.0:
+            assert final == FactorizationCoefficients.zero(0.0)
+
+    @pytest.mark.parametrize("t_end, steps", [(1.0, 0), (1.0, -3), (math.inf, 10), (math.nan, 10)])
+    def test_same_refusal_at_call_time(self, t_end, steps):
+        messages = []
+        for entry in (integrate_wei_norman, wei_norman_final):
+            with pytest.raises(ValueError) as info:
+                entry(GeneratorCoefficients.oscillator(), t_end, steps)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_same_blowup(self):
+        messages = []
+        for entry in (integrate_wei_norman, wei_norman_final):
+            with pytest.raises(BlowUpError, match="caustic") as info:
+                entry(GeneratorCoefficients.oscillator(), 1.6, 20000)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestCoefficientTrajectory:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from opfactor import checks
-from opfactor.algebra import SqueezeParameter
+from opfactor.algebra import CoefficientTrajectory, SqueezeParameter
 from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main, read_wavefunction
 from opfactor.grid import MAX_TIME_SUBSTEPS
 from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi_ss
@@ -92,6 +92,11 @@ class TestFactorize:
         assert code == 0
         deviation = float(out.strip().splitlines()[-1].split(" = ")[1])
         assert deviation < 1e-8
+
+    def test_large_squeeze_below_overflow(self, capsys):
+        code, out, _ = run(capsys, "factorize", "squeeze", "--r", "400")
+        assert code == 0
+        assert out == "delta = -200 +0i\nalpha = 0 +0i\nbeta = -400 +0i\ngamma = 0 +0i\n"
 
     def test_ode_check_across_caustic_fails(self, capsys):
         # an RK4 stage overflows on the way across pi/2
@@ -355,6 +360,9 @@ class TestDensity:
     "factorize oscillator --t nan",
     "factorize squeeze --r -1",
     "evolve --initial ground --fock-dim 600",
+    "factorize squeeze --r 1000",
+    "factorize squeeze --r 400 --t 2",
+    f"evolve --initial ground --op squeeze:r=1000 --out {os.devnull}",
 ])
 def test_refused_input_exits_2(capsys, argv):
     # a refusal must not read as a failed check (1) or a finished run (0)
@@ -363,6 +371,16 @@ def test_refused_input_exits_2(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_checks_and_ode_check_build_no_trajectory(monkeypatch, capsys):
+    # every caller in the package reads only the final coefficients
+    built = []
+    monkeypatch.setattr(CoefficientTrajectory, "__post_init__", lambda self: built.append(self))
+    assert all(r.passed for r in checks.run_checks("analytic"))
+    code, _, _ = run(capsys, "factorize", "oscillator", "--t", "1", "--ode-check")
+    assert code == 0
+    assert len(built) == 0
 
 
 class TestOutputFormat:
