@@ -5,6 +5,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -61,6 +62,12 @@ class RunConfig:
                 raise ValueError(f"{field} must be positive")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
+        if self.out:
+            folder = os.path.dirname(self.out) or "."
+            if os.path.isdir(self.out):
+                raise ValueError(f"cannot write --out {self.out!r}: it is a directory")
+            if not os.path.isdir(folder):
+                raise ValueError(f"cannot write --out {self.out!r}: no directory {folder!r}")
 
     def make_grid(self) -> Grid:
         return Grid(self.grid_min, self.grid_max, self.grid_n)
@@ -161,30 +168,68 @@ def _fmt17(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_rows(columns, rows, config: RunConfig, stream) -> None:
-    if config.fmt == "csv":
-        # one %-format per block of rows; blocks keep the formatted text small
-        stream.write(",".join(columns) + "\r\n")
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            stream.write((line * len(block)) % tuple(block.ravel().tolist()))
-    else:
+def _write_rows(columns, values, config: RunConfig, stream) -> None:
+    """Write a table of numbers to `stream` as CSV or JSON.
+
+    The table's rows come in blocks of equal length.  `values` holds one
+    array per column, each broadcasting to (blocks, rows per block): a
+    (blocks, 1) array is constant within each block, a 1-D array is a column
+    that every block shares, and a (blocks, rows) array has a cell per row.
+
+    CSV formats each number once per distinct position.  A block constant is
+    formatted once per block and written straight into the block's line
+    template.  The shared column (the first 1-D array, when there is more
+    than one block) is formatted once per table, and its text is joined into
+    each chunk's template between the cells.  Cells are formatted once per
+    row, by one `%` per chunk of CSV_BLOCK_ROWS rows.  With a single block
+    nothing repeats, so every column but the constants is written as cells.
+    JSON builds the full rows array.
+    """
+    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
+    blocks, nrows = shape if len(shape) == 2 else (1, *shape)
+    views = [np.broadcast_to(v, (blocks, nrows)) for v in values]
+    if config.fmt == "json":
         payload = {
             "config": config.summary(),
             "columns": columns,
-            "rows": rows.tolist(),
+            "rows": np.column_stack([v.ravel() for v in views]).tolist(),
         }
         json.dump(payload, stream, indent=1)
         stream.write("\n")
+        return
+
+    stream.write(",".join(columns) + "\r\n")
+    constant = [np.shape(v)[1:] == (1,) for v in values]
+    shared = next((j for j, v in enumerate(values) if np.ndim(v) == 1), None) if blocks > 1 else None
+    if shared is not None:
+        shared_text = [_fmt17(x) for x in values[shared].tolist()]
+    cells = [v for j, (v, c) in enumerate(zip(views, constant)) if not c and j != shared]
+    for b in range(blocks):
+        # formatted numbers hold no '%', so a constant's text is safe in the template
+        texts = [_fmt17(float(v[b, 0])) if c else "%.17g" for v, c in zip(views, constant)]
+        if shared is not None:
+            head = "".join(f + "," for f in texts[:shared])
+            tail = "".join("," + f for f in texts[shared + 1:]) + "\r\n"
+        else:
+            line = ",".join(texts) + "\r\n"
+        for start in range(0, nrows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, nrows)
+            if shared is not None:
+                template = head + (tail + head).join(shared_text[start:stop]) + tail
+            else:
+                template = line * (stop - start)
+            args = [None] * ((stop - start) * len(cells))
+            for i, v in enumerate(cells):
+                args[i::len(cells)] = v[b, start:stop].tolist()
+            stream.write(template % tuple(args))
 
 
-def _emit(columns, rows, config: RunConfig) -> None:
+def _emit(columns, values, config: RunConfig) -> None:
     if config.out:
         with open(config.out, "w", newline="") as handle:
-            _write_rows(columns, rows, config, handle)
+            _write_rows(columns, values, config, handle)
     else:
-        _write_rows(columns, rows, config, sys.stdout)
+        _write_rows(columns, values, config, sys.stdout)
 
 
 def read_wavefunction(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +307,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         return 1
 
     norm_out = out.norm()
-    rows = np.column_stack(
-        [grid.x, out.samples.real, out.samples.imag, out.density()]
-    )
-    _emit(WAVEFUNCTION_COLUMNS, rows, config)
+    _emit(WAVEFUNCTION_COLUMNS, [grid.x, out.samples.real, out.samples.imag, out.density()], config)
 
     norm_stream = sys.stdout if config.out else sys.stderr
     print(f"norm = {_fmt17(norm_out)}", file=norm_stream)
@@ -341,15 +383,10 @@ def cmd_density(args: argparse.Namespace) -> int:
 
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rho, rho_grid, raw_integral = checks.evenodd_grid_densities(grid, spec, ts)
-    rows = np.column_stack([
-        np.repeat(ts, grid.n),
-        np.tile(grid.x, args.t_steps),
-        rho.ravel(),
-        rho_grid.ravel(),
-        np.abs(rho - rho_grid).ravel(),
-        np.repeat(raw_integral, grid.n),
-    ])
-    _emit(DENSITY_COLUMNS, rows, config)
+    # one block of rows per t: t and raw_integral are block constants, x is shared
+    _emit(DENSITY_COLUMNS, [
+        ts[:, None], grid.x, rho, rho_grid, np.abs(rho - rho_grid), raw_integral[:, None],
+    ], config)
     return 0
 
 

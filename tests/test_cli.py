@@ -13,8 +13,8 @@ import pytest
 from opfactor import checks
 from opfactor.algebra import CoefficientTrajectory, SqueezeParameter
 from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main, read_wavefunction
-from opfactor.grid import MAX_TIME_SUBSTEPS
-from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi_ss
+from opfactor.grid import MAX_TIME_SUBSTEPS, WaveFunction, apply_chain, squeeze_factors
+from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_ss
 
 
 # Every `verify all` check, in report order.
@@ -363,9 +363,14 @@ class TestDensity:
     "factorize squeeze --r 1000",
     "factorize squeeze --r 400 --t 2",
     f"evolve --initial ground --op squeeze:r=1000 --out {os.devnull}",
+    "verify grid --out {missing}",
+    "evolve --initial ground --out {missing}",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --out {missing}",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --out {folder}",
 ])
-def test_refused_input_exits_2(capsys, argv):
+def test_refused_input_exits_2(capsys, tmp_path, argv):
     # a refusal must not read as a failed check (1) or a finished run (0)
+    argv = argv.format(missing=tmp_path / "no-such-dir" / "out.csv", folder=tmp_path)
     code, out, err = run(capsys, *argv.split())
     assert code == 2
     assert out == ""
@@ -381,6 +386,25 @@ def test_checks_and_ode_check_build_no_trajectory(monkeypatch, capsys):
     code, _, _ = run(capsys, "factorize", "oscillator", "--t", "1", "--ode-check")
     assert code == 0
     assert len(built) == 0
+
+
+def _density_rows():
+    """The full rows array of the density command in the pin test below."""
+    grid = RunConfig(grid_n=8192).make_grid()
+    ts = np.linspace(0.0, 3.14159, 3)
+    rho, rho_grid, raw = checks.evenodd_grid_densities(grid, EvenOddSpec(2.0, 1.5, -1), ts)
+    return np.column_stack([
+        np.repeat(ts, grid.n), np.tile(grid.x, len(ts)), rho.ravel(), rho_grid.ravel(),
+        np.abs(rho - rho_grid).ravel(), np.repeat(raw, grid.n),
+    ])
+
+
+def _evolve_rows():
+    """The full rows array of the evolve command in the pin test below."""
+    grid = RunConfig(grid_n=8192).make_grid()
+    out = apply_chain(WaveFunction.from_callable(grid, psi0),
+                      squeeze_factors(SqueezeParameter(0.5, 0.3)))
+    return np.column_stack([grid.x, out.samples.real, out.samples.imag, out.density()])
 
 
 class TestOutputFormat:
@@ -399,8 +423,66 @@ class TestOutputFormat:
                    header="a,b,c", comments="")
         for rows, expected in [(small, small_text), (big, big_text.getvalue())]:
             stream = io.StringIO()
-            _write_rows(["a", "b", "c"], rows, RunConfig(), stream)
+            _write_rows(["a", "b", "c"], list(rows.T), RunConfig(), stream)
             assert stream.getvalue() == expected
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1)])
+    def test_csv_bytes_of_block_columns(self, order):
+        # -0.0 and a subnormal as block constants and in a shared column that
+        # spans two chunks, with the literals straddling the chunk edge
+        rng = np.random.default_rng(11)
+        nrows = CSV_BLOCK_ROWS + 5
+        constant = np.array([-0.0, 1e-320, 0.1])
+        other_constant = np.array([1.0 / 3.0, -0.0, -1e-320])
+        shared = rng.standard_normal(nrows)
+        shared[CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = [-0.0, 1e-320]
+        cells = rng.standard_normal((3, nrows))
+        cells[1, CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = [1e-320, -0.0]
+        values = [constant[:, None], shared, cells, other_constant[:, None]]
+        full = [
+            np.repeat(constant, nrows), np.tile(shared, 3), cells.ravel(),
+            np.repeat(other_constant, nrows),
+        ]
+        columns = ["a", "b", "c", "d"]
+        expected = io.StringIO()
+        np.savetxt(expected, np.column_stack([full[j] for j in order]), fmt="%.17g",
+                   delimiter=",", newline="\r\n", header=",".join(columns), comments="")
+        stream = io.StringIO()
+        _write_rows(columns, [values[j] for j in order], RunConfig(), stream)
+        # compared as line lists, which pytest reports cheaply when they differ
+        assert stream.getvalue().split("\r\n") == expected.getvalue().split("\r\n")
+        assert "\r\n-0," in stream.getvalue() and "\r\n9.9998886718268301e-321," in stream.getvalue()
+
+        stream = io.StringIO()
+        _write_rows(columns, [values[j] for j in order], RunConfig(fmt="json"), stream)
+        rows = np.array(json.loads(stream.getvalue())["rows"])
+        assert rows.tobytes() == np.column_stack([full[j] for j in order]).tobytes()
+
+    @pytest.mark.parametrize("argv, columns, build", [
+        ("density --x0 2 --s 1.5 --sign -1 --t-min 0 --t-max 3.14159 --t-steps 3",
+         "t,x,rho_analytic,rho_grid,abs_delta,raw_integral", _density_rows),
+        ("evolve --initial ground --op squeeze:r=0.5,phi=0.3", "x,re,im,density", _evolve_rows),
+    ])
+    def test_files_pin_savetxt_and_json_rows(self, capsys, tmp_path, argv, columns, build):
+        # the frozen format, end to end: savetxt of the full rows array, with
+        # JSON rows bit-identical to the CSV values
+        argv = [*argv.split(), "--grid-n", "8192"]
+        expected = io.StringIO()
+        np.savetxt(expected, build(), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=columns, comments="")
+        csv_path, json_path = tmp_path / "rows.csv", tmp_path / "rows.json"
+        assert run(capsys, *argv, "--out", str(csv_path))[0] == 0
+        assert run(capsys, *argv, "--format", "json", "--out", str(json_path))[0] == 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        with open(csv_path, newline="") as handle:
+            text = handle.read()
+        lines = text.split("\r\n")
+        assert lines == expected.getvalue().split("\r\n") and out.split("\r\n") == lines
+        csv_rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+        with open(json_path) as handle:
+            json_rows = np.array(json.load(handle)["rows"])
+        assert json_rows.tobytes() == csv_rows.tobytes()
 
 
 class TestImportCost:
