@@ -16,6 +16,13 @@ The Fresnel multiplier exp(-c k^2) and the chirp exp(i a x^2) are computed
 once per (grid, parameter) and reused from a small bounded cache, so a time
 chain of k substeps evaluates its three distinct multipliers once rather than
 2k + 1 times.  The cached arrays are read-only.
+
+Each factor kind has one private kernel, kernel(buf, grid, factor), that may
+overwrite buf and returns the result: buf itself for the FFT steps (numpy's
+in-place fft/ifft via out=, hence numpy >= 2.0) and the phases, a new array
+for the dilation.  A chain copies its input samples once and runs every
+factor in place on that one buffer; the public apply_* functions run the
+same kernel on a copy of the samples.
 """
 from __future__ import annotations
 
@@ -104,6 +111,15 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
+def _require_finite(samples: np.ndarray) -> None:
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+
+
+def _norm(samples: np.ndarray, dx: float) -> float:
+    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * dx))
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex samples of a state on a Grid.  Treated as an immutable value."""
@@ -115,8 +131,7 @@ class WaveFunction:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != (self.grid.n,):
             raise ValueError(f"samples must have shape ({self.grid.n},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
+        _require_finite(arr)
         object.__setattr__(self, "samples", arr)
 
     @classmethod
@@ -128,7 +143,7 @@ class WaveFunction:
 
     def norm(self) -> float:
         """L2 norm by the rectangle rule (spectrally accurate for decaying states)."""
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dx))
+        return _norm(self.samples, self.grid.dx)
 
     def density(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
@@ -218,6 +233,109 @@ def _chirp_multiplier(grid: Grid, a: float) -> np.ndarray:
     return out
 
 
+def _shift(buf: np.ndarray, grid: Grid, factor: Shift) -> np.ndarray:
+    np.fft.fft(buf, out=buf)
+    buf *= np.exp(1j * grid.k * factor.c)
+    return np.fft.ifft(buf, out=buf)
+
+
+def _dilate(buf: np.ndarray, grid: Grid, factor: Dilation) -> np.ndarray:
+    # The interpolant is (1/n) sum_m F_m exp(i k_m (x - x_min)) over signed
+    # m in [-n/2, n/2), F = fft(samples), with the Nyquist term split evenly
+    # between k = -pi/dx and +pi/dx, i.e. F_{n/2} cos(pi (x - x_min)/dx) / n.
+    # With the centred output index j' = j - n/2 and c = pi scale / n,
+    # k_m (scale x_j - x_min) = m theta + 2 c m j', and
+    # 2 m j' = m^2 + j'^2 - (j' - m)^2 turns the sum over m into the linear
+    # convolution of F_m exp(i (c m^2 + m theta)) with the chirp exp(-i c q^2),
+    # |q| < n, taken by FFTs of length 2n.  Centring keeps the chirp phases of
+    # the significant terms at or below about pi scale n / 4.
+    scale = factor.scale
+    n = grid.n
+    c = math.pi * scale / n
+    theta = grid.k[1] * (scale * grid.x[n // 2] - grid.x_min)
+    centred = np.arange(-(n // 2), n // 2)
+    inside = (scale * grid.x >= grid.x[0]) & (scale * grid.x <= grid.x[-1])
+    # exp(-i c q^2) is even in q: evaluate it for q = 0..n only
+    half = np.exp(-1j * c * np.arange(n + 1) ** 2)
+    chirp = half[np.abs(centred)].conj()
+
+    spectrum = np.fft.fftshift(np.fft.fft(buf))
+    nyquist = spectrum[0]
+    spectrum[0] = 0.0
+    chirped = np.fft.fft(spectrum * chirp * np.exp(1j * theta * centred), 2 * n)
+    kernel = np.fft.fft(np.concatenate([half[:n], half[n:0:-1]]))
+    values = chirp * np.fft.ifft(chirped * kernel)[:n]
+    values += nyquist * np.cos(0.5 * n * theta + math.pi * scale * centred)
+    out = np.where(inside, values / n, 0.0)
+
+    expected = _norm(buf, grid.dx) ** 2 / scale
+    if expected > 0.0:
+        lost = expected - _norm(out, grid.dx) ** 2
+        if lost > OVERFLOW_FRAC * expected:
+            warnings.warn(
+                SupportOverflowWarning(
+                    f"dilation by {scale:.6g} lost a fraction {lost / expected:.3e} "
+                    f"of the expected norm to points outside the grid"
+                )
+            )
+    return out
+
+
+def _spectral_d2(buf: np.ndarray, grid: Grid, factor: SpectralD2) -> np.ndarray:
+    np.fft.fft(buf, out=buf)
+    buf *= _fresnel_multiplier(grid, complex(factor.c))
+    return np.fft.ifft(buf, out=buf)
+
+
+def _chirp(buf: np.ndarray, grid: Grid, factor: QuadraticPhase) -> np.ndarray:
+    buf *= _chirp_multiplier(grid, factor.a)
+    return buf
+
+
+def _linear_phase(buf: np.ndarray, grid: Grid, factor: LinearPhase) -> np.ndarray:
+    buf *= np.exp(1j * factor.p * grid.x)
+    return buf
+
+
+def _scalar(buf: np.ndarray, grid: Grid, factor: Scalar) -> np.ndarray:
+    buf *= complex(factor.s)
+    return buf
+
+
+def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
+    """The kernel that applies factor on grid, or None where factor is the identity.
+
+    Raises the refusals of the public apply_* functions: ShiftRangeError for a
+    shift that would wrap, TypeError for an object that is not a factor.
+    """
+    if isinstance(factor, Shift):
+        if abs(factor.c) >= 0.5 * grid.span:
+            raise ShiftRangeError(
+                f"|c| = {abs(factor.c):.6g} is not below half the grid span {0.5 * grid.span:.6g}"
+            )
+        return None if factor.c == 0.0 else _shift
+    if isinstance(factor, Dilation):
+        return None if factor.scale == 1.0 else _dilate
+    if isinstance(factor, SpectralD2):
+        return None if factor.c == 0.0 else _spectral_d2
+    if isinstance(factor, QuadraticPhase):
+        return None if factor.a == 0.0 else _chirp
+    if isinstance(factor, LinearPhase):
+        return None if factor.p == 0.0 else _linear_phase
+    if isinstance(factor, Scalar):
+        return _scalar
+    raise TypeError(f"not a pointwise factor: {factor!r}")
+
+
+# The public functions below call this rather than apply_factor, so that a
+# profiler or tracer charges each one's work to its own name.
+def _apply(psi: WaveFunction, factor: OperatorFactor) -> WaveFunction:
+    kernel = _kernel(psi.grid, factor)
+    if kernel is None:
+        return psi
+    return psi.with_samples(kernel(psi.samples.copy(), psi.grid, factor))
+
+
 def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
     """Return samples of psi(x + c) via the spectral shift theorem.
 
@@ -225,14 +343,7 @@ def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
     of half the grid span or more are refused: content would wrap around the
     periodic boundary.
     """
-    if abs(c) >= 0.5 * psi.grid.span:
-        raise ShiftRangeError(
-            f"|c| = {abs(c):.6g} is not below half the grid span {0.5 * psi.grid.span:.6g}"
-        )
-    if c == 0.0:
-        return psi
-    spectrum = np.fft.fft(psi.samples)
-    return psi.with_samples(np.fft.ifft(spectrum * np.exp(1j * psi.grid.k * c)))
+    return _apply(psi, Shift(c))
 
 
 def apply_dilation(psi: WaveFunction, scale: float) -> WaveFunction:
@@ -247,49 +358,7 @@ def apply_dilation(psi: WaveFunction, scale: float) -> WaveFunction:
     missing, the dilated support crossed the window edge and a
     SupportOverflowWarning is issued.
     """
-    if not scale > 0.0:
-        raise ValueError(f"dilation scale must be > 0, got {scale!r}")
-    if scale == 1.0:
-        return psi
-    # The interpolant is (1/n) sum_m F_m exp(i k_m (x - x_min)) over signed
-    # m in [-n/2, n/2), F = fft(samples), with the Nyquist term split evenly
-    # between k = -pi/dx and +pi/dx, i.e. F_{n/2} cos(pi (x - x_min)/dx) / n.
-    # With the centred output index j' = j - n/2 and c = pi scale / n,
-    # k_m (scale x_j - x_min) = m theta + 2 c m j', and
-    # 2 m j' = m^2 + j'^2 - (j' - m)^2 turns the sum over m into the linear
-    # convolution of F_m exp(i (c m^2 + m theta)) with the chirp exp(-i c q^2),
-    # |q| < n, taken by FFTs of length 2n.  Centring keeps the chirp phases of
-    # the significant terms at or below about pi scale n / 4.
-    grid = psi.grid
-    n = grid.n
-    c = math.pi * scale / n
-    theta = grid.k[1] * (scale * grid.x[n // 2] - grid.x_min)
-    centred = np.arange(-(n // 2), n // 2)
-    inside = (scale * grid.x >= grid.x[0]) & (scale * grid.x <= grid.x[-1])
-    # exp(-i c q^2) is even in q: evaluate it for q = 0..n only
-    half = np.exp(-1j * c * np.arange(n + 1) ** 2)
-    chirp = half[np.abs(centred)].conj()
-
-    spectrum = np.fft.fftshift(np.fft.fft(psi.samples))
-    nyquist = spectrum[0]
-    spectrum[0] = 0.0
-    chirped = np.fft.fft(spectrum * chirp * np.exp(1j * theta * centred), 2 * n)
-    kernel = np.fft.fft(np.concatenate([half[:n], half[n:0:-1]]))
-    values = chirp * np.fft.ifft(chirped * kernel)[:n]
-    values += nyquist * np.cos(0.5 * n * theta + math.pi * scale * centred)
-    out = psi.with_samples(np.where(inside, values / n, 0.0))
-
-    expected = psi.norm() ** 2 / scale
-    if expected > 0.0:
-        lost = expected - out.norm() ** 2
-        if lost > OVERFLOW_FRAC * expected:
-            warnings.warn(
-                SupportOverflowWarning(
-                    f"dilation by {scale:.6g} lost a fraction {lost / expected:.3e} "
-                    f"of the expected norm to points outside the grid"
-                )
-            )
-    return out
+    return _apply(psi, Dilation(scale))
 
 
 def apply_spectral_d2(psi: WaveFunction, c: complex) -> WaveFunction:
@@ -299,56 +368,46 @@ def apply_spectral_d2(psi: WaveFunction, c: complex) -> WaveFunction:
     variance 2c; for purely imaginary c it is unitary Fresnel propagation.
     Re(c) < 0 (backward diffusion) is refused as ill-posed.
     """
-    c = complex(c)
-    if c.real < 0.0:
-        raise ValueError(f"Re(c) must be >= 0, got c = {c!r}")
-    if c == 0.0:
-        return psi
-    spectrum = np.fft.fft(psi.samples)
-    return psi.with_samples(np.fft.ifft(spectrum * _fresnel_multiplier(psi.grid, c)))
+    return _apply(psi, SpectralD2(complex(c)))
 
 
 def apply_phase(
     psi: WaveFunction, factor: QuadraticPhase | LinearPhase | Scalar
 ) -> WaveFunction:
     """Pointwise multiplication by a quadratic phase, linear phase, or scalar."""
-    if isinstance(factor, QuadraticPhase):
-        if factor.a == 0.0:
-            return psi
-        return psi.with_samples(psi.samples * _chirp_multiplier(psi.grid, factor.a))
-    if isinstance(factor, LinearPhase):
-        if factor.p == 0.0:
-            return psi
-        return psi.with_samples(psi.samples * np.exp(1j * factor.p * psi.grid.x))
-    if isinstance(factor, Scalar):
-        return psi.with_samples(psi.samples * complex(factor.s))
-    raise TypeError(f"not a pointwise factor: {factor!r}")
+    if not isinstance(factor, (QuadraticPhase, LinearPhase, Scalar)):
+        raise TypeError(f"not a pointwise factor: {factor!r}")
+    return _apply(psi, factor)
 
 
 def apply_factor(psi: WaveFunction, factor: OperatorFactor) -> WaveFunction:
-    if isinstance(factor, Shift):
-        return apply_shift(psi, factor.c)
-    if isinstance(factor, Dilation):
-        return apply_dilation(psi, factor.scale)
-    if isinstance(factor, SpectralD2):
-        return apply_spectral_d2(psi, factor.c)
-    return apply_phase(psi, factor)
+    """Apply one factor to a copy of psi's samples; an identity factor returns psi."""
+    return _apply(psi, factor)
 
 
 def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFunction:
     """Apply factors in sequence; factors[0] acts first.
 
     A chain lists the factors of an operator product read right to left, so
-    the product's rightmost factor sits at index 0.  Failures are re-raised
-    as ChainError with the offending index in the message.
+    the product's rightmost factor sits at index 0.  The samples are copied
+    once, at the first factor that is not the identity, and every factor then
+    runs in place on that one buffer, so psi is never written and a chain of
+    identities returns psi itself.  The buffer is checked to be finite after
+    every factor.  Failures are re-raised as ChainError with the offending
+    index in the message.
     """
-    out = psi
+    grid = psi.grid
+    buf = None
     for index, factor in enumerate(factors):
         try:
-            out = apply_factor(out, factor)
+            kernel = _kernel(grid, factor)
+            if kernel is None:
+                continue
+            buf = kernel(psi.samples.copy() if buf is None else buf, grid, factor)
+            _require_finite(buf)
         except (ValueError, TypeError) as exc:
             raise ChainError(f"factor {index} ({type(factor).__name__}) failed: {exc}") from exc
-    return out
+    return psi if buf is None else psi.with_samples(buf)
 
 
 # --- factor chains for the named operator families ----------------------------

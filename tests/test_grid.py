@@ -1,5 +1,6 @@
 """Tests for grid states, the elementary factor actions, and factor chains."""
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from opfactor.grid import (
     WaveFunction,
     apply_chain,
     apply_dilation,
+    apply_factor,
     apply_phase,
     apply_shift,
     apply_spectral_d2,
@@ -333,6 +335,32 @@ class TestFactorSequences:
         assert np.abs(out.samples - ground.samples).max() < 1e-14
 
 
+def _out_of_place(psi, factor):
+    """One factor by new arrays throughout: the reference for the in-place kernels.
+
+    Each multiplier is bound to a name first.  numpy may evaluate
+    `samples * <temporary>` as `<temporary> *= samples`, and with fused
+    multiply-adds the swapped complex product can differ in the last bit.
+    The dilation builds a new array in either form, so it is taken as is.
+    """
+    s, x, k = psi.samples, psi.grid.x, psi.grid.k
+    if isinstance(factor, Dilation):
+        return apply_dilation(psi, factor.scale)
+    if isinstance(factor, Shift):
+        multiplier = np.exp(1j * k * factor.c)
+        return psi.with_samples(np.fft.ifft(np.fft.fft(s) * multiplier))
+    if isinstance(factor, SpectralD2):
+        multiplier = np.exp(-complex(factor.c) * k**2)
+        return psi.with_samples(np.fft.ifft(np.fft.fft(s) * multiplier))
+    if isinstance(factor, QuadraticPhase):
+        multiplier = np.exp(1j * factor.a * x**2)
+    elif isinstance(factor, LinearPhase):
+        multiplier = np.exp(1j * factor.p * x)
+    else:
+        multiplier = complex(factor.s)
+    return psi.with_samples(s * multiplier)
+
+
 class TestChains:
     def test_empty_chain_identity(self, ground):
         out = apply_chain(ground, [])
@@ -380,3 +408,22 @@ class TestChains:
     def test_error_carries_index_context(self, ground):
         with pytest.raises(ChainError, match="factor 1"):
             apply_chain(ground, [Scalar(1.0), Shift(20.0)])
+
+    def test_nonfinite_mid_chain_names_its_factor(self, ground):
+        with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 2"):
+            apply_chain(ground, [Scalar(1.0), Scalar(1e200), Scalar(1e200)])
+
+    @pytest.mark.parametrize("n, x0, p0, chain", [
+        # the evolve-period chain: 16 periods in 128 substeps
+        (16384, 2.0, 0.5, time_displacement_factors(32 * math.pi, 128)),
+        (2048, 0.0, 0.0,
+         squeeze_factors(SqueezeParameter(1.5, 2.0)) + displacement_factors(2.0, -1.0)),
+        (16384, 1.0, 0.5, [Shift(-0.7), LinearPhase(0.4), Shift(1.3), LinearPhase(-2.0)]),
+    ], ids=["evolve_period", "squeeze_displace", "shift_linear_phase"])
+    def test_in_place_chain_is_bit_identical_to_factor_by_factor(self, n, x0, p0, chain):
+        psi = WaveFunction.from_callable(Grid(n=n), lambda x: coherent_state(x, x0, p0))
+        before = psi.samples.copy()
+        out = apply_chain(psi, chain)
+        for reference in (apply_factor, _out_of_place):
+            assert np.array_equal(out.samples, functools.reduce(reference, chain, psi).samples)
+        assert np.array_equal(psi.samples, before)
