@@ -27,7 +27,6 @@ from .fock import (
     generator_matrix,
     hermite_functions,
     ladder_matrices,
-    matrix_exponential,
     position_to_fock,
     squeeze_generator,
     unitary_exponential,

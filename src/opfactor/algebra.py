@@ -11,7 +11,9 @@ squeeze family and for harmonic-oscillator time displacement; a fixed-step
 RK4 integrator handles arbitrary, possibly time-dependent, generator
 coefficients and doubles as an independent oracle for the closed forms.
 `integrate_wei_norman` returns every step as a CoefficientTrajectory, and
-`wei_norman_final` runs the same step loop but keeps only its last state.
+`wei_norman_final`, which every command uses, keeps only the last; the
+trajectory and `wei_norman_rhs` stay as library surface and as the tests'
+bit-for-bit reference.
 """
 from __future__ import annotations
 
@@ -134,16 +136,20 @@ def squeeze_scale(z: SqueezeParameter, t: float = 1.0) -> float:
     """Scale function cosh(r t) + cos(phi) sinh(r t) of the squeeze family.
 
     cos(phi) carries the analytic value of z1/r, which keeps the r = 0 limit
-    exact: the function is identically 1 there.  At t = 1 this equals
-    e^r cos^2(phi/2) + e^{-r} sin^2(phi/2), so it is positive for every r and
-    phi.
+    exact: the function is identically 1 there, as at t = 0.  At t = 1 this
+    equals e^r cos^2(phi/2) + e^{-r} sin^2(phi/2), so it is positive for every
+    r and phi.  Where cos(phi) < 0 the equal exp(-r t) + 2 cos^2(phi/2) sinh(r t)
+    is used, whose terms do not cancel.
 
     Raises ValueError, a refusal of the input rather than a singularity, once
-    cosh(r t) or the scale itself overflows, near |r t| = 709.8.
+    a term or the scale itself overflows, near |r t| = 709.8.
     """
     rt = z.r * t
     try:
-        scale = math.cosh(rt) + math.cos(z.phi) * math.sinh(rt)
+        if math.cos(z.phi) < 0.0:
+            scale = math.exp(-rt) + 2.0 * math.cos(0.5 * z.phi) ** 2 * math.sinh(rt)
+        else:
+            scale = math.cosh(rt) + math.cos(z.phi) * math.sinh(rt)
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
@@ -164,7 +170,7 @@ def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationC
     """
     scale = squeeze_scale(z, t)
     if scale <= 0.0:
-        # Unreachable for r >= 0 since |cos(phi)| <= 1; kept as a guard.
+        # reached where r t < 0 and cos(phi) > 0 cancel, e.g. r t = -19 at phi = 0
         raise ValueError(f"squeeze scale must be positive, got {scale!r}")
     alpha = 0.5 * math.sin(z.phi) * math.sinh(z.r * t) / scale
     beta = -math.log(scale)

@@ -29,12 +29,11 @@ from .grid import (
     apply_shift,
     apply_spectral_d2,
     displacement_factors,
-    min_time_substeps,
     squeeze_factors,
     time_displacement_factors,
 )
 
-__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "evenodd_initial", "run_checks"]
 
 DEFAULT_SEED = 20260810
 
@@ -84,9 +83,9 @@ def _phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
 # --- analytic suite -----------------------------------------------------------
 
 
-def check_ode_squeeze(ode_steps: int = 1000, seed: int = DEFAULT_SEED):
+def check_ode_squeeze(ode_steps: int = 1000):
     """RK4 trajectories reproduce the squeeze closed forms at t = 1."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for _ in range(ODE_SQUEEZE_SAMPLES):
         z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
@@ -121,9 +120,9 @@ def check_unitarity_residue():
     return [CheckResult("analytic", "unitarity_residue", worst, 1e-10)]
 
 
-def check_squeeze_scale_forms(seed: int = DEFAULT_SEED):
+def check_squeeze_scale_forms():
     """Both algebraic forms of the t = 1 squeeze scale agree."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
     for _ in range(SCALE_FORM_SAMPLES):
         r = 2.0 * rng.random()
@@ -205,27 +204,28 @@ def check_evenodd_raw_integral(grid: Grid):
     return results
 
 
-def evenodd_grid_densities(grid: Grid, spec: states.EvenOddSpec, times):
+def evenodd_initial(grid: Grid, spec: states.EvenOddSpec) -> WaveFunction:
+    """The pair's normalized t = 0 state on grid; ValueError where it cannot be sampled."""
+    return WaveFunction.from_callable(grid, lambda x: states.psi_spm(x, 0.0, spec), normalize=True)
+
+
+def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, times):
     """Closed-form and grid-propagated densities of an even/odd pair at each t.
 
-    The normalized t = 0 state is advanced by the time chain with the fewest
-    admissible substeps.  Returns (rho, rho_grid, raw_integral): rho_spm
-    renormalized to unit integral and the grid density, both of shape
-    (len(times), n), and the quadrature of rho_spm as written, one per t.
+    initial (from evenodd_initial) is advanced by the default time chain.
+    Returns (rho, rho_grid, raw_integral): rho_spm renormalized to unit
+    integral and the grid density, both of shape (len(times), n), and the
+    quadrature of rho_spm as written, one per t.
     """
-    x, dx = grid.x, grid.dx
-    initial = WaveFunction.from_callable(
-        grid, lambda xs: states.psi_spm(xs, 0.0, spec), normalize=True
-    )
-    rho = np.empty((len(times), grid.n))
+    x, dx = initial.grid.x, initial.grid.dx
+    rho = np.empty((len(times), x.size))
     rho_grid = np.empty_like(rho)
     raw_integral = np.empty(len(times))
     for i, t in enumerate(map(float, times)):
         rho_raw = states.rho_spm(x, t, spec)
         raw_integral[i] = np.sum(rho_raw) * dx
         rho[i] = rho_raw / raw_integral[i]
-        chain = time_displacement_factors(t, min_time_substeps(t))
-        rho_grid[i] = apply_chain(initial, chain).density()
+        rho_grid[i] = apply_chain(initial, time_displacement_factors(t)).density()
     return rho, rho_grid, raw_integral
 
 
@@ -234,7 +234,8 @@ def check_evenodd_grid_evolution(grid: Grid):
     results = []
     for sign in (+1, -1):
         spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
-        rho, rho_grid, _ = evenodd_grid_densities(grid, spec, EVEN_ODD_TIMES)
+        initial = evenodd_initial(grid, spec)
+        rho, rho_grid, _ = evenodd_grid_densities(initial, spec, EVEN_ODD_TIMES)
         for t, expected, got in zip(EVEN_ODD_TIMES, rho, rho_grid):
             results.append(
                 CheckResult("analytic", f"evenodd_grid_density_sign{sign:+d}_t{t:.4g}",
@@ -365,16 +366,8 @@ def _unitary_suite(grid: Grid):
         grid,
         lambda x: states.psi_ss(x, states.SqueezedStateSpec(1.0, 0.0, SqueezeParameter(0.5, 0.0))),
     )
-    even = WaveFunction.from_callable(
-        grid,
-        lambda x: states.psi_spm(x, 0.0, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, +1)),
-        normalize=True,
-    )
-    odd = WaveFunction.from_callable(
-        grid,
-        lambda x: states.psi_spm(x, 0.0, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, -1)),
-        normalize=True,
-    )
+    even = evenodd_initial(grid, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, +1))
+    odd = evenodd_initial(grid, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, -1))
     return [
         ("displace_ground", ground, displacement_factors(1.0, 0.5)),
         ("squeeze_r0.5_ground", ground, squeeze_factors(SqueezeParameter(0.5, 0.0))),
@@ -424,9 +417,9 @@ def check_grid_box_phase(grid: Grid):
     return results
 
 
-def check_grid_linearity(grid: Grid, seed: int = DEFAULT_SEED):
+def check_grid_linearity(grid: Grid):
     """Chains act linearly on superpositions."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     psi1 = WaveFunction.from_callable(grid, lambda x: states.coherent_state(x, 1.0, 0.0))
     psi2 = WaveFunction.from_callable(grid, lambda x: states.coherent_state(x, -1.5, 0.5))
     a = complex(rng.standard_normal(), rng.standard_normal())
@@ -468,10 +461,10 @@ def check_fock_oscillator_generator(fock_dim: int = 128):
     ]
 
 
-def check_unitary_exponential(seed: int = DEFAULT_SEED):
+def check_unitary_exponential():
     """The oracle's exponential of a random anti-Hermitian matrix is unitary."""
     dim = RANDOM_GENERATOR_DIM
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     anti = 0.5 * (raw - raw.conj().T)
     u = fock.unitary_exponential(anti)
@@ -546,9 +539,9 @@ def check_fock_roundtrip(grid: Grid, fock_dim: int = 128):
     return [CheckResult("fock", "position_roundtrip", _max_abs(rebuilt.samples, psi.samples), 1e-6)]
 
 
-def check_hermite_parseval(grid: Grid, seed: int = DEFAULT_SEED):
+def check_hermite_parseval(grid: Grid):
     """Coefficient-vector norm equals grid norm for a random superposition."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     psi = fock.fock_to_position(coeffs, grid)
     return [
@@ -567,7 +560,6 @@ def run_checks(
     grid: Grid | None = None,
     fock_dim: int = 128,
     ode_steps: int = 1000,
-    seed: int = DEFAULT_SEED,
 ) -> list[CheckResult]:
     """Run one suite (or all) and return every CheckResult."""
     if suite not in SUITES:
@@ -579,12 +571,12 @@ def run_checks(
     if suite in ("fock", "all"):
         results += check_fock_commutators(fock_dim)
         results += check_fock_oscillator_generator(fock_dim)
-        results += check_unitary_exponential(seed=seed)
+        results += check_unitary_exponential()
         results += check_fock_time_diagonal()
         results += check_fock_squeeze_oracle()
         results += check_fock_truncation_monotonicity()
         results += check_fock_roundtrip(grid, fock_dim)
-        results += check_hermite_parseval(grid, seed=seed)
+        results += check_hermite_parseval(grid)
     if suite in ("grid", "all"):
         results += check_shift_gaussian(grid)
         results += check_dilation_gaussian(grid)
@@ -595,12 +587,12 @@ def run_checks(
         results += check_grid_unitarity(grid)
         results += check_grid_group_property(grid)
         results += check_grid_box_phase(grid)
-        results += check_grid_linearity(grid, seed=seed)
+        results += check_grid_linearity(grid)
     if suite in ("analytic", "all"):
-        results += check_ode_squeeze(ode_steps, seed=seed)
+        results += check_ode_squeeze(ode_steps)
         results += check_ode_oscillator(ode_steps)
         results += check_unitarity_residue()
-        results += check_squeeze_scale_forms(seed=seed)
+        results += check_squeeze_scale_forms()
         results += check_state_reductions(grid)
         results += check_evenodd_density_consistency(grid)
         results += check_evenodd_raw_integral(grid)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -23,13 +22,11 @@ from .algebra import (
 )
 from .fock import MAX_HERMITE, MIN_DIM, FockBasis
 from .grid import (
-    MAX_TIME_SUBSTEPS,
     ChainError,
     Grid,
     WaveFunction,
     apply_chain,
     displacement_factors,
-    min_time_substeps,
     squeeze_factors,
     time_displacement_factors,
 )
@@ -149,10 +146,7 @@ def _initial_state(spec: str, grid: Grid) -> WaveFunction:
             SqueezeParameter(p.get("r", 0.0), p.get("phi", 0.0)),
         )
         return WaveFunction.from_callable(grid, lambda x: states.psi_ss(x, sspec))
-    espec = states.EvenOddSpec(p["x0"], p["s"], p.get("sign", 1))
-    return WaveFunction.from_callable(
-        grid, lambda x: states.psi_spm(x, 0.0, espec), normalize=True
-    )
+    return checks.evenodd_initial(grid, states.EvenOddSpec(p["x0"], p["s"], p.get("sign", 1)))
 
 
 def _operator_factors(spec: str):
@@ -161,7 +155,7 @@ def _operator_factors(spec: str):
         return squeeze_factors(SqueezeParameter(p.get("r", 0.0), p.get("phi", 0.0)))
     if name == "displace":
         return displacement_factors(p.get("x0", 0.0), p.get("p0", 0.0))
-    return time_displacement_factors(p["t"], p.get("substeps", 1))
+    return time_displacement_factors(p["t"], p.get("substeps"))
 
 
 def _fmt17(value: float) -> str:
@@ -232,21 +226,6 @@ def _emit(columns, values, config: RunConfig) -> None:
         _write_rows(columns, values, config, sys.stdout)
 
 
-def read_wavefunction(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read (x, psi) back from a wavefunction file written by `evolve`."""
-    with open(path) as handle:
-        head = handle.read(1)
-        handle.seek(0)
-        if head == "{":
-            payload = json.load(handle)
-            rows = np.asarray(payload["rows"], dtype=float)
-        else:
-            reader = csv.reader(handle)
-            next(reader)  # header
-            rows = np.asarray([[float(v) for v in row] for row in reader])
-    return rows[:, 0], rows[:, 1] + 1j * rows[:, 2]
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -289,6 +268,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         config = _config_from(args)
         grid = config.make_grid()
         psi = _initial_state(args.initial, grid)
+        norm_in = psi.norm()
+        if abs(norm_in - 1.0) > config.norm_tol:
+            raise ValueError(f"initial state has norm {norm_in:.6g} on the window; "
+                             f"it is off 1 by more than --tol {config.norm_tol:.1e}")
         factors = []
         for op in args.op or []:
             factors += _operator_factors(op)
@@ -299,7 +282,6 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    norm_in = psi.norm()
     try:
         out = apply_chain(psi, factors)
     except ChainError as exc:
@@ -368,24 +350,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     try:
         config = _config_from(args)
-        grid = config.make_grid()
         spec = states.EvenOddSpec(args.x0, args.s, args.sign)
         if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < 1:
             raise ValueError("need a finite t range and t_steps >= 1")
-        t_far = max(abs(args.t_min), abs(args.t_max))
-        if min_time_substeps(t_far) > MAX_TIME_SUBSTEPS:
-            raise ValueError(
-                f"|t| = {t_far:.6g} needs more than {MAX_TIME_SUBSTEPS} time substeps"
-            )
+        # the chain of the farthest t is refused if any t of the range would be
+        time_displacement_factors(max(abs(args.t_min), abs(args.t_max)))
+        initial = checks.evenodd_initial(config.make_grid(), spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    rho, rho_grid, raw_integral = checks.evenodd_grid_densities(grid, spec, ts)
+    rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
     # one block of rows per t: t and raw_integral are block constants, x is shared
     _emit(DENSITY_COLUMNS, [
-        ts[:, None], grid.x, rho, rho_grid, np.abs(rho - rho_grid), raw_integral[:, None],
+        ts[:, None], initial.grid.x, rho, rho_grid, np.abs(rho - rho_grid), raw_integral[:, None],
     ], config)
     return 0
 

@@ -4,11 +4,10 @@ Factored products are built from spectral decompositions of the truncated X
 (real symmetric tridiagonal, the Gauss-Hermite DVR matrix) and of X D, cached
 per dimension; D^2 reuses X's decomposition through D = -i F^dag X F with
 F = diag(i^n).  Direct exponentials of anti-Hermitian ladder generators come
-from a Hermitian eigendecomposition.  Neither route needs scipy; the general
-`matrix_exponential` (scipy's expm) stays as an independent reference.
-Truncation noise concentrates in the high-index rows, so comparisons restrict
-to low-index blocks; see the README for a measured error-versus-dimension
-table.
+from a Hermitian eigendecomposition.  Neither route needs scipy; the tests
+hold scipy's general expm as their independent reference.  Truncation noise
+concentrates in the high-index rows, so comparisons restrict to low-index
+blocks; see the README for a measured error-versus-dimension table.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ __all__ = [
     "generator_matrix",
     "hermite_functions",
     "ladder_matrices",
-    "matrix_exponential",
     "position_to_fock",
     "squeeze_generator",
     "unitary_exponential",
@@ -40,7 +38,6 @@ __all__ = [
 
 MIN_DIM = 8
 MAX_HERMITE = 512
-_EXPM_NORM_BOUND = 1e6
 _ANTI_HERMITIAN_RTOL = 1e-12
 
 
@@ -88,21 +85,6 @@ def generator_matrix(b: GeneratorCoefficients, dim: int, t: float = 0.0) -> np.n
         + b3 * (x @ d)
         + b4 * (d @ d)
     )
-
-
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential via scaling and squaring with Pade approximants."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    norm1 = float(np.linalg.norm(m, 1))
-    if norm1 > _EXPM_NORM_BOUND:
-        raise OverflowError(f"matrix 1-norm {norm1:.3e} exceeds {_EXPM_NORM_BOUND:.0e}")
-    from scipy.linalg import expm  # only callers of this general reference pay the import
-
-    return expm(m)
 
 
 def _finite_or_raise(m: np.ndarray) -> np.ndarray:

@@ -455,7 +455,7 @@ def min_time_substeps(t: float) -> int:
     return math.floor(abs(t) / (0.5 * math.pi)) + 1
 
 
-def time_displacement_factors(t: float, substeps: int = 1) -> list[OperatorFactor]:
+def time_displacement_factors(t: float, substeps: int | None = None) -> list[OperatorFactor]:
     """Factor chain advancing oscillator time by t, split into equal substeps.
 
     Each substep tau uses the chirp-Fresnel-chirp identity
@@ -463,15 +463,19 @@ def time_displacement_factors(t: float, substeps: int = 1) -> list[OperatorFacto
     exp[-i (tan(tau/2)/2) x^2], exact with unit scalar for |tau| < pi, and the
     chirps of neighbouring substeps are fused into one.  Substeps must stay
     strictly inside (-pi/2, pi/2), which bounds the chirp rate tan(|tau|/2)
-    below 1; min_time_substeps gives the smallest admissible count.  More than
-    MAX_TIME_SUBSTEPS substeps are refused before any factor list is built.
+    below 1.  The default count is min_time_substeps(t), the fewest admissible;
+    a smaller one is refused with it as a hint.  More than MAX_TIME_SUBSTEPS
+    substeps are refused before any factor list is built.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    if substeps is None:
+        # past the bound, the check below refuses t with the bound in its hint
+        substeps = min(min_time_substeps(t), MAX_TIME_SUBSTEPS)
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps!r}")
     if substeps > MAX_TIME_SUBSTEPS:
         raise ValueError(f"substeps must be <= {MAX_TIME_SUBSTEPS}, got {substeps:.6g}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
     tau = t / substeps
     if abs(tau) >= 0.5 * math.pi:
         needed = min_time_substeps(t)

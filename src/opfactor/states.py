@@ -105,8 +105,9 @@ class EvenOddSpec:
     sign: int = +1
 
     def __post_init__(self) -> None:
-        if not self.s > 0.0:
-            raise ValueError(f"width scale s must be > 0, got {self.s!r}")
+        # psi_spm divides by s**4 at t = 0
+        if not (self.s > 0.0 and 0.0 < (self.s * self.s) * (self.s * self.s) < math.inf):
+            raise ValueError(f"width scale s must be > 0 with finite nonzero s**4, got {self.s!r}")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
 

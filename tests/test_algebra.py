@@ -63,9 +63,10 @@ class TestSqueezeScale:
     def test_overflow_is_a_refusal_not_a_caustic(self):
         assert math.isfinite(squeeze_scale(SqueezeParameter(400.0), 1.0))
         for r, t in ((1000.0, 1.0), (400.0, 2.0), (400.0, -2.0)):
-            with pytest.raises(ValueError, match="r\\*t") as info:
-                squeeze_scale(SqueezeParameter(r, 0.5), t)
-            assert not isinstance(info.value, CausticError)
+            for phi in (0.5, 2.5):  # both forms of the scale
+                with pytest.raises(ValueError, match="r\\*t") as info:
+                    squeeze_scale(SqueezeParameter(r, phi), t)
+                assert not isinstance(info.value, CausticError)
 
     def test_positive_everywhere(self):
         for t in (-2.0, -0.5, 0.0, 0.5, 3.0):

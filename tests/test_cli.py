@@ -12,9 +12,10 @@ import pytest
 
 from opfactor import checks
 from opfactor.algebra import CoefficientTrajectory, SqueezeParameter
-from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main, read_wavefunction
+from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main
 from opfactor.grid import MAX_TIME_SUBSTEPS, WaveFunction, apply_chain, squeeze_factors
 from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_ss
+from reference import read_wavefunction
 
 
 # Every `verify all` check, in report order.
@@ -51,6 +52,9 @@ ALL_CHECK_NAMES = [
     "evenodd_grid_density_sign-1_t1.571", "evenodd_grid_density_sign-1_t2",
     "psi_ss_vs_grid_chain", "triangle_fock_evolved_coherent", "triangle_fock_displaced_squeezed",
 ]
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -97,6 +101,15 @@ class TestFactorize:
         code, out, _ = run(capsys, "factorize", "squeeze", "--r", "400")
         assert code == 0
         assert out == "delta = -200 +0i\nalpha = 0 +0i\nbeta = -400 +0i\ngamma = 0 +0i\n"
+
+    @pytest.mark.parametrize("r", ["15", "19"])
+    def test_squeeze_scale_at_phi_pi_keeps_digits(self, capsys, r):
+        # cosh(r) + cos(phi) sinh(r) cancels near phi = pi: --r 15 printed
+        # beta = 14.99988 and --r 19 was refused with a negative scale
+        code, out, _ = run(capsys, "factorize", "squeeze", "--r", r, "--phi", repr(math.pi))
+        assert code == 0
+        assert f"beta = {r} +0i" in out.splitlines()
+        assert f"delta = {int(r) / 2:g} +0i" in out.splitlines()
 
     def test_ode_check_across_caustic_fails(self, capsys):
         # an RK4 stage overflows on the way across pi/2
@@ -208,9 +221,18 @@ class TestEvolve:
         assert np.abs(psi + psi_ss(x, spec)).max() < 1e-8
 
     def test_substep_violation_is_an_error(self, capsys):
-        code, _, err = run(capsys, "evolve", "--initial", "ground", "--op", "time:t=2.0")
+        code, _, err = run(capsys, "evolve", "--initial", "ground", "--op", "time:t=2.0,substeps=1")
         assert code == 2
-        assert "substep" in err
+        assert "use at least 2 substeps" in err
+
+    def test_time_op_defaults_to_fewest_substeps(self, capsys):
+        outputs = []
+        for op in ("time:t=2.0", "time:t=2.0,substeps=2"):
+            code, out, err = run(capsys, "evolve", "--initial", "coherent:x0=1,p0=0.3",
+                                 "--op", op, "--grid-n", "256")
+            assert code == 0
+            outputs.append((out, err))
+        assert outputs[0] == outputs[1]
 
     def test_deterministic_output(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -367,6 +389,16 @@ class TestDensity:
     "evolve --initial ground --out {missing}",
     "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --out {missing}",
     "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --out {folder}",
+    # even/odd pairs that cannot be built: vanishing, zero on the window,
+    # non-finite samples, s**4 underflowing to a division by zero
+    "density --x0 0 --s 1.5 --sign -1 --t-min 0 --t-max 1 --t-steps 2",
+    "density --x0 1e3 --s 1.5 --t-min 0 --t-max 1 --t-steps 2",
+    "density --x0 2 --s 1e200 --t-min 0 --t-max 1 --t-steps 2",
+    "density --x0 2 --s 1e-200 --t-min 0 --t-max 1 --t-steps 2",
+    "evolve --initial evenodd:x0=2,s=1e-200",
+    # initial states whose norm on the window is not 1 within --tol
+    "evolve --initial coherent:x0=1e3",
+    "evolve --initial squeezed:r=1.5",
 ])
 def test_refused_input_exits_2(capsys, tmp_path, argv):
     # a refusal must not read as a failed check (1) or a finished run (0)
@@ -392,7 +424,8 @@ def _density_rows():
     """The full rows array of the density command in the pin test below."""
     grid = RunConfig(grid_n=8192).make_grid()
     ts = np.linspace(0.0, 3.14159, 3)
-    rho, rho_grid, raw = checks.evenodd_grid_densities(grid, EvenOddSpec(2.0, 1.5, -1), ts)
+    spec = EvenOddSpec(2.0, 1.5, -1)
+    rho, rho_grid, raw = checks.evenodd_grid_densities(checks.evenodd_initial(grid, spec), spec, ts)
     return np.column_stack([
         np.repeat(ts, grid.n), np.tile(grid.x, len(ts)), rho.ravel(), rho_grid.ravel(),
         np.abs(rho - rho_grid).ravel(), np.repeat(raw, grid.n),
@@ -487,21 +520,37 @@ class TestOutputFormat:
         assert json_rows.tobytes() == csv_rows.tobytes()
 
 
+def _readme_commands():
+    """The command lines of README's "Command line" block."""
+    with open(os.path.join(REPO, "README.md")) as handle:
+        block = handle.read().split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("opfactor ")]
+
+
 class TestImportCost:
     @staticmethod
-    def run_scipy_free(body):
-        """Run body after `from opfactor.cli import main` in a fresh interpreter;
-        body calls scipy_modules() to list the scipy modules loaded so far."""
+    def run_scipy_free(body, cwd=None):
+        """Run body after `from opfactor.cli import main` in a fresh interpreter
+        in which importing scipy raises ImportError; body calls
+        scipy_modules() to list the scipy modules loaded so far."""
         script = textwrap.dedent("""
             import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy" or name.startswith("scipy."):
+                        raise ImportError(f"scipy is blocked here: {name}")
+                    return None
+
+            sys.meta_path.insert(0, NoScipy())
             from opfactor.cli import main
 
             def scipy_modules():
                 return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         """) + textwrap.dedent(body)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        src = os.path.join(REPO, "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
@@ -523,3 +572,15 @@ class TestImportCost:
             assert main(["verify", "all", "--format", "json", "--out", out]) in (0, 1)
             assert scipy_modules() == [], scipy_modules()
         """)
+
+    def test_readme_commands_need_numpy_only(self, tmp_path):
+        # `verify all` exits 1 for the known red; every other command exits 0
+        commands = _readme_commands()
+        assert len(commands) == 6
+        self.run_scipy_free(f"""
+            import shlex
+            for line in {commands!r}:
+                argv = shlex.split(line)[1:]
+                expected = 1 if argv[:2] == ["verify", "all"] else 0
+                assert main(argv) == expected, line
+        """, cwd=tmp_path)

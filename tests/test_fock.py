@@ -20,7 +20,6 @@ from opfactor.fock import (
     generator_matrix,
     hermite_functions,
     ladder_matrices,
-    matrix_exponential,
     position_to_fock,
     squeeze_generator,
     unitary_exponential,
@@ -28,6 +27,7 @@ from opfactor.fock import (
 )
 from opfactor.grid import Grid, WaveFunction
 from opfactor.states import SqueezedStateSpec, psi_ss
+from reference import matrix_exponential
 
 
 @pytest.fixture(scope="module")

@@ -135,7 +135,7 @@ class TestDilation:
             apply_dilation(psi, 0.5)
 
     @pytest.mark.parametrize("n", [2**11, 2**14])
-    @pytest.mark.parametrize("scale", [SQUEEZE_SCALE, 1.37])
+    @pytest.mark.parametrize("scale", [pytest.param(SQUEEZE_SCALE, id="squeeze_r1.5_phi2"), 1.37])
     def test_off_grid_scales_match_gaussian(self, n, scale):
         g = Grid(-12.0, 12.0, n)
         psi = WaveFunction.from_callable(g, lambda x: np.exp(-0.5 * x * x))
@@ -324,11 +324,15 @@ class TestFactorSequences:
 
     def test_caustic_hint_names_substep_bound(self):
         with pytest.raises(CausticError, match="use at least 3 substeps") as small:
-            time_displacement_factors(4.0)
+            time_displacement_factors(4.0, 2)
         assert "allowed" not in str(small.value)
-        # 2e5 needs 127324 substeps, which the bound refuses
+        # 2e5 needs 127324 substeps, which the bound refuses, also by default
         with pytest.raises(CausticError, match=f"127324 .*more than the {MAX_TIME_SUBSTEPS}"):
             time_displacement_factors(2e5)
+
+    def test_default_count_is_the_fewest_admissible(self):
+        for t in (0.0, 0.6, math.pi / 2, 2.0, -7.0, 32 * math.pi, 1e5):
+            assert time_displacement_factors(t) == time_displacement_factors(t, min_time_substeps(t))
 
     def test_zero_time_is_identity_chain(self, ground):
         out = apply_chain(ground, time_displacement_factors(0.0, 3))

@@ -119,6 +119,10 @@ class TestEvenOdd:
             EvenOddSpec(1.0, 0.0, +1)
         with pytest.raises(ValueError):
             EvenOddSpec(1.0, 1.0, 2)
+        # s**4 must stay finite and nonzero: psi_spm divides by it at t = 0
+        for s in (1e200, 1e-200, math.inf, math.nan):
+            with pytest.raises(ValueError, match="s\\*\\*4"):
+                EvenOddSpec(1.0, s, +1)
 
     def test_odd_state_zero_at_origin(self):
         for t in (0.0, 0.6, math.pi / 2, 2.0):
