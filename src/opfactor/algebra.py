@@ -39,6 +39,7 @@ __all__ = [
 
 CAUSTIC_EPS = 1e-9
 BLOWUP_BOUND = 1e12
+ODE_STEPS = 1000
 
 CoefficientLike = Union[complex, float, Callable[[float], complex]]
 
@@ -138,8 +139,8 @@ def squeeze_scale(z: SqueezeParameter, t: float = 1.0) -> float:
     cos(phi) carries the analytic value of z1/r, which keeps the r = 0 limit
     exact: the function is identically 1 there, as at t = 0.  At t = 1 this
     equals e^r cos^2(phi/2) + e^{-r} sin^2(phi/2), so it is positive for every
-    r and phi.  Where cos(phi) < 0 the equal exp(-r t) + 2 cos^2(phi/2) sinh(r t)
-    is used, whose terms do not cancel.
+    r and phi.  No two terms cancel in exp(-r t) + 2 cos^2(phi/2) sinh(r t), used
+    where cos(phi) < 0, nor in exp(r t) - 2 sin^2(phi/2) sinh(r t), used where r t < 0.
 
     Raises ValueError, a refusal of the input rather than a singularity, once
     a term or the scale itself overflows, near |r t| = 709.8.
@@ -148,6 +149,8 @@ def squeeze_scale(z: SqueezeParameter, t: float = 1.0) -> float:
     try:
         if math.cos(z.phi) < 0.0:
             scale = math.exp(-rt) + 2.0 * math.cos(0.5 * z.phi) ** 2 * math.sinh(rt)
+        elif rt < 0.0:
+            scale = math.exp(rt) - 2.0 * math.sin(0.5 * z.phi) ** 2 * math.sinh(rt)
         else:
             scale = math.cosh(rt) + math.cos(z.phi) * math.sinh(rt)
     except OverflowError:
@@ -169,9 +172,6 @@ def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationC
     All four vanish at t = 0, and exp(2 delta - beta) = 1 identically.
     """
     scale = squeeze_scale(z, t)
-    if scale <= 0.0:
-        # reached where r t < 0 and cos(phi) > 0 cancel, e.g. r t = -19 at phi = 0
-        raise ValueError(f"squeeze scale must be positive, got {scale!r}")
     alpha = 0.5 * math.sin(z.phi) * math.sinh(z.r * t) / scale
     beta = -math.log(scale)
     return FactorizationCoefficients(
@@ -337,7 +337,7 @@ def _rk4_states(
 
 
 def integrate_wei_norman(
-    b: GeneratorCoefficients, t_end: float, steps: int = 1000
+    b: GeneratorCoefficients, t_end: float, steps: int = ODE_STEPS
 ) -> CoefficientTrajectory:
     """Integrate the coefficient ODEs from all-zero initial data to t_end, keeping every step.
 
@@ -352,7 +352,7 @@ def integrate_wei_norman(
 
 
 def wei_norman_final(
-    b: GeneratorCoefficients, t_end: float, steps: int = 1000
+    b: GeneratorCoefficients, t_end: float, steps: int = ODE_STEPS
 ) -> FactorizationCoefficients:
     """integrate_wei_norman(b, t_end, steps).final, bit for bit, without the samples."""
     _check_span(t_end, steps)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import fock, states
 from .algebra import (
+    ODE_STEPS,
     GeneratorCoefficients,
     SqueezeParameter,
     squeeze_factorization,
@@ -69,7 +70,8 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def _coeff_distance(got, expected) -> float:
+def coeff_distance(got, expected) -> float:
+    """Largest |difference| between two sets of product coefficients."""
     return max(abs(g - e) for g, e in zip(got.as_tuple(), expected.as_tuple()))
 
 
@@ -83,7 +85,7 @@ def _phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
 # --- analytic suite -----------------------------------------------------------
 
 
-def check_ode_squeeze(ode_steps: int = 1000):
+def check_ode_squeeze(ode_steps: int):
     """RK4 trajectories reproduce the squeeze closed forms at t = 1."""
     rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
@@ -91,17 +93,17 @@ def check_ode_squeeze(ode_steps: int = 1000):
         z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
         closed = squeeze_factorization(z, 1.0)
         final = wei_norman_final(GeneratorCoefficients.squeeze(z), 1.0, ode_steps)
-        worst = max(worst, _coeff_distance(final, closed))
+        worst = max(worst, coeff_distance(final, closed))
     return [CheckResult("analytic", "ode_vs_closed_form_squeeze", worst, 1e-7)]
 
 
-def check_ode_oscillator(ode_steps: int = 1000):
+def check_ode_oscillator(ode_steps: int):
     """RK4 trajectories reproduce the time-displacement closed forms."""
     worst = 0.0
     for t in (0.3, 0.7, 1.0, 1.4):
         closed = time_displacement_factorization(t)
         final = wei_norman_final(GeneratorCoefficients.oscillator(), t, ode_steps)
-        worst = max(worst, _coeff_distance(final, closed))
+        worst = max(worst, coeff_distance(final, closed))
     return [CheckResult("analytic", "ode_vs_closed_form_oscillator", worst, 1e-7)]
 
 
@@ -186,17 +188,23 @@ def check_evenodd_density_consistency(grid: Grid):
     return results
 
 
+def _evenodd_raw_integral(grid: Grid, spec: states.EvenOddSpec, t: float):
+    """Window quadrature of rho_spm at t and its closed form (1 +- E) / (1 +- d E), or inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # rho_spm's constant may vanish
+        measured = float(np.sum(states.rho_spm(grid.x, t, spec)) * grid.dx)
+    damp = math.exp(-spec.x0**2 / spec.s**2)
+    d = math.sqrt(spec.width_sq(t))
+    denominator = 1.0 + spec.sign * d * damp
+    return measured, (1.0 + spec.sign * damp) / denominator if denominator else math.inf
+
+
 def check_evenodd_raw_integral(grid: Grid):
     """Quadrature of rho_spm matches (1 +- E) / (1 +- d E) with E = e^{-x0^2/s^2}."""
-    x, dx = grid.x, grid.dx
     results = []
     for sign in (+1, -1):
         spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
         for t in EVEN_ODD_TIMES:
-            measured = float(np.sum(states.rho_spm(x, t, spec)) * dx)
-            damp = math.exp(-spec.x0**2 / spec.s**2)
-            d = math.sqrt(spec.width_sq(t))
-            expected = (1.0 + sign * damp) / (1.0 + sign * d * damp)
+            measured, expected = _evenodd_raw_integral(grid, spec, t)
             results.append(
                 CheckResult("analytic", f"evenodd_raw_integral_sign{sign:+d}_t{t:.4g}",
                             abs(measured - expected), 1e-9)
@@ -204,9 +212,17 @@ def check_evenodd_raw_integral(grid: Grid):
     return results
 
 
-def evenodd_initial(grid: Grid, spec: states.EvenOddSpec) -> WaveFunction:
-    """The pair's normalized t = 0 state on grid; ValueError where it cannot be sampled."""
-    return WaveFunction.from_callable(grid, lambda x: states.psi_spm(x, 0.0, spec), normalize=True)
+def evenodd_initial(grid: Grid, spec: states.EvenOddSpec, tol: float) -> WaveFunction:
+    """The pair's normalized t = 0 state on grid; ValueError where it cannot be
+    sampled, or where the quadrature of rho_spm at t = 0 is off its closed form
+    by a relative error above tol: the window does not hold the pair, which the
+    state's norm, fixed by normalizing, cannot show."""
+    psi = WaveFunction.from_callable(grid, lambda x: states.psi_spm(x, 0.0, spec), normalize=True)
+    measured, expected = _evenodd_raw_integral(grid, spec, 0.0)
+    if not abs(measured - expected) <= tol * abs(expected):
+        raise ValueError(f"the window holds {measured:.6g} of the pair's closed-form integral "
+                         f"{expected:.6g}; the relative error exceeds --tol {tol:.1e}")
+    return psi
 
 
 def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, times):
@@ -234,7 +250,7 @@ def check_evenodd_grid_evolution(grid: Grid):
     results = []
     for sign in (+1, -1):
         spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
-        initial = evenodd_initial(grid, spec)
+        initial = evenodd_initial(grid, spec, math.inf)
         rho, rho_grid, _ = evenodd_grid_densities(initial, spec, EVEN_ODD_TIMES)
         for t, expected, got in zip(EVEN_ODD_TIMES, rho, rho_grid):
             results.append(
@@ -244,7 +260,7 @@ def check_evenodd_grid_evolution(grid: Grid):
     return results
 
 
-def check_oracle_triangle(grid: Grid, fock_dim: int = 128):
+def check_oracle_triangle(grid: Grid, fock_dim: int):
     """Analytic, grid, and number-basis routes agree on the worked states.
 
     The number-basis route projects a state onto the truncated basis, applies
@@ -366,8 +382,8 @@ def _unitary_suite(grid: Grid):
         grid,
         lambda x: states.psi_ss(x, states.SqueezedStateSpec(1.0, 0.0, SqueezeParameter(0.5, 0.0))),
     )
-    even = evenodd_initial(grid, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, +1))
-    odd = evenodd_initial(grid, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, -1))
+    even = evenodd_initial(grid, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, +1), math.inf)
+    odd = evenodd_initial(grid, states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, -1), math.inf)
     return [
         ("displace_ground", ground, displacement_factors(1.0, 0.5)),
         ("squeeze_r0.5_ground", ground, squeeze_factors(SqueezeParameter(0.5, 0.0))),
@@ -433,7 +449,7 @@ def check_grid_linearity(grid: Grid):
 # --- fock suite ---------------------------------------------------------------
 
 
-def check_fock_commutators(fock_dim: int = 128):
+def check_fock_commutators(fock_dim: int):
     """Ladder and x/d matrices satisfy their commutators on the retained block."""
     a, adag = fock.ladder_matrices(fock_dim)
     comm = a @ adag - adag @ a
@@ -450,7 +466,7 @@ def check_fock_commutators(fock_dim: int = 128):
     ]
 
 
-def check_fock_oscillator_generator(fock_dim: int = 128):
+def check_fock_oscillator_generator(fock_dim: int):
     """The oscillator generator matrix is -i diag(n + 1/2) away from the edge."""
     g = fock.generator_matrix(GeneratorCoefficients.oscillator(), fock_dim)
     block = slice(0, fock_dim - 2)
@@ -528,7 +544,7 @@ def check_fock_truncation_monotonicity():
     return results
 
 
-def check_fock_roundtrip(grid: Grid, fock_dim: int = 128):
+def check_fock_roundtrip(grid: Grid, fock_dim: int):
     """Grid -> number-basis -> grid round trip of a squeezed state."""
     psi = WaveFunction.from_callable(
         grid,
@@ -558,8 +574,8 @@ SUITES = ("fock", "grid", "analytic", "all")
 def run_checks(
     suite: str = "all",
     grid: Grid | None = None,
-    fock_dim: int = 128,
-    ode_steps: int = 1000,
+    fock_dim: int = fock.FockBasis.dim,
+    ode_steps: int = ODE_STEPS,
 ) -> list[CheckResult]:
     """Run one suite (or all) and return every CheckResult."""
     if suite not in SUITES:

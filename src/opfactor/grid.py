@@ -12,17 +12,17 @@ Spectral steps treat the grid as periodic, so states are expected to decay to
 negligible values at the boundary; the default window [-12, 12) with n = 2048
 comfortably holds every state this package constructs.
 
-The Fresnel multiplier exp(-c k^2) and the chirp exp(i a x^2) are computed
-once per (grid, parameter) and reused from a small bounded cache, so a time
-chain of k substeps evaluates its three distinct multipliers once rather than
-2k + 1 times.  The cached arrays are read-only.
+Every factor kind but the dilation is one operation: multiply the samples,
+or for Shift and SpectralD2 their spectrum, by a fixed array.  That array is
+computed once per (grid, factor) and reused from a small bounded cache, so a
+time chain of k substeps evaluates its three distinct multipliers once rather
+than 2k + 1 times.  The cached arrays are read-only.
 
-Each factor kind has one private kernel, kernel(buf, grid, factor), that may
-overwrite buf and returns the result: buf itself for the FFT steps (numpy's
-in-place fft/ifft via out=, hence numpy >= 2.0) and the phases, a new array
-for the dilation.  A chain copies its input samples once and runs every
-factor in place on that one buffer; the public apply_* functions run the
-same kernel on a copy of the samples.
+There are two private kernels, kernel(buf, grid, factor), that may overwrite
+buf and return the result: _multiply returns buf itself (numpy's in-place
+fft/ifft via out=, hence numpy >= 2.0), _dilate a new array.  A chain copies
+its input samples once and runs every factor in place on that one buffer;
+the public apply_* functions run the same kernel on a copy of the samples.
 """
 from __future__ import annotations
 
@@ -218,25 +218,30 @@ OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase, LinearPhase,
 
 
 @lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
-def _fresnel_multiplier(grid: Grid, c: complex) -> np.ndarray:
-    """Read-only spectral multiplier exp(-c k^2) on grid's wavenumbers."""
-    out = np.exp(-c * grid.k**2)
+def _multiplier(grid: Grid, factor: OperatorFactor) -> np.ndarray:
+    """Read-only array that _multiply applies: on grid's wavenumbers for Shift and
+    SpectralD2, on its positions for the phases, and 0-d for Scalar."""
+    if isinstance(factor, Shift):
+        out = np.exp(1j * grid.k * factor.c)
+    elif isinstance(factor, SpectralD2):
+        out = np.exp(-complex(factor.c) * grid.k**2)
+    elif isinstance(factor, QuadraticPhase):
+        out = np.exp(1j * factor.a * grid.x**2)
+    elif isinstance(factor, LinearPhase):
+        out = np.exp(1j * factor.p * grid.x)
+    else:
+        out = np.array(complex(factor.s))
     out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
-def _chirp_multiplier(grid: Grid, a: float) -> np.ndarray:
-    """Read-only pointwise chirp exp(i a x^2) on grid's positions."""
-    out = np.exp(1j * a * grid.x**2)
-    out.flags.writeable = False
-    return out
-
-
-def _shift(buf: np.ndarray, grid: Grid, factor: Shift) -> np.ndarray:
-    np.fft.fft(buf, out=buf)
-    buf *= np.exp(1j * grid.k * factor.c)
-    return np.fft.ifft(buf, out=buf)
+def _multiply(buf: np.ndarray, grid: Grid, factor: OperatorFactor) -> np.ndarray:
+    if isinstance(factor, (Shift, SpectralD2)):
+        np.fft.fft(buf, out=buf)
+        buf *= _multiplier(grid, factor)
+        return np.fft.ifft(buf, out=buf)
+    buf *= _multiplier(grid, factor)
+    return buf
 
 
 def _dilate(buf: np.ndarray, grid: Grid, factor: Dilation) -> np.ndarray:
@@ -281,49 +286,24 @@ def _dilate(buf: np.ndarray, grid: Grid, factor: Dilation) -> np.ndarray:
     return out
 
 
-def _spectral_d2(buf: np.ndarray, grid: Grid, factor: SpectralD2) -> np.ndarray:
-    np.fft.fft(buf, out=buf)
-    buf *= _fresnel_multiplier(grid, complex(factor.c))
-    return np.fft.ifft(buf, out=buf)
-
-
-def _chirp(buf: np.ndarray, grid: Grid, factor: QuadraticPhase) -> np.ndarray:
-    buf *= _chirp_multiplier(grid, factor.a)
-    return buf
-
-
-def _linear_phase(buf: np.ndarray, grid: Grid, factor: LinearPhase) -> np.ndarray:
-    buf *= np.exp(1j * factor.p * grid.x)
-    return buf
-
-
-def _scalar(buf: np.ndarray, grid: Grid, factor: Scalar) -> np.ndarray:
-    buf *= complex(factor.s)
-    return buf
-
-
 def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
     """The kernel that applies factor on grid, or None where factor is the identity.
 
     Raises the refusals of the public apply_* functions: ShiftRangeError for a
     shift that would wrap, TypeError for an object that is not a factor.
     """
-    if isinstance(factor, Shift):
-        if abs(factor.c) >= 0.5 * grid.span:
-            raise ShiftRangeError(
-                f"|c| = {abs(factor.c):.6g} is not below half the grid span {0.5 * grid.span:.6g}"
-            )
-        return None if factor.c == 0.0 else _shift
-    if isinstance(factor, Dilation):
-        return None if factor.scale == 1.0 else _dilate
-    if isinstance(factor, SpectralD2):
-        return None if factor.c == 0.0 else _spectral_d2
-    if isinstance(factor, QuadraticPhase):
-        return None if factor.a == 0.0 else _chirp
-    if isinstance(factor, LinearPhase):
-        return None if factor.p == 0.0 else _linear_phase
-    if isinstance(factor, Scalar):
-        return _scalar
+    if isinstance(factor, Shift) and abs(factor.c) >= 0.5 * grid.span:
+        raise ShiftRangeError(
+            f"|c| = {abs(factor.c):.6g} is not below half the grid span {0.5 * grid.span:.6g}"
+        )
+    match factor:
+        case (Dilation(scale=1.0) | Shift(c=0.0) | SpectralD2(c=0.0)
+              | QuadraticPhase(a=0.0) | LinearPhase(p=0.0)):
+            return None
+        case Dilation():
+            return _dilate
+        case Shift() | SpectralD2() | QuadraticPhase() | LinearPhase() | Scalar():
+            return _multiply
     raise TypeError(f"not a pointwise factor: {factor!r}")
 
 

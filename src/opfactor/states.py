@@ -105,6 +105,8 @@ class EvenOddSpec:
     sign: int = +1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.x0 * self.x0):
+            raise ValueError(f"centre x0 must have a finite square, got {self.x0!r}")
         # psi_spm divides by s**4 at t = 0
         if not (self.s > 0.0 and 0.0 < (self.s * self.s) * (self.s * self.s) < math.inf):
             raise ValueError(f"width scale s must be > 0 with finite nonzero s**4, got {self.s!r}")

@@ -111,6 +111,14 @@ class TestFactorize:
         assert f"beta = {r} +0i" in out.splitlines()
         assert f"delta = {int(r) / 2:g} +0i" in out.splitlines()
 
+    def test_mirror_squeeze_scale_keeps_digits(self, capsys):
+        # cosh(r t) + cos(phi) sinh(r t) cancels for r t < 0 near phi = 0:
+        # this was refused with a negative scale
+        code, out, _ = run(capsys, "factorize", "squeeze", "--r", "19", "--phi", "0", "--t", "-1")
+        assert code == 0
+        assert "beta = 19 +0i" in out.splitlines()
+        assert "delta = 9.5 +0i" in out.splitlines()
+
     def test_ode_check_across_caustic_fails(self, capsys):
         # an RK4 stage overflows on the way across pi/2
         code, _, err = run(capsys, "factorize", "oscillator", "--t", "1.6", "--ode-check")
@@ -396,6 +404,14 @@ class TestDensity:
     "density --x0 2 --s 1e200 --t-min 0 --t-max 1 --t-steps 2",
     "density --x0 2 --s 1e-200 --t-min 0 --t-max 1 --t-steps 2",
     "evolve --initial evenodd:x0=2,s=1e-200",
+    "density --x0 1e200 --s 1.5 --t-min 0 --t-max 1 --t-steps 2",
+    # even/odd pairs the window does not hold, so that the quadrature of
+    # rho_spm at t = 0 misses its closed form, and one where that closed
+    # form is singular (s e^{-x0^2/s^2} = 1 with sign -1)
+    "density --x0 30 --s 1.5 --sign -1 --t-min 0 --t-max 1 --t-steps 3 --grid-n 64",
+    "density --x0 2 --s 1e50 --t-min 0 --t-max 1 --t-steps 3 --grid-n 64",
+    "evolve --initial evenodd:x0=30,s=1.5,sign=-1 --grid-n 64",
+    "density --x0 0.9551421324825795 --s 1.5 --sign -1 --t-min 0 --t-max 1 --t-steps 2",
     # initial states whose norm on the window is not 1 within --tol
     "evolve --initial coherent:x0=1e3",
     "evolve --initial squeezed:r=1.5",
@@ -425,7 +441,7 @@ def _density_rows():
     grid = RunConfig(grid_n=8192).make_grid()
     ts = np.linspace(0.0, 3.14159, 3)
     spec = EvenOddSpec(2.0, 1.5, -1)
-    rho, rho_grid, raw = checks.evenodd_grid_densities(checks.evenodd_initial(grid, spec), spec, ts)
+    rho, rho_grid, raw = checks.evenodd_grid_densities(checks.evenodd_initial(grid, spec, RunConfig.norm_tol), spec, ts)
     return np.column_stack([
         np.repeat(ts, grid.n), np.tile(grid.x, len(ts)), rho.ravel(), rho_grid.ravel(),
         np.abs(rho - rho_grid).ravel(), np.repeat(raw, grid.n),

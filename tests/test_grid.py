@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfactor.algebra import CausticError, SqueezeParameter
 from opfactor.grid import (
@@ -31,7 +33,7 @@ from opfactor.grid import (
     squeeze_factors,
     time_displacement_factors,
 )
-from opfactor.grid import _chirp_multiplier, _fresnel_multiplier
+from opfactor.grid import _multiplier
 from opfactor.states import coherent_state, psi0
 
 
@@ -232,15 +234,23 @@ class TestPhases:
 
 
 class TestMultiplierCache:
-    def test_cached_multipliers_are_read_only(self, grid):
-        for multiplier in (_fresnel_multiplier(grid, 0.25j), _chirp_multiplier(grid, 0.3)):
+    FACTORS = (Shift(0.4), SpectralD2(0.25j), QuadraticPhase(0.3), LinearPhase(0.5), Scalar(0.5j))
+
+    def test_cached_multipliers_are_read_only(self, grid, ground):
+        # every kind's multiplier, the shift's and linear phase's too, is built once
+        for factor in self.FACTORS:
+            _multiplier.cache_clear()
+            first = apply_factor(ground, factor)
+            assert np.array_equal(apply_factor(ground, factor).samples, first.samples)
+            info = _multiplier.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
             with pytest.raises(ValueError):
-                multiplier[0] = 0.0
+                _multiplier(grid, factor)[...] = 0.0
 
     def test_windows_get_their_own_multipliers(self):
         wide, narrow = Grid(-12.0, 12.0, 256), Grid(-6.0, 6.0, 256)
-        assert not np.allclose(_fresnel_multiplier(wide, 0.25j), _fresnel_multiplier(narrow, 0.25j))
-        assert not np.allclose(_chirp_multiplier(wide, 0.3), _chirp_multiplier(narrow, 0.3))
+        for factor in self.FACTORS[:-1]:
+            assert not np.allclose(_multiplier(wide, factor), _multiplier(narrow, factor))
 
     def test_long_time_chain_matches_uncached_reference(self, grid):
         psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 2.0, 0.5))
@@ -251,23 +261,21 @@ class TestMultiplierCache:
                 expected = expected * np.exp(1j * f.a * grid.x**2)
             else:
                 expected = np.fft.ifft(np.fft.fft(expected) * np.exp(-f.c * grid.k**2))
-        _fresnel_multiplier.cache_clear()
-        _chirp_multiplier.cache_clear()
+        _multiplier.cache_clear()
         out = apply_chain(psi, factors)
         assert np.abs(out.samples - expected).max() < 1e-13
         # one Fresnel multiplier and two chirps (edge and fused), each computed once
-        assert _fresnel_multiplier.cache_info().misses == 1
-        assert _chirp_multiplier.cache_info().misses == 2
+        assert _multiplier.cache_info().misses == 3
 
     def test_cache_stays_bounded(self, ground):
-        for cache in (_fresnel_multiplier, _chirp_multiplier):
-            assert cache.cache_info().maxsize is not None
-        for i in range(1, 3 * _fresnel_multiplier.cache_info().maxsize):
+        info = _multiplier.cache_info()
+        assert info.maxsize is not None
+        for i in range(1, 3 * info.maxsize):
             apply_spectral_d2(ground, 1e-3j * i)
             apply_phase(ground, QuadraticPhase(1e-3 * i))
-            for cache in (_fresnel_multiplier, _chirp_multiplier):
-                info = cache.cache_info()
-                assert info.currsize <= info.maxsize
+            apply_shift(ground, 1e-3 * i)
+            info = _multiplier.cache_info()
+            assert info.currsize <= info.maxsize
 
 
 class TestFactorSequences:
@@ -431,3 +439,29 @@ class TestChains:
         for reference in (apply_factor, _out_of_place):
             assert np.array_equal(out.samples, functools.reduce(reference, chain, psi).samples)
         assert np.array_equal(psi.samples, before)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# a box of every factor kind that keeps a coherent state finite on the window
+FACTOR = st.one_of(
+    st.builds(Shift, _finite(-3.0, 3.0)),
+    st.builds(Dilation, _finite(0.5, 2.0)),
+    st.builds(lambda re, im: SpectralD2(complex(re, im)), _finite(0.0, 0.5), _finite(-1.0, 1.0)),
+    st.builds(QuadraticPhase, _finite(-1.0, 1.0)),
+    st.builds(LinearPhase, _finite(-3.0, 3.0)),
+    st.builds(lambda re, im: Scalar(complex(re, im)), _finite(-2.0, 2.0), _finite(-2.0, 2.0)),
+)
+
+
+@pytest.mark.filterwarnings("ignore::opfactor.grid.SupportOverflowWarning")
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(chain=st.lists(FACTOR, max_size=6))
+def test_random_chain_is_bit_identical_to_factor_by_factor(chain):
+    psi = WaveFunction.from_callable(Grid(-8.0, 8.0, 128), lambda x: coherent_state(x, 1.0, 0.5))
+    before = psi.samples.copy()
+    out = apply_chain(psi, chain)
+    assert np.array_equal(out.samples, functools.reduce(apply_factor, chain, psi).samples)
+    assert np.array_equal(psi.samples, before)
