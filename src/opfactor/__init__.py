@@ -62,6 +62,7 @@ from .states import (
     psi_spm,
     psi_ss,
     rho_spm,
+    rho_spm_integral,
 )
 
 __version__ = "0.1.0"

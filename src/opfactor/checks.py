@@ -166,63 +166,30 @@ def check_state_reductions(grid: Grid):
     return results
 
 
-def check_evenodd_density_consistency(grid: Grid):
-    """Renormalized |psi_spm|^2 matches renormalized rho_spm, finite at the caustic."""
-    x, dx = grid.x, grid.dx
-    results = []
-    for sign in (+1, -1):
-        spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
-        for t in EVEN_ODD_TIMES:
-            psi = states.psi_spm(x, t, spec)
-            rho = states.rho_spm(x, t, spec)
-            if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(rho))):
-                err = math.inf
-            else:
-                dens = np.abs(psi) ** 2
-                dens /= np.sum(dens) * dx
-                rho_n = rho / (np.sum(rho) * dx)
-                err = _max_abs(dens, rho_n)
-            results.append(
-                CheckResult("analytic", f"evenodd_psi_vs_rho_sign{sign:+d}_t{t:.4g}", err, 1e-9)
-            )
-    return results
-
-
-def _evenodd_raw_integral(grid: Grid, spec: states.EvenOddSpec, t: float):
-    """Window quadrature of rho_spm at t and its closed form (1 +- E) / (1 +- d E), or inf."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # rho_spm's constant may vanish
-        measured = float(np.sum(states.rho_spm(grid.x, t, spec)) * grid.dx)
-    damp = math.exp(-spec.x0**2 / spec.s**2)
-    d = math.sqrt(spec.width_sq(t))
-    denominator = 1.0 + spec.sign * d * damp
-    return measured, (1.0 + spec.sign * damp) / denominator if denominator else math.inf
-
-
-def check_evenodd_raw_integral(grid: Grid):
-    """Quadrature of rho_spm matches (1 +- E) / (1 +- d E) with E = e^{-x0^2/s^2}."""
-    results = []
-    for sign in (+1, -1):
-        spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
-        for t in EVEN_ODD_TIMES:
-            measured, expected = _evenodd_raw_integral(grid, spec, t)
-            results.append(
-                CheckResult("analytic", f"evenodd_raw_integral_sign{sign:+d}_t{t:.4g}",
-                            abs(measured - expected), 1e-9)
-            )
-    return results
-
-
 def evenodd_initial(grid: Grid, spec: states.EvenOddSpec, tol: float) -> WaveFunction:
     """The pair's normalized t = 0 state on grid; ValueError where it cannot be
     sampled, or where the quadrature of rho_spm at t = 0 is off its closed form
     by a relative error above tol: the window does not hold the pair, which the
     state's norm, fixed by normalizing, cannot show."""
     psi = WaveFunction.from_callable(grid, lambda x: states.psi_spm(x, 0.0, spec), normalize=True)
-    measured, expected = _evenodd_raw_integral(grid, spec, 0.0)
+    measured = float(np.sum(_rho_spm(grid.x, 0.0, spec)) * grid.dx)
+    expected = states.rho_spm_integral(0.0, spec)
     if not abs(measured - expected) <= tol * abs(expected):
         raise ValueError(f"the window holds {measured:.6g} of the pair's closed-form integral "
                          f"{expected:.6g}; the relative error exceeds --tol {tol:.1e}")
     return psi
+
+
+def _rho_spm(x: np.ndarray, t: float, spec: states.EvenOddSpec) -> np.ndarray:
+    """rho_spm at t; ValueError where its constant vanishes or a sample is not finite."""
+    if not math.isfinite(states.rho_spm_integral(t, spec)):
+        raise ValueError(f"rho_spm is singular at t = {t!r}: its constant 1 - d e^(-x0^2/s^2) vanishes")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = states.rho_spm(x, t, spec)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"rho_spm is not finite on the window at t = {t!r}: "
+                         "its cosh factor overflows where its envelope underflows")
+    return rho
 
 
 def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, times):
@@ -231,33 +198,43 @@ def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, time
     initial (from evenodd_initial) is advanced by the default time chain.
     Returns (rho, rho_grid, raw_integral): rho_spm renormalized to unit
     integral and the grid density, both of shape (len(times), n), and the
-    quadrature of rho_spm as written, one per t.
+    quadrature of rho_spm as written, one per t.  ValueError for a t at
+    which rho_spm is singular or not finite on the grid.
     """
     x, dx = initial.grid.x, initial.grid.dx
     rho = np.empty((len(times), x.size))
     rho_grid = np.empty_like(rho)
     raw_integral = np.empty(len(times))
     for i, t in enumerate(map(float, times)):
-        rho_raw = states.rho_spm(x, t, spec)
+        rho_raw = _rho_spm(x, t, spec)
         raw_integral[i] = np.sum(rho_raw) * dx
         rho[i] = rho_raw / raw_integral[i]
         rho_grid[i] = apply_chain(initial, time_displacement_factors(t)).density()
     return rho, rho_grid, raw_integral
 
 
-def check_evenodd_grid_evolution(grid: Grid):
-    """Grid propagation of the t = 0 pair tracks the renormalized analytic density."""
-    results = []
+def check_evenodd(grid: Grid):
+    """The even/odd pair at EVEN_ODD_TIMES, from one evenodd_grid_densities sweep per sign.
+
+    Renormalized |psi_spm|^2 matches the renormalized rho_spm (finite at the
+    caustic), the quadrature of rho_spm matches rho_spm_integral, and grid
+    propagation of the t = 0 pair tracks the renormalized rho_spm.
+    """
+    x, dx = grid.x, grid.dx
+    found = {"psi_vs_rho": [], "raw_integral": [], "grid_density": []}  # (tag, measured, tol)
     for sign in (+1, -1):
         spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
         initial = evenodd_initial(grid, spec, math.inf)
-        rho, rho_grid, _ = evenodd_grid_densities(initial, spec, EVEN_ODD_TIMES)
-        for t, expected, got in zip(EVEN_ODD_TIMES, rho, rho_grid):
-            results.append(
-                CheckResult("analytic", f"evenodd_grid_density_sign{sign:+d}_t{t:.4g}",
-                            _max_abs(got, expected), 1e-5)
-            )
-    return results
+        rho, rho_grid, raw_integral = evenodd_grid_densities(initial, spec, EVEN_ODD_TIMES)
+        for t, rho_t, grid_t, raw_t in zip(EVEN_ODD_TIMES, rho, rho_grid, raw_integral):
+            dens = np.abs(states.psi_spm(x, t, spec)) ** 2
+            dens /= np.sum(dens) * dx
+            tag = f"sign{sign:+d}_t{t:.4g}"
+            found["psi_vs_rho"].append((tag, _max_abs(dens, rho_t), 1e-9))
+            found["raw_integral"].append((tag, abs(raw_t - states.rho_spm_integral(t, spec)), 1e-9))
+            found["grid_density"].append((tag, _max_abs(grid_t, rho_t), 1e-5))
+    return [CheckResult("analytic", f"evenodd_{kind}_{tag}", measured, tol)
+            for kind, rows in found.items() for tag, measured, tol in rows]
 
 
 def check_oracle_triangle(grid: Grid, fock_dim: int):
@@ -610,9 +587,7 @@ def run_checks(
         results += check_unitarity_residue()
         results += check_squeeze_scale_forms()
         results += check_state_reductions(grid)
-        results += check_evenodd_density_consistency(grid)
-        results += check_evenodd_raw_integral(grid)
-        results += check_evenodd_grid_evolution(grid)
+        results += check_evenodd(grid)
         results += check_psi_ss_vs_grid(grid)
         results += check_oracle_triangle(grid, fock_dim)
     return results

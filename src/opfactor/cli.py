@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -220,12 +221,18 @@ def _write_rows(columns, values, config: RunConfig, stream) -> None:
             stream.write(template % tuple(args))
 
 
-def _emit(columns, values, config: RunConfig) -> None:
+@contextlib.contextmanager
+def _sink(config: RunConfig):
+    """The stream a command writes its output to: the --out file, or stdout.
+
+    Either is flushed on leaving, so that a failed write raises OSError here.
+    """
     if config.out:
         with open(config.out, "w", newline="") as handle:
-            _write_rows(columns, values, config, handle)
+            yield handle
     else:
-        _write_rows(columns, values, config, sys.stdout)
+        yield sys.stdout
+        sys.stdout.flush()
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -290,7 +297,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         return 1
 
     norm_out = out.norm()
-    _emit(WAVEFUNCTION_COLUMNS, [grid.x, out.samples.real, out.samples.imag, out.density()], config)
+    values = [grid.x, out.samples.real, out.samples.imag, out.density()]
+    with _sink(config) as stream:
+        _write_rows(WAVEFUNCTION_COLUMNS, values, config, stream)
 
     norm_stream = sys.stdout if config.out else sys.stderr
     print(f"norm = {_fmt17(norm_out)}", file=norm_stream)
@@ -318,33 +327,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         fock_dim=config.fock_dim,
         ode_steps=config.ode_steps,
     )
-    stream = open(config.out, "w") if config.out else sys.stdout
-    try:
+    with _sink(config) as stream:
         if config.fmt == "json":
-            json.dump(
-                [
-                    {
-                        "suite": r.suite,
-                        "name": r.name,
-                        "measured": r.measured,
-                        "tol": r.tol,
-                        "passed": r.passed,
-                    }
-                    for r in results
-                ],
-                stream,
-                indent=1,
-            )
+            json.dump([{**asdict(r), "passed": r.passed} for r in results], stream, indent=1)
             stream.write("\n")
         else:
             for r in results:
                 status = "PASS" if r.passed else "FAIL"
                 print(f"{status},{r.suite},{r.name},{r.measured:.6e},{r.tol:.1e}", file=stream)
-        failures = [r for r in results if not r.passed]
-        print(f"# {len(results) - len(failures)}/{len(results)} checks passed", file=sys.stderr)
-    finally:
-        if config.out:
-            stream.close()
+    failures = [r for r in results if not r.passed]
+    print(f"# {len(results) - len(failures)}/{len(results)} checks passed", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -357,16 +349,17 @@ def cmd_density(args: argparse.Namespace) -> int:
         # the chain of the farthest t is refused if any t of the range would be
         time_displacement_factors(max(abs(args.t_min), abs(args.t_max)))
         initial = checks.evenodd_initial(config.make_grid(), spec, config.norm_tol)
+        ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+        rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
     # one block of rows per t: t and raw_integral are block constants, x is shared
-    _emit(DENSITY_COLUMNS, [
-        ts[:, None], initial.grid.x, rho, rho_grid, np.abs(rho - rho_grid), raw_integral[:, None],
-    ], config)
+    with _sink(config) as stream:
+        _write_rows(DENSITY_COLUMNS, [
+            ts[:, None], initial.grid.x, rho, rho_grid, np.abs(rho - rho_grid), raw_integral[:, None],
+        ], config, stream)
     return 0
 
 
@@ -439,7 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except OSError as exc:  # a failed write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ __all__ = [
     "psi_spm",
     "psi_ss",
     "rho_spm",
+    "rho_spm_integral",
 ]
 
 _ROOT4_PI_INV = math.pi**-0.25
@@ -157,13 +158,21 @@ def psi_spm(x, t: float, spec: EvenOddSpec):
     return prefactor * body
 
 
+def _pair_factor(spec: EvenOddSpec, d: float) -> float:
+    """1 +- d E with E = e^{-x0^2/s^2}: rho_spm's constant over sqrt(pi) d.
+
+    rho_spm and rho_spm_integral share it, so the integral is inf at exactly
+    the t where rho_spm's constant is zero."""
+    return 1.0 + spec.sign * d * math.exp(-spec.x0**2 / (spec.s * spec.s))
+
+
 def rho_spm(x, t: float, spec: EvenOddSpec):
     """Closed-form density of the evolved pair, with d^2 = s^2 cos^2 t + sin^2 t / s^2.
 
     Proportional to |psi_spm|^2 at every (x, t), but its overall constant
-    integrates to (1 +- e^{-x0^2/s^2}) / (1 +- d e^{-x0^2/s^2}) instead of 1;
-    dropping the factor d in the denominator would restore a unit integral
-    for all t.  See the README normalization notes.
+    integrates to rho_spm_integral(t, spec) instead of 1.  Where that
+    integral is not finite the constant is zero and every sample is inf or
+    NaN.
     """
     x = np.asarray(x, dtype=float)
     s2 = spec.s * spec.s
@@ -174,8 +183,20 @@ def rho_spm(x, t: float, spec: EvenOddSpec):
     interference = np.cosh(2.0 * x * spec.x0 * c / d2) + spec.sign * np.cos(
         2.0 * x * spec.x0 * sn / (d2 * s2)
     )
-    constant = math.sqrt(math.pi) * d * (1.0 + spec.sign * d * math.exp(-spec.x0**2 / s2))
-    return envelope * interference / constant
+    return envelope * interference / (math.sqrt(math.pi) * d * _pair_factor(spec, d))
+
+
+def rho_spm_integral(t: float, spec: EvenOddSpec) -> float:
+    """Integral of rho_spm over the line: (1 +- E) / (1 +- d E), or inf where
+    rho_spm's constant vanishes.
+
+    Dropping the factor d in the denominator would give 1 for all t.  For
+    sign -1 with max(s, 1/s) E > 1 the denominator changes sign inside a
+    period, so the integral can be negative.  See the README normalization
+    notes.
+    """
+    denominator = _pair_factor(spec, math.sqrt(spec.width_sq(t)))
+    return _pair_factor(spec, 1.0) / denominator if denominator else math.inf
 
 
 def box_mode_phase(n: int, t: float = 1.0) -> complex:

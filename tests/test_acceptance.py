@@ -38,6 +38,13 @@ def report(results):
     )
 
 
+def evenodd_results(grid, *prefixes):
+    """The results of the one even/odd check whose names start with one of prefixes."""
+    results = [r for r in checks.check_evenodd(grid) if r.name.startswith(prefixes)]
+    assert len(results) == 8 * len(prefixes), "missing pinned comparison"
+    return results
+
+
 def test_criterion_01_closed_form_ode_equivalence():
     """RK4 (1000 steps) reproduces both closed-form families to 1e-7."""
     report(checks.check_ode_squeeze(ode_steps=1000))
@@ -78,8 +85,7 @@ def test_criterion_06_unitarity(grid):
 
 def test_criterion_07_evenodd_consistency(grid):
     """Renormalized |psi|^2 vs rho to 1e-9 and vs grid evolution to 1e-5."""
-    report(checks.check_evenodd_density_consistency(grid))
-    report(checks.check_evenodd_grid_evolution(grid))
+    report(evenodd_results(grid, "evenodd_psi_vs_rho_", "evenodd_grid_density_"))
 
 
 def test_criterion_07_caustic_finiteness(grid):
@@ -97,7 +103,7 @@ def test_criterion_07_caustic_finiteness(grid):
 
 def test_criterion_08_normalization_probe(grid):
     """Raw density integral equals (1 +- E)/(1 +- d E) to 1e-9 (documented in README)."""
-    report(checks.check_evenodd_raw_integral(grid))
+    report(evenodd_results(grid, "evenodd_raw_integral_"))
 
 
 def test_criterion_09_box_phase(grid):

@@ -381,6 +381,23 @@ class TestDensity:
         expected = (1.0 + damp) / (1.0 + d * damp)
         assert rows[0, 5] == pytest.approx(expected, abs=1e-9)
 
+    def test_negative_raw_integral_is_not_refused(self, capsys, tmp_path):
+        # 1 - d E changes sign between t = 0 (d = s) and t = pi/2 (d = 1/s):
+        # the closed-form integral is negative there, the renormalized density
+        # still right, and only an exact zero of 1 - d E is refused
+        path = tmp_path / "trace.csv"
+        code, _, err = run(
+            capsys, "density", "--x0", "0.3", "--s", "0.5", "--sign", "-1",
+            "--t-min", "0", "--t-max", "1.5707963267948966", "--t-steps", "2", "--out", str(path),
+        )
+        assert code == 0 and err == ""
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        raw = rows[rows[:, 0] > 0, 5]
+        assert raw[0] == pytest.approx(-0.765, abs=1e-3)
+        assert np.all(raw == raw[0])
+        assert rows[:, 4].max() < 1e-9
+
 
 @pytest.mark.parametrize("argv", [
     "verify fock --fock-dim 600",
@@ -412,6 +429,11 @@ class TestDensity:
     "density --x0 2 --s 1e50 --t-min 0 --t-max 1 --t-steps 3 --grid-n 64",
     "evolve --initial evenodd:x0=30,s=1.5,sign=-1 --grid-n 64",
     "density --x0 0.9551421324825795 --s 1.5 --sign -1 --t-min 0 --t-max 1 --t-steps 2",
+    # ... and one where it is singular at a later t (d(t) e^{-x0^2/s^2} = 1)
+    "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2",
+    "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2 --format json",
+    # a pair the window holds, where rho_spm's cosh overflows as its envelope underflows at t = 1
+    "density --x0 7 --s 1.5 --grid-min -100 --grid-max 100 --grid-n 512 --t-min 0 --t-max 1 --t-steps 2",
     # initial states whose norm on the window is not 1 within --tol
     "evolve --initial coherent:x0=1e3",
     "evolve --initial squeezed:r=1.5",
@@ -424,6 +446,34 @@ def test_refused_input_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    # a write that fails exits 1 with one error: line, through --out or stdout
+
+    @pytest.mark.parametrize("argv", [
+        "evolve --initial ground --out /dev/full",
+        "verify grid --out /dev/full",
+        "verify grid --format json --out /dev/full",
+        "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --out /dev/full",
+    ])
+    def test_out_file(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: cannot write output: [Errno 28] No space left on device"]
+
+    @pytest.mark.parametrize("argv", ["evolve --initial ground", "factorize oscillator"])
+    def test_stdout(self, argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"),
+                                                            os.environ.get("PYTHONPATH", "")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "opfactor.cli", *argv.split()], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: cannot write output: [Errno 28] No space left on device"]
 
 
 def test_checks_and_ode_check_build_no_trajectory(monkeypatch, capsys):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opfactor import checks
 from opfactor.algebra import SqueezeParameter
 from opfactor.grid import (
     Grid,
@@ -25,6 +28,7 @@ from opfactor.states import (
     psi_spm,
     psi_ss,
     rho_spm,
+    rho_spm_integral,
 )
 
 
@@ -210,6 +214,17 @@ class TestEvenOdd:
                 d = math.sqrt(spec.width_sq(t))
                 expected = (1.0 + spec.sign * damp) / (1.0 + spec.sign * d * damp)
                 assert measured == pytest.approx(expected, abs=1e-9)
+                assert rho_spm_integral(t, spec) == pytest.approx(expected, rel=1e-15)
+
+    def test_singular_t_is_refused_before_rho_divides(self):
+        # d(t) e^{-x0^2/s^2} = 1 exactly at this t; a RuntimeWarning from a
+        # division by zero would fail the test (see pyproject's filterwarnings)
+        spec = EvenOddSpec(0.1, 0.5, -1)
+        t = 0.4908678401214229
+        assert rho_spm_integral(t, spec) == math.inf
+        initial = checks.evenodd_initial(Grid(n=256), spec, 1e-8)
+        with pytest.raises(ValueError, match=f"singular at t = {t!r}"):
+            checks.evenodd_grid_densities(initial, spec, [0.0, t])
 
     def test_grid_evolution_tracks_density(self, grid):
         x, dx = grid.x, grid.dx
@@ -223,6 +238,23 @@ class TestEvenOdd:
                 rho /= np.sum(rho) * dx
                 assert np.abs(out.density() - rho).max() < 1e-5
                 assert abs(out.norm() - 1.0) < 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(x0=st.floats(0.05, 3.0), s=st.floats(0.25, 4.0), sign=st.sampled_from((1, -1)),
+       t=st.floats(0.0, math.pi))
+def test_evenodd_sweep_is_refused_or_finite(x0, s, sign, t):
+    # the region includes sign -1 pairs whose constant 1 - d E changes sign in t
+    grid = Grid(n=256)
+    spec = EvenOddSpec(x0, s, sign)
+    try:
+        initial = checks.evenodd_initial(grid, spec, 1e-8)
+        rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, [t])
+    except ValueError:
+        return
+    assert np.all(np.isfinite(rho)) and np.all(np.isfinite(rho_grid))
+    assert np.all(np.isfinite(raw_integral))
+    assert np.sum(rho) * grid.dx == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBoxModePhase:
