@@ -187,8 +187,7 @@ def _rho_spm(x: np.ndarray, t: float, spec: states.EvenOddSpec) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         rho = states.rho_spm(x, t, spec)
     if not np.all(np.isfinite(rho)):
-        raise ValueError(f"rho_spm is not finite on the window at t = {t!r}: "
-                         "its cosh factor overflows where its envelope underflows")
+        raise ValueError(f"rho_spm is not finite on the window at t = {t!r}")
     return rho
 
 

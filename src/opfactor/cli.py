@@ -81,7 +81,14 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
-def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tuple[str, dict[str, float]]:
+class _Params(dict):
+    """Parsed key=value pairs; reading a missing required key is a refusal."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing required parameter {key!r}")
+
+
+def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tuple[str, _Params]:
     """Parse 'name:key=value,key=value' option strings against allowed key sets.
 
     Values must be finite; the keys in _WHOLE_KEYS must be whole numbers and
@@ -91,7 +98,7 @@ def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tupl
     name = name.strip()
     if name not in allowed:
         raise ValueError(f"unknown {what} {name!r} (choose from {'|'.join(allowed)})")
-    params: dict[str, float] = {}
+    params = _Params()
     if rest:
         for item in rest.split(","):
             key, sep, value = item.partition("=")
@@ -239,9 +246,9 @@ def _sink(config: RunConfig):
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.t) or args.ode_steps < 1:
+        raise ValueError("need a finite --t and --ode-steps >= 1")
     try:
-        if not math.isfinite(args.t) or args.ode_steps < 1:
-            raise ValueError("need a finite --t and --ode-steps >= 1")
         if args.family == "squeeze":
             z = SqueezeParameter(args.r, args.phi)
             coeffs = squeeze_factorization(z, args.t)
@@ -252,9 +259,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     except CausticError as exc:  # a singularity of valid input, not a refusal
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     for name in ("delta", "alpha", "beta", "gamma"):
         value = getattr(coeffs, name)
@@ -272,30 +276,17 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from(args)
-        grid = config.make_grid()
-        psi = _initial_state(args.initial, grid, config.norm_tol)
-        norm_in = psi.norm()
-        if abs(norm_in - 1.0) > config.norm_tol:
-            raise ValueError(f"initial state has norm {norm_in:.6g} on the window; "
-                             f"it is off 1 by more than --tol {config.norm_tol:.1e}")
-        factors = []
-        for op in args.op or []:
-            factors += _operator_factors(op)
-    except KeyError as exc:
-        print(f"error: missing required parameter {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # CausticError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        out = apply_chain(psi, factors)
-    except ChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    config = _config_from(args)
+    grid = config.make_grid()
+    psi = _initial_state(args.initial, grid, config.norm_tol)
+    norm_in = psi.norm()
+    if abs(norm_in - 1.0) > config.norm_tol:
+        raise ValueError(f"initial state has norm {norm_in:.6g} on the window; "
+                         f"it is off 1 by more than --tol {config.norm_tol:.1e}")
+    factors = []
+    for op in args.op or []:
+        factors += _operator_factors(op)
+    out = apply_chain(psi, factors)  # ChainRefusedError is a refusal, ChainError a failure
     norm_out = out.norm()
     values = [grid.x, out.samples.real, out.samples.imag, out.density()]
     with _sink(config) as stream:
@@ -315,12 +306,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from(args)
-    except ValueError as exc:
-        print(f"error: refusing to run: {exc}", file=sys.stderr)
-        return 2
-
+    config = _config_from(args)
     results = checks.run_checks(
         args.suite,
         grid=config.make_grid(),
@@ -341,19 +327,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    try:
-        config = _config_from(args)
-        spec = states.EvenOddSpec(args.x0, args.s, args.sign)
-        if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < 1:
-            raise ValueError("need a finite t range and t_steps >= 1")
-        # the chain of the farthest t is refused if any t of the range would be
-        time_displacement_factors(max(abs(args.t_min), abs(args.t_max)))
-        initial = checks.evenodd_initial(config.make_grid(), spec, config.norm_tol)
-        ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-        rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = _config_from(args)
+    spec = states.EvenOddSpec(args.x0, args.s, args.sign)
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < 1:
+        raise ValueError("need a finite t range and t_steps >= 1")
+    # the chain of the farthest t is refused if any t of the range would be
+    time_displacement_factors(max(abs(args.t_min), abs(args.t_max)))
+    initial = checks.evenodd_initial(config.make_grid(), spec, config.norm_tol)
+    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+    rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
 
     # one block of rows per t: t and raw_integral are block constants, x is shared
     with _sink(config) as stream:
@@ -366,22 +348,26 @@ def cmd_density(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are refusals, which main reports."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
-    """Add RunConfig's fields as flags, each dest its field name and each default its default."""
+    """Add the RunConfig flags that evolve, verify and density all read, and
+    every RunConfig field as a default, which a field without a flag keeps."""
     parser.add_argument("--grid-min", type=float, help="left grid edge")
     parser.add_argument("--grid-max", type=float, help="right grid edge")
     parser.add_argument("--grid-n", type=int, help="grid points (power of two >= 16)")
-    parser.add_argument("--fock-dim", "--dim", dest="fock_dim", type=int,
-                        help=f"truncated number-basis dimension ({MIN_DIM}..{MAX_HERMITE})")
-    parser.add_argument("--ode-steps", type=int, help="RK4 steps")
-    parser.add_argument("--tol", dest="norm_tol", type=float, help="norm-drift tolerance")
     parser.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.set_defaults(**asdict(RunConfig()))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opfactor",
         description=(
             "Factorize exponentials of the {1, x^2, x d/dx, d^2/dx^2} algebra, "
@@ -414,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=checks.SUITES)
     _add_config_options(p_verify)
+    p_verify.add_argument("--fock-dim", "--dim", dest="fock_dim", type=int,
+                          help=f"truncated number-basis dimension ({MIN_DIM}..{MAX_HERMITE})")
+    p_verify.add_argument("--ode-steps", type=int, help="RK4 steps")
     p_verify.set_defaults(func=cmd_verify)
 
     p_density = sub.add_parser("density", help="trace even/odd densities over a time range")
@@ -427,14 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p_density)
     p_density.set_defaults(func=cmd_density)
 
+    for p in (p_evolve, p_density):
+        p.add_argument("--tol", dest="norm_tol", type=float, help="norm-drift tolerance")
+
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
+    except ValueError as exc:  # a refusal, which a command raises before it opens its sink
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ChainError as exc:  # a factor that failed on valid input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # a failed write
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1

@@ -39,6 +39,7 @@ from .algebra import CausticError, SqueezeParameter, squeeze_factorization
 
 __all__ = [
     "ChainError",
+    "ChainRefusedError",
     "Dilation",
     "Grid",
     "LinearPhase",
@@ -77,6 +78,11 @@ class SupportOverflowWarning(UserWarning):
 
 class ChainError(RuntimeError):
     """A factor inside a chain failed; the message carries the factor index."""
+
+
+class ChainRefusedError(ChainError, ValueError):
+    """A factor of a chain was refused before any factor ran: a ChainError that
+    is also the ValueError of invalid input."""
 
 
 @dataclass(frozen=True)
@@ -373,16 +379,22 @@ def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFun
     once, at the first factor that is not the identity, and every factor then
     runs in place on that one buffer, so psi is never written and a chain of
     identities returns psi itself.  The buffer is checked to be finite after
-    every factor.  Failures are re-raised as ChainError with the offending
-    index in the message.
+    every factor.  Every factor's kernel is resolved before the first runs,
+    so a refused factor raises ChainRefusedError and a failure while running
+    raises ChainError, each with the offending index in the message.
     """
     grid = psi.grid
-    buf = None
+    kernels = []
     for index, factor in enumerate(factors):
         try:
-            kernel = _kernel(grid, factor)
-            if kernel is None:
-                continue
+            kernels.append(_kernel(grid, factor))
+        except (ValueError, TypeError) as exc:
+            raise ChainRefusedError(f"factor {index} ({type(factor).__name__}) refused: {exc}") from exc
+    buf = None
+    for index, (factor, kernel) in enumerate(zip(factors, kernels)):
+        if kernel is None:
+            continue
+        try:
             buf = kernel(psi.samples.copy() if buf is None else buf, grid, factor)
             _require_finite(buf)
         except (ValueError, TypeError) as exc:

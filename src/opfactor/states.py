@@ -173,17 +173,22 @@ def rho_spm(x, t: float, spec: EvenOddSpec):
     integrates to rho_spm_integral(t, spec) instead of 1.  Where that
     integral is not finite the constant is zero and every sample is inf or
     NaN.
+
+    e^{-(x^2 + a^2)/d^2} (cosh z +- cos w), with a = x0 cos t, is evaluated as
+    pair (1 +- cos w / cosh z), where pair is the mean of the two Gaussians
+    e^{-(x -+ a)^2/d^2}.  No factor overflows where the other underflows, and
+    since |cos w| <= 1 <= cosh z every sample is >= 0.
     """
     x = np.asarray(x, dtype=float)
     s2 = spec.s * spec.s
     c, sn = math.cos(t), math.sin(t)
     d2 = spec.width_sq(t)
     d = math.sqrt(d2)
-    envelope = np.exp(-(x * x + spec.x0**2 * c * c) / d2)
-    interference = np.cosh(2.0 * x * spec.x0 * c / d2) + spec.sign * np.cos(
-        2.0 * x * spec.x0 * sn / (d2 * s2)
-    )
-    return envelope * interference / (math.sqrt(math.pi) * d * _pair_factor(spec, d))
+    a = spec.x0 * c
+    pair = 0.5 * (np.exp(-((x - a) ** 2) / d2) + np.exp(-((x + a) ** 2) / d2))
+    with np.errstate(over="ignore"):  # cosh z = inf reads cos w / cosh z as 0
+        ratio = np.cos(2.0 * x * spec.x0 * sn / (d2 * s2)) / np.cosh(2.0 * x * a / d2)
+    return pair * (1.0 + spec.sign * ratio) / (math.sqrt(math.pi) * d * _pair_factor(spec, d))
 
 
 def rho_spm_integral(t: float, spec: EvenOddSpec) -> float:

@@ -1,20 +1,27 @@
 """End-to-end tests of the command-line surface."""
+import argparse
+import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opfactor import checks
 from opfactor.algebra import CoefficientTrajectory, SqueezeParameter
-from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, main
+from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, build_parser, main
 from opfactor.grid import MAX_TIME_SUBSTEPS, WaveFunction, apply_chain, squeeze_factors
-from opfactor.states import EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_ss
+from opfactor.states import (
+    EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_spm, psi_ss,
+)
 from reference import read_wavefunction
 
 
@@ -278,12 +285,20 @@ class TestEvolve:
         assert code == 2
         assert "takes keys" in err
 
+    @pytest.mark.xfail(strict=True, reason="content that leaves the window re-enters on the "
+                       "other side with exit 0 (ROADMAP item 3, the footprint predictor)")
+    def test_state_leaving_the_window_is_not_exit_0(self, capsys):
+        # coherent_evolved puts the peak at x = +13.05, outside [-12, 12); the
+        # periodic chain puts it at -10.96 and the norm does not move
+        code, _, _ = run(capsys, "evolve", "--initial", "coherent:x0=0,p0=14", "--op", "time:t=1.2")
+        assert code != 0
+
 
 class TestVerify:
     def test_fock_dim_refusal(self, capsys):
         code, _, err = run(capsys, "verify", "fock", "--dim", "4")
         assert code == 2
-        assert "refusing" in err and ">= 8" in err
+        assert err == "error: Fock dimension must be >= 8 and <= 512, got 4\n"
 
     def test_grid_suite_passes(self, capsys):
         code, out, err = run(capsys, "verify", "grid")
@@ -381,6 +396,23 @@ class TestDensity:
         expected = (1.0 + damp) / (1.0 + d * damp)
         assert rows[0, 5] == pytest.approx(expected, abs=1e-9)
 
+    def test_wide_window_pair_is_not_refused(self, capsys, tmp_path):
+        # at t = 1 the Gaussians' product form has a cosh that overflows where
+        # its envelope underflows; rho_spm's pair form reads that as 0
+        path = tmp_path / "trace.csv"
+        code, _, err = run(
+            capsys, "density", "--x0", "7", "--s", "1.5", "--grid-min", "-100", "--grid-max", "100",
+            "--grid-n", "512", "--t-min", "0", "--t-max", "1", "--t-steps", "2", "--out", str(path),
+        )
+        assert code == 0 and err == ""
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        for t, block in zip((0.0, 1.0), rows.reshape(2, 512, 6)):
+            x = block[:, 1]
+            dens = np.abs(psi_spm(x, t, EvenOddSpec(7.0, 1.5, +1))) ** 2
+            dens /= np.sum(dens) * (x[1] - x[0])
+            assert np.abs(block[:, 2] - dens).max() < 1e-9, t
+
     def test_negative_raw_integral_is_not_refused(self, capsys, tmp_path):
         # 1 - d E changes sign between t = 0 (d = s) and t = pi/2 (d = 1/s):
         # the closed-form integral is negative there, the renormalized density
@@ -432,11 +464,23 @@ class TestDensity:
     # ... and one where it is singular at a later t (d(t) e^{-x0^2/s^2} = 1)
     "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2",
     "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2 --format json",
-    # a pair the window holds, where rho_spm's cosh overflows as its envelope underflows at t = 1
-    "density --x0 7 --s 1.5 --grid-min -100 --grid-max 100 --grid-n 512 --t-min 0 --t-max 1 --t-steps 2",
     # initial states whose norm on the window is not 1 within --tol
     "evolve --initial coherent:x0=1e3",
     "evolve --initial squeezed:r=1.5",
+    # a shift that would wrap content round the window, refused before the chain runs
+    "evolve --initial ground --op displace:x0=13",
+    # a required key=value missing from --initial or --op
+    "evolve --initial evenodd:s=1.5",
+    "evolve --initial ground --op time",
+    # usage errors: a bad value, an unknown choice, a missing required flag
+    "evolve --initial ground --grid-n abc",
+    "verify bogus",
+    "evolve",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --format xml",
+    # flags of a subcommand that does not read them
+    "verify grid --tol 1",
+    "evolve --initial ground --ode-steps 5",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --fock-dim 64",
 ])
 def test_refused_input_exits_2(capsys, tmp_path, argv):
     # a refusal must not read as a failed check (1) or a finished run (0)
@@ -446,6 +490,69 @@ def test_refused_input_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_subcommand_option_strings_are_pinned():
+    # each subcommand takes only the flags it reads
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+             for name, p in sub.choices.items()}
+    shared = ["--grid-min", "--grid-max", "--grid-n", "--format", "--out"]
+    assert found == {
+        "factorize": ["--t", "--r", "--phi", "--ode-check", "--ode-steps"],
+        "evolve": ["--initial", "--op", *shared, "--tol"],
+        "verify": [*shared, "--fock-dim", "--dim", "--ode-steps"],
+        "density": ["--x0", "--s", "--sign", "--t-min", "--t-max", "--t-steps", *shared, "--tol"],
+    }
+    # --help is not a refusal
+    with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stdout(io.StringIO()):
+        main(["evolve", "--help"])
+    assert exit_info.value.code == 0
+
+
+_ARG_VALUES = ("0", "1", "-1", "2.5", "64", "1e300", "nan", "inf", "abc")
+_VALUED_FLAGS = (
+    "--t", "--r", "--phi", "--ode-steps", "--grid-min", "--grid-max", "--grid-n", "--format",
+    "--tol", "--fock-dim", "--dim", "--x0", "--s", "--sign", "--t-min", "--t-max", "--t-steps",
+)
+_spec_items = st.one_of(
+    st.tuples(st.sampled_from(("x0", "p0", "r", "phi", "s", "sign", "t", "substeps", "x")),
+              st.sampled_from(_ARG_VALUES)).map("=".join),
+    st.sampled_from(("x0", "=1", "")),
+)
+_specs = st.tuples(
+    st.sampled_from(("ground", "coherent", "squeezed", "evenodd", "squeeze", "displace", "time",
+                     "bogus", "")),
+    st.lists(_spec_items, max_size=3),
+).map(lambda p: p[0] + (":" + ",".join(p[1]) if p[1] else ""))
+_flags = st.one_of(
+    st.tuples(st.sampled_from(_VALUED_FLAGS), st.sampled_from(_ARG_VALUES + ("json",))),
+    st.tuples(st.sampled_from(("--initial", "--op")), _specs),
+    st.just(("--ode-check",)),
+)
+_commands = st.one_of(
+    st.sampled_from((["factorize", "squeeze"], ["factorize", "oscillator"], ["verify", "grid"],
+                     ["density", "--x0", "2", "--s", "1.5", "--t-min", "0", "--t-max", "1",
+                      "--t-steps", "2"])),
+    _specs.map(lambda spec: ["evolve", "--initial", spec]),
+)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(command=_commands, flags=st.lists(_flags, max_size=4))
+def test_any_argv_exits_0_1_or_2(command, flags):
+    argv = command + [token for flag in flags for token in flag]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:"), argv
+    if code == 0:
+        for token in re.split(r"[\s,=:\[\]{}\"]+", out.getvalue()):
+            with contextlib.suppress(ValueError):
+                assert math.isfinite(float(token.removesuffix("i"))), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

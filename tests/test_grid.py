@@ -12,6 +12,7 @@ from opfactor.algebra import CausticError, SqueezeParameter
 from opfactor.grid import (
     MAX_TIME_SUBSTEPS,
     ChainError,
+    ChainRefusedError,
     Dilation,
     Grid,
     LinearPhase,
@@ -420,6 +421,12 @@ class TestChains:
     def test_error_carries_index_context(self, ground):
         with pytest.raises(ChainError, match="factor 1"):
             apply_chain(ground, [Scalar(1.0), Shift(20.0)])
+
+    def test_refused_factor_is_raised_before_any_runs(self, ground):
+        # the overflow at factor 1 would fail the chain if factor 2 were not refused first
+        with np.errstate(over="ignore"), pytest.raises(ChainRefusedError, match="factor 2"):
+            apply_chain(ground, [Scalar(1e200), Scalar(1e200), Shift(20.0)])
+        assert issubclass(ChainRefusedError, ChainError) and issubclass(ChainRefusedError, ValueError)
 
     def test_nonfinite_mid_chain_names_its_factor(self, ground):
         with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 2"):
