@@ -35,10 +35,8 @@ from .fock import (
 from .grid import (
     Dilation,
     Grid,
-    LinearPhase,
     OperatorFactor,
     QuadraticPhase,
-    Scalar,
     Shift,
     SpectralD2,
     WaveFunction,

@@ -416,8 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(p_density)
     p_density.set_defaults(func=cmd_density)
 
-    for p in (p_evolve, p_density):
-        p.add_argument("--tol", dest="norm_tol", type=float, help="norm-drift tolerance")
+    p_evolve.add_argument("--tol", dest="norm_tol", type=float,
+                          help="bound on the initial state's norm error and the norm drift")
+    p_density.add_argument("--tol", dest="norm_tol", type=float,
+                           help="bound on the relative error of the window's t = 0 "
+                                "quadrature of rho_spm")
 
     return parser
 

@@ -2,9 +2,10 @@
 
 The factor set covers shifts (spectral), dilations (band-limited spectral
 resampling by a chirp-z convolution), exp[c d^2/dx^2] convolutions (spectral
-multiplier exp(-c k^2)), and pointwise quadratic/linear/scalar phases.  Chains
-of factors realize displacement, squeeze, and time-displacement operators on
-sampled states.  Time chains use only chirps and Fresnel steps; the dilation
+multiplier exp(-c k^2)), and one pointwise factor, s exp[i(a x^2 + p x)], that
+is a chirp, a phase ramp, a constant or their product.  Chains of factors
+realize displacement, squeeze, and time-displacement operators on sampled
+states.  Time chains use only chirps and Fresnel steps; the dilation
 serves the squeeze family.  Every factor is an FFT step or a pointwise
 multiply, and none needs scipy.
 
@@ -16,7 +17,8 @@ Every factor kind but the dilation is one operation: multiply the samples,
 or for Shift and SpectralD2 their spectrum, by a fixed array.  That array is
 computed once per (grid, factor) and reused from a small bounded cache, so a
 time chain of k substeps evaluates its three distinct multipliers once rather
-than 2k + 1 times.  The cached arrays are read-only.
+than 2k + 1 times.  The cached arrays are read-only.  The chain builders keep
+factors that are the identity; only the kernel lookup skips them.
 
 There are two private kernels, kernel(buf, grid, factor), that may overwrite
 buf and return the result: _multiply returns buf itself (numpy's in-place
@@ -42,10 +44,8 @@ __all__ = [
     "ChainRefusedError",
     "Dilation",
     "Grid",
-    "LinearPhase",
     "OperatorFactor",
     "QuadraticPhase",
-    "Scalar",
     "ShiftRangeError",
     "Shift",
     "SpectralD2",
@@ -96,6 +96,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x_min) and self.x_min < self.x_max < math.inf):
             raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(max(self.x_min * self.x_min, self.x_max * self.x_max)):
+            raise ValueError(f"x^2 overflows on the window [{self.x_min}, {self.x_max}]")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n!r}")
 
@@ -198,26 +200,14 @@ class SpectralD2:
 
 @dataclass(frozen=True)
 class QuadraticPhase:
-    """Multiply by exp[i a x^2]."""
+    """Multiply by s exp[i (a x^2 + p x)]: a chirp, a phase ramp and a constant."""
 
     a: float
+    p: float = 0.0
+    s: complex = 1.0
 
 
-@dataclass(frozen=True)
-class LinearPhase:
-    """Multiply by exp[i p x]."""
-
-    p: float
-
-
-@dataclass(frozen=True)
-class Scalar:
-    """Multiply by the constant s."""
-
-    s: complex
-
-
-OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase, LinearPhase, Scalar]
+OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase]
 
 
 # --- elementary actions ------------------------------------------------------
@@ -226,17 +216,13 @@ OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase, LinearPhase,
 @lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
 def _multiplier(grid: Grid, factor: OperatorFactor) -> np.ndarray:
     """Read-only array that _multiply applies: on grid's wavenumbers for Shift and
-    SpectralD2, on its positions for the phases, and 0-d for Scalar."""
+    SpectralD2, on its positions for QuadraticPhase."""
     if isinstance(factor, Shift):
         out = np.exp(1j * grid.k * factor.c)
     elif isinstance(factor, SpectralD2):
         out = np.exp(-complex(factor.c) * grid.k**2)
-    elif isinstance(factor, QuadraticPhase):
-        out = np.exp(1j * factor.a * grid.x**2)
-    elif isinstance(factor, LinearPhase):
-        out = np.exp(1j * factor.p * grid.x)
     else:
-        out = np.array(complex(factor.s))
+        out = complex(factor.s) * np.exp(1j * (factor.a * grid.x**2 + factor.p * grid.x))
     out.flags.writeable = False
     return out
 
@@ -304,11 +290,11 @@ def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
         )
     match factor:
         case (Dilation(scale=1.0) | Shift(c=0.0) | SpectralD2(c=0.0)
-              | QuadraticPhase(a=0.0) | LinearPhase(p=0.0)):
+              | QuadraticPhase(a=0.0, p=0.0, s=1.0)):
             return None
         case Dilation():
             return _dilate
-        case Shift() | SpectralD2() | QuadraticPhase() | LinearPhase() | Scalar():
+        case Shift() | SpectralD2() | QuadraticPhase():
             return _multiply
     raise TypeError(f"not a pointwise factor: {factor!r}")
 
@@ -357,11 +343,9 @@ def apply_spectral_d2(psi: WaveFunction, c: complex) -> WaveFunction:
     return _apply(psi, SpectralD2(complex(c)))
 
 
-def apply_phase(
-    psi: WaveFunction, factor: QuadraticPhase | LinearPhase | Scalar
-) -> WaveFunction:
-    """Pointwise multiplication by a quadratic phase, linear phase, or scalar."""
-    if not isinstance(factor, (QuadraticPhase, LinearPhase, Scalar)):
+def apply_phase(psi: WaveFunction, factor: QuadraticPhase) -> WaveFunction:
+    """Pointwise multiplication by s exp[i (a x^2 + p x)]."""
+    if not isinstance(factor, QuadraticPhase):
         raise TypeError(f"not a pointwise factor: {factor!r}")
     return _apply(psi, factor)
 
@@ -409,16 +393,10 @@ def displacement_factors(x0: float, p0: float) -> list[OperatorFactor]:
     """Factor chain of the phase-space displacement by (x0, p0).
 
     Product form exp[-i x0 p0 / 2] exp[i p0 x] exp[-x0 d/dx]; the shift acts
-    first and recenters the state at +x0.  Identity factors are dropped, so
-    the zero displacement reduces to [Scalar(1)].
+    first and recenters the state at +x0, and one pointwise factor carries
+    the ramp and the constant.  Zero factors are kept; a chain skips them.
     """
-    factors: list[OperatorFactor] = []
-    if x0 != 0.0:
-        factors.append(Shift(-x0))
-    if p0 != 0.0:
-        factors.append(LinearPhase(p0))
-    factors.append(Scalar(cmath.exp(-0.5j * x0 * p0)))
-    return factors
+    return [Shift(-x0), QuadraticPhase(0.0, p0, cmath.exp(-0.5j * x0 * p0))]
 
 
 def squeeze_factors(z: SqueezeParameter) -> list[OperatorFactor]:
@@ -426,20 +404,14 @@ def squeeze_factors(z: SqueezeParameter) -> list[OperatorFactor]:
 
     Listed in application order for the product
     exp[delta] exp[i alpha x^2] exp[beta x d/dx] exp[i gamma d^2/dx^2], whose
-    coefficients are real for every z; identity factors are dropped, the
-    scalar is always kept.
+    coefficients are real for every z; the chirp and the scalar are one
+    pointwise factor.  Zero factors are kept; a chain skips them.
     """
     c = squeeze_factorization(z, 1.0)
     alpha, beta, gamma, delta = (v.real for v in (c.alpha, c.beta, c.gamma, c.delta))
-    factors: list[OperatorFactor] = []
-    if gamma != 0.0:
-        factors.append(SpectralD2(1j * gamma))
-    if beta != 0.0:
-        factors.append(Dilation(math.exp(beta)))
-    if alpha != 0.0:
-        factors.append(QuadraticPhase(alpha))
-    factors.append(Scalar(cmath.exp(delta)))
-    return factors
+    return [
+        SpectralD2(1j * gamma), Dilation(math.exp(beta)), QuadraticPhase(alpha, 0.0, cmath.exp(delta))
+    ]
 
 
 def min_time_substeps(t: float) -> int:

@@ -435,6 +435,10 @@ class TestDensity:
     "verify fock --fock-dim 600",
     "verify grid --grid-n 1000",
     "verify grid --grid-min=-inf",
+    # a window whose x^2 overflows, refused before any numpy overflow warning
+    "evolve --initial ground --grid-max 1e300",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --grid-max 1e300",
+    "verify grid --grid-max 1e300",
     "factorize oscillator --t 1 --ode-check --ode-steps 0",
     "factorize oscillator --t nan",
     "factorize squeeze --r -1",

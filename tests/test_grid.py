@@ -15,9 +15,7 @@ from opfactor.grid import (
     ChainRefusedError,
     Dilation,
     Grid,
-    LinearPhase,
     QuadraticPhase,
-    Scalar,
     Shift,
     ShiftRangeError,
     SpectralD2,
@@ -42,6 +40,10 @@ from opfactor.states import coherent_state, psi0
 SQUEEZE_SCALE = next(
     f.scale for f in squeeze_factors(SqueezeParameter(1.5, 2.0)) if isinstance(f, Dilation)
 )
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,12 @@ class TestGrid:
         for edges in ((-math.inf, 12.0), (-12.0, math.inf), (math.nan, 12.0)):
             with pytest.raises(ValueError):
                 Grid(*edges)
+
+    def test_rejects_window_whose_square_overflows(self):
+        for edges in ((-12.0, 1e300), (-1e200, 12.0), (-1.5e154, 1.5e154)):
+            with pytest.raises(ValueError, match="x\\^2 overflows"):
+                Grid(*edges)
+        Grid(-1e150, 1e150)  # x^2 = 1e300 is finite
 
 
 class TestWaveFunction:
@@ -226,19 +234,46 @@ class TestPhases:
         assert np.abs(out.samples - ground.samples).max() < 1e-14
 
     def test_linear_phase_preserves_density(self, ground):
-        out = apply_phase(ground, LinearPhase(0.8))
+        out = apply_phase(ground, QuadraticPhase(0.0, 0.8))
         assert np.abs(out.density() - ground.density()).max() < 1e-14
 
     def test_scalar_scales_norm(self, ground):
-        out = apply_phase(ground, Scalar(cmath.exp(-0.5)))
+        out = apply_phase(ground, QuadraticPhase(0.0, 0.0, cmath.exp(-0.5)))
         assert out.norm() == pytest.approx(math.exp(-0.5) * ground.norm(), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2**11, 2**14])
+    def test_chirp_multiplier_is_the_plain_exponential(self, n):
+        # the time chains' chirps, edge and fused, keep the bits of exp(i a x^2)
+        grid = Grid(n=n)
+        edge = -0.5 * math.tan(0.5 * 32 * math.pi / 128)
+        for a in (edge, 2.0 * edge, 0.3, -0.5 * math.tan(0.1)):
+            assert np.array_equal(_multiplier(grid, QuadraticPhase(a)), np.exp(1j * a * grid.x**2))
+
+    def test_non_phase_factor_refused(self, ground):
+        with pytest.raises(TypeError, match="not a pointwise factor"):
+            apply_phase(ground, Shift(0.1))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(a=_finite(-1.0, 1.0), p=_finite(-3.0, 3.0), re=_finite(-2.0, 2.0), im=_finite(-2.0, 2.0))
+def test_phase_is_chirp_ramp_and_constant_one_at_a_time(a, p, re, im):
+    grid = Grid(-8.0, 8.0, 128)
+    psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 1.0, 0.5))
+    s = complex(re, im)
+    out = apply_phase(psi, QuadraticPhase(a, p, s))
+    expected = s * (np.exp(1j * a * grid.x**2) * (np.exp(1j * p * grid.x) * psi.samples))
+    # |a x^2 + p x| <= 88 on this window, whose ulp is 1.4e-14: the phase rounds differently
+    assert np.abs(out.samples - expected).max() <= 1e-13 * abs(s)
 
 
 class TestMultiplierCache:
-    FACTORS = (Shift(0.4), SpectralD2(0.25j), QuadraticPhase(0.3), LinearPhase(0.5), Scalar(0.5j))
+    FACTORS = (
+        Shift(0.4), SpectralD2(0.25j), QuadraticPhase(0.3), QuadraticPhase(0.0, 0.5),
+        QuadraticPhase(0.3, 0.5, 0.5j), QuadraticPhase(0.0, 0.0, 0.5j),
+    )
 
     def test_cached_multipliers_are_read_only(self, grid, ground):
-        # every kind's multiplier, the shift's and linear phase's too, is built once
+        # every kind's multiplier, the shift's and the phase ramp's too, is built once
         for factor in self.FACTORS:
             _multiplier.cache_clear()
             first = apply_factor(ground, factor)
@@ -281,18 +316,24 @@ class TestMultiplierCache:
 
 class TestFactorSequences:
     def test_zero_displacement_is_scalar_one(self):
-        assert displacement_factors(0.0, 0.0) == [Scalar(1.0 + 0j)]
+        assert displacement_factors(0.0, 0.0) == [Shift(0.0), QuadraticPhase(0.0, 0.0, 1.0)]
 
     def test_displacement_structure(self):
         factors = displacement_factors(1.0, 0.5)
-        assert factors == [Shift(-1.0), LinearPhase(0.5), Scalar(cmath.exp(-0.25j))]
+        assert factors == [Shift(-1.0), QuadraticPhase(0.0, 0.5, cmath.exp(-0.25j))]
 
     def test_real_squeeze_structure(self):
         factors = squeeze_factors(SqueezeParameter(1.0, 0.0))
-        assert len(factors) == 2
-        assert isinstance(factors[0], Dilation)
-        assert factors[0].scale == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert factors[1].s == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert [type(f) for f in factors] == [SpectralD2, Dilation, QuadraticPhase]
+        assert factors[0] == SpectralD2(0.0)
+        assert factors[1].scale == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert (factors[2].a, factors[2].p) == (0.0, 0.0)
+        assert factors[2].s == pytest.approx(math.exp(-0.5), abs=1e-15)
+
+    def test_zero_families_return_psi_itself(self, ground):
+        # the builders keep zero factors, and the chain skips every one of them
+        assert apply_chain(ground, displacement_factors(0.0, 0.0)) is ground
+        assert apply_chain(ground, squeeze_factors(SqueezeParameter(0.0))) is ground
 
     def test_time_quarter_period_structure(self):
         factors = time_displacement_factors(math.pi / 4, 1)
@@ -365,12 +406,7 @@ def _out_of_place(psi, factor):
     if isinstance(factor, SpectralD2):
         multiplier = np.exp(-complex(factor.c) * k**2)
         return psi.with_samples(np.fft.ifft(np.fft.fft(s) * multiplier))
-    if isinstance(factor, QuadraticPhase):
-        multiplier = np.exp(1j * factor.a * x**2)
-    elif isinstance(factor, LinearPhase):
-        multiplier = np.exp(1j * factor.p * x)
-    else:
-        multiplier = complex(factor.s)
+    multiplier = complex(factor.s) * np.exp(1j * (factor.a * x**2 + factor.p * x))
     return psi.with_samples(s * multiplier)
 
 
@@ -420,25 +456,27 @@ class TestChains:
 
     def test_error_carries_index_context(self, ground):
         with pytest.raises(ChainError, match="factor 1"):
-            apply_chain(ground, [Scalar(1.0), Shift(20.0)])
+            apply_chain(ground, [QuadraticPhase(0.0, 0.0, 1.0), Shift(20.0)])
 
     def test_refused_factor_is_raised_before_any_runs(self, ground):
         # the overflow at factor 1 would fail the chain if factor 2 were not refused first
         with np.errstate(over="ignore"), pytest.raises(ChainRefusedError, match="factor 2"):
-            apply_chain(ground, [Scalar(1e200), Scalar(1e200), Shift(20.0)])
+            apply_chain(ground, [QuadraticPhase(0.0, 0.0, 1e200)] * 2 + [Shift(20.0)])
         assert issubclass(ChainRefusedError, ChainError) and issubclass(ChainRefusedError, ValueError)
 
     def test_nonfinite_mid_chain_names_its_factor(self, ground):
         with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 2"):
-            apply_chain(ground, [Scalar(1.0), Scalar(1e200), Scalar(1e200)])
+            apply_chain(ground, [QuadraticPhase(0.0, 0.0, s) for s in (1.0, 1e200, 1e200)])
 
     @pytest.mark.parametrize("n, x0, p0, chain", [
         # the evolve-period chain: 16 periods in 128 substeps
         (16384, 2.0, 0.5, time_displacement_factors(32 * math.pi, 128)),
         (2048, 0.0, 0.0,
          squeeze_factors(SqueezeParameter(1.5, 2.0)) + displacement_factors(2.0, -1.0)),
-        (16384, 1.0, 0.5, [Shift(-0.7), LinearPhase(0.4), Shift(1.3), LinearPhase(-2.0)]),
-    ], ids=["evolve_period", "squeeze_displace", "shift_linear_phase"])
+        (16384, 1.0, 0.5,
+         [Shift(-0.7), QuadraticPhase(0.0, 0.4), Shift(1.3), QuadraticPhase(0.0, -2.0)]),
+        (2048, 1.0, 0.5, [Shift(-0.7), QuadraticPhase(0.1, -2.0, cmath.exp(0.3j)), SpectralD2(0.2j)]),
+    ], ids=["evolve_period", "squeeze_displace", "shift_linear_phase", "shift_full_phase"])
     def test_in_place_chain_is_bit_identical_to_factor_by_factor(self, n, x0, p0, chain):
         psi = WaveFunction.from_callable(Grid(n=n), lambda x: coherent_state(x, x0, p0))
         before = psi.samples.copy()
@@ -448,18 +486,17 @@ class TestChains:
         assert np.array_equal(psi.samples, before)
 
 
-def _finite(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
 # a box of every factor kind that keeps a coherent state finite on the window
 FACTOR = st.one_of(
     st.builds(Shift, _finite(-3.0, 3.0)),
     st.builds(Dilation, _finite(0.5, 2.0)),
     st.builds(lambda re, im: SpectralD2(complex(re, im)), _finite(0.0, 0.5), _finite(-1.0, 1.0)),
-    st.builds(QuadraticPhase, _finite(-1.0, 1.0)),
-    st.builds(LinearPhase, _finite(-3.0, 3.0)),
-    st.builds(lambda re, im: Scalar(complex(re, im)), _finite(-2.0, 2.0), _finite(-2.0, 2.0)),
+    st.builds(
+        QuadraticPhase,
+        _finite(-1.0, 1.0),
+        st.one_of(st.just(0.0), _finite(-3.0, 3.0)),
+        st.one_of(st.just(1.0), st.builds(complex, _finite(-2.0, 2.0), _finite(-2.0, 2.0))),
+    ),
 )
 
 
