@@ -10,10 +10,17 @@ system with all four vanishing at t = 0.  Closed forms are provided for the
 squeeze family and for harmonic-oscillator time displacement; a fixed-step
 RK4 integrator handles arbitrary, possibly time-dependent, generator
 coefficients and doubles as an independent oracle for the closed forms.
+
+The system is triangular (Wei & Norman, J. Math. Phys. 4, 575 (1963)): alpha
+alone obeys a closed Riccati equation, alpha' = c0 + c1 alpha + c2 alpha^2,
+and beta, gamma and delta are quadratures of the stage values of alpha and
+beta.  So a scalar loop steps alpha alone, and numpy then forms every stage
+of the other three from it, in a scalar RK4 loop's operation order and with
+step-by-step sums, which gives that loop's results bit for bit.  It runs in
+blocks of RK4_BLOCK steps, so its memory stays bounded for any step count.
 `integrate_wei_norman` returns every step as a CoefficientTrajectory, and
-`wei_norman_final`, which every command uses, keeps only the last; the
-trajectory and `wei_norman_rhs` stay as library surface and as the tests'
-bit-for-bit reference.
+`wei_norman_final`, which every command uses, keeps only the last; both
+read the same blocks.
 """
 from __future__ import annotations
 
@@ -21,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
+
+import numpy as np
 
 __all__ = [
     "BlowUpError",
@@ -40,6 +49,9 @@ __all__ = [
 CAUSTIC_EPS = 1e-9
 BLOWUP_BOUND = 1e12
 ODE_STEPS = 1000
+RK4_BLOCK = 1024  # steps per pass of the integrator; its arrays hold one pass
+_EXP_EXACT_BELOW = 708.0  # see _stage_exp
+_BOUND_SCREEN = BLOWUP_BOUND / 2.0  # |z| <= sqrt(2) max(|Re z|, |Im z|)
 
 CoefficientLike = Union[complex, float, Callable[[float], complex]]
 
@@ -211,20 +223,8 @@ def time_displacement_factorization(t: float) -> FactorizationCoefficients:
 
 
 def _terms(b1: complex, b2: complex, b3: complex, b4: complex) -> tuple[complex, ...]:
-    """The generator products that _rhs reads, formed once per evaluation time."""
+    """The generator products (b1, b3, c0, c1, c2, cg, cd) that the right-hand side reads."""
     return (b1, b3, -1j * b2, 2.0 * b3, 4j * b4, -1j * b4, 2j * b4)
-
-
-def _rhs(
-    alpha: complex, beta: complex, terms: tuple[complex, ...]
-) -> tuple[complex, complex, complex, complex]:
-    """wei_norman_rhs from the products of _terms, grouped as in its formulas."""
-    b1, b3, c0, c1, c2, cg, cd = terms
-    dalpha = c0 + c1 * alpha + c2 * alpha * alpha
-    dbeta = b3 + c2 * alpha
-    dgamma = cg * cmath.exp(2.0 * beta)
-    ddelta = b1 + cd * alpha
-    return dalpha, dbeta, dgamma, ddelta
 
 
 def wei_norman_rhs(
@@ -245,8 +245,10 @@ def wei_norman_rhs(
 
     b is evaluated at t, defaulting to the t carried by `coefficients`.
     """
-    terms = _terms(*b.at(coefficients.t if t is None else t))
-    return _rhs(coefficients.alpha, coefficients.beta, terms)
+    b1, b3, c0, c1, c2, cg, cd = _terms(*b.at(coefficients.t if t is None else t))
+    alpha, beta = coefficients.alpha, coefficients.beta
+    return (c0 + c1 * alpha + c2 * alpha * alpha, b3 + c2 * alpha,
+            cg * cmath.exp(2.0 * beta), b1 + cd * alpha)
 
 
 @dataclass(frozen=True)
@@ -286,54 +288,200 @@ def _check_span(t_end: float, steps: int) -> None:
         raise ValueError(f"t_end must be finite, got {t_end!r}")
 
 
-def _rk4_states(
-    b: GeneratorCoefficients, t_end: float, steps: int
-) -> Iterator[tuple[complex, complex, complex, complex, float]]:
-    """Yield (delta, alpha, beta, gamma, t) after each step, from all-zero data at t = 0.
+def _pairs(values) -> np.ndarray:
+    """Complex values as (real, imaginary) pairs along a new first axis."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack((values.real, values.imag))
 
-    Classical fixed-step fourth-order Runge-Kutta, fully deterministic for
-    fixed arguments.  Yields nothing for t_end = 0.  Raises BlowUpError once
+
+def _complex(pairs: np.ndarray) -> np.ndarray:
+    out = np.empty(pairs.shape[1:], dtype=complex)
+    out.real, out.imag = pairs
+    return out
+
+
+_TWO = _pairs(2.0)
+_FLIP = np.array([-1.0, 1.0])
+
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y over (real, imaginary) pairs, formed as Python forms a complex product.
+
+    That product is (xr yr - xi yi, xr yi + xi yr).  numpy's own complex
+    multiply may fuse a multiply and an add, which moves the last bit.  Here
+    it is (xr, xi) yr + (-xi, xr) yi, and (-xi) yi is -(xi yi) exactly, so
+    every stage equals the scalar loop's bit for bit.  x may lack trailing
+    axes of y, which then broadcast.
+    """
+    pad = (1,) * (y.ndim - x.ndim)
+    x = x.reshape(x.shape + pad)
+    product = x * y[0]
+    product += x[::-1] * _FLIP.reshape((2,) + (1,) * (y.ndim - 1)) * y[1]
+    return product
+
+
+def _rk4_increment(k: np.ndarray, sixth: np.ndarray) -> np.ndarray:
+    """sixth * (k1 + 2 k2 + 2 k3 + k4) over the stage axis, k[..., stage, step]."""
+    return _mul(sixth, k[..., 0, :] + _mul(_TWO, k[..., 1, :]) + _mul(_TWO, k[..., 2, :])
+                + k[..., 3, :])
+
+
+def _stage_exp(z: np.ndarray) -> tuple[np.ndarray, int | None, Exception | None]:
+    """cmath.exp of every entry of z, bit for bit, then the first flat index
+    at which cmath.exp raises and its exception, or None and None.
+
+    numpy's complex exp is the C library's cexp, which equals cmath.exp for
+    finite input up to a real part of log(DBL_MAX / 4) ~ 708.4.  Above that
+    cmath switches to exp(x - 1) e and raises OverflowError, so cmath itself
+    evaluates those entries and the non-finite ones.
+    """
+    e = np.exp(z)
+    for i in np.flatnonzero(~(z.real <= _EXP_EXACT_BELOW) | ~np.isfinite(z)):
+        try:
+            e.flat[i] = cmath.exp(z.flat[i])
+        except (OverflowError, ValueError) as exc:
+            return e, int(i), exc
+    return e, None, None
+
+
+def _riccati_steps(
+    b: GeneratorCoefficients, fixed: tuple[complex, ...] | None,
+    alpha: complex, start: int, stop: int, h: float,
+) -> tuple[list[complex], list]:
+    """Step alpha' = c0 + c1 alpha + c2 alpha^2 alone through steps start .. stop - 1.
+
+    Returns alpha at the start of each step and after the last one.  A
+    time-dependent generator (fixed is None) is evaluated at t0, t0 + h/2 and
+    t0 + h of each step; those _terms come back as one row per step.
+    """
+    half, sixth = 0.5 * h, h / 6.0
+    alphas, rows = [alpha], []
+    if fixed is not None:
+        c0, c1, c2 = d0, d1, d2 = e0, e1, e2 = fixed[2:5]
+    for step in range(start, stop):
+        if fixed is None:
+            t0 = step * h
+            rows.append((_terms(*b.at(t0)), _terms(*b.at(t0 + half)), _terms(*b.at(t0 + h))))
+            (c0, c1, c2), (d0, d1, d2), (e0, e1, e2) = (tv[2:5] for tv in rows[-1])
+        ka = c0 + c1 * alpha + c2 * alpha * alpha
+        s = alpha + half * ka
+        kb = d0 + d1 * s + d2 * s * s
+        s = alpha + half * kb
+        kc = d0 + d1 * s + d2 * s * s
+        s = alpha + h * kc
+        kd = e0 + e1 * s + e2 * s * s
+        alpha += sixth * (ka + 2.0 * kb + 2.0 * kc + kd)
+        alphas.append(alpha)
+    return alphas, rows
+
+
+def _quadratures(
+    alphas: list[complex], terms: np.ndarray, beta: complex, gamma: complex,
+    delta: complex, h: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None, Exception | None]:
+    """Every RK4 stage of one block, recomputed from alpha at each step start.
+
+    terms holds the seven _terms at each step's four stages as pairs, shape
+    (2, 7, stage, step), or (2, 7, 1, 1) for a constant generator.  Returns
+    delta, alpha, beta and gamma at the block's start and after each step,
+    and the step whose stage exp(2 beta) raised, with the exception, from
+    _stage_exp.  Each value is formed in the scalar loop's operation order
+    and beta, gamma and delta are summed step by step, so every value is
+    what that loop would give.
+    """
+    half, sixth = _pairs(0.5 * h), _pairs(h / 6.0)
+    weights = _pairs([0.5 * h, 0.5 * h, h])  # stage j + 1 starts from stage j's slope
+    b1, b3, c0, c1, c2, cg, cd = terms.swapaxes(0, 1)
+    a = np.fromiter(alphas, complex, len(alphas))
+    starts = _pairs(a[:-1])
+    s = np.empty((2, 4, len(alphas) - 1))  # the stage alphas, then the stage betas
+    s[:, 0] = starts
+    for j in range(3):
+        sj, at = s[:, j], j % terms.shape[2]
+        k = c0[:, at] + _mul(c1[:, at], sj) + _mul(_mul(c2[:, at], sj), sj)
+        s[:, j + 1] = starts + _mul(weights[:, j], k)
+    # each stage array is dropped once read, which keeps a block's peak memory down
+    kbeta = b3 + _mul(c2, s)
+    kdelta = b1 + _mul(cd, s)
+    increments = _rk4_increment(np.stack((kbeta, kdelta), axis=1), sixth)
+    del kdelta
+    sums = np.add.accumulate(
+        np.concatenate((_pairs([[beta], [delta]]), increments), axis=-1), axis=-1)
+    betas, deltas = sums[:, 0], sums[:, 1]
+    s[:, 0] = betas[:, :-1]
+    s[:, 1:] = betas[:, None, :-1] + _mul(weights, kbeta[:, :3])
+    del kbeta
+    # (step, stage) order, so the first failing entry is the scalar loop's first
+    e, failed, exc = _stage_exp(_complex(_mul(_TWO, s)).T)
+    del s
+    kgamma = _mul(cg, _pairs(e.T))
+    del e
+    gammas = np.add.accumulate(
+        np.concatenate((_pairs([gamma]), _rk4_increment(kgamma, sixth)), axis=-1), axis=-1)
+    failed = None if failed is None else failed // 4
+    return _complex(deltas), a, _complex(betas), _complex(gammas), failed, exc
+
+
+def _check_bound(
+    delta: complex, alpha: complex, beta: complex, gamma: complex, t: float
+) -> None:
+    """The scalar loop's bound test on the state after the step that ends at t."""
+    worst = max(abs(alpha), abs(beta), abs(gamma), abs(delta))
+    if not math.isfinite(worst) or worst > BLOWUP_BOUND:
+        raise BlowUpError(
+            f"coefficient magnitude {worst:.3e} exceeded {BLOWUP_BOUND:.1e} "
+            f"at t = {t:.6g}; the path likely crosses a caustic"
+        )
+
+
+def _rk4_blocks(
+    b: GeneratorCoefficients, t_end: float, steps: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield (delta, alpha, beta, gamma, t) arrays after each step, RK4_BLOCK steps at a time.
+
+    Classical fixed-step fourth-order Runge-Kutta from all-zero data at
+    t = 0, fully deterministic for fixed arguments: _riccati_steps steps
+    alpha alone, and _quadratures recomputes the stages of beta, gamma and
+    delta from it.  Yields nothing for t_end = 0.  Raises BlowUpError once
     any coefficient magnitude exceeds BLOWUP_BOUND or turns non-finite, or a
-    stage overflows, the signature of integrating across a caustic.
+    stage's exp(2 beta) overflows, the signature of integrating across a
+    caustic, at the first step where either happens, with the scalar loop's
+    message.  A time-dependent generator is evaluated a block at a time, so
+    possibly at steps past the one that fails.
     """
     if t_end == 0.0:
         return
     h = t_end / steps
-    half, sixth = 0.5 * h, h / 6.0
-    if any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4)):
-        def terms(t: float) -> tuple[complex, ...]:
-            return _terms(*b.at(t))
-    else:  # a constant generator is evaluated once, not three times per step
-        fixed = _terms(*b.at(0.0))
-
-        def terms(t: float) -> tuple[complex, ...]:
-            return fixed
+    varying = any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4))
+    # a constant generator is evaluated once, not three times per step
+    fixed = None if varying else _terms(*b.at(0.0))
     alpha = beta = gamma = delta = 0j
-    for step in range(steps):
-        t0 = step * h
-        tv0 = terms(t0)
-        tvh = terms(t0 + half)
-        tv1 = terms(t0 + h)
-        try:
-            ka = _rhs(alpha, beta, tv0)
-            kb = _rhs(alpha + half * ka[0], beta + half * ka[1], tvh)
-            kc = _rhs(alpha + half * kb[0], beta + half * kb[1], tvh)
-            kd = _rhs(alpha + h * kc[0], beta + h * kc[1], tv1)
-        except OverflowError as exc:  # exp(2 beta) of a stage, before the test below
-            raise BlowUpError(f"an RK4 stage overflowed in the step from t = {t0:.6g}; "
-                              f"the path likely crosses a caustic") from exc
-        alpha += sixth * (ka[0] + 2.0 * kb[0] + 2.0 * kc[0] + kd[0])
-        beta += sixth * (ka[1] + 2.0 * kb[1] + 2.0 * kc[1] + kd[1])
-        gamma += sixth * (ka[2] + 2.0 * kb[2] + 2.0 * kc[2] + kd[2])
-        delta += sixth * (ka[3] + 2.0 * kb[3] + 2.0 * kc[3] + kd[3])
-
-        worst = max(abs(alpha), abs(beta), abs(gamma), abs(delta))
-        if not math.isfinite(worst) or worst > BLOWUP_BOUND:
-            raise BlowUpError(
-                f"coefficient magnitude {worst:.3e} exceeded {BLOWUP_BOUND:.1e} "
-                f"at t = {t0 + h:.6g}; the path likely crosses a caustic"
-            )
-        yield delta, alpha, beta, gamma, (step + 1) * h
+    for start in range(0, steps, RK4_BLOCK):
+        stop = min(start + RK4_BLOCK, steps)
+        alphas, rows = _riccati_steps(b, fixed, alpha, start, stop, h)
+        if varying:  # (step, time, term) -> (term, stage, step)
+            terms = _pairs(np.array(rows)[:, (0, 1, 1, 2)].T)
+        else:
+            terms = _pairs(np.array(fixed)[:, None, None])
+        # steps past a blow-up may overflow; the checks below report the first failing step
+        with np.errstate(all="ignore"):
+            *states, failed, exc = _quadratures(alphas, terms, beta, gamma, delta, h)
+            after = [v[1:] for v in states]
+            worst = np.abs(np.stack(after).view(float)).max(axis=0).reshape(-1, 2).max(axis=1)
+        failed = len(alphas) - 1 if failed is None else failed
+        # a step with a part past the screen gets the scalar check, which alone decides
+        for i in np.flatnonzero(~(worst <= _BOUND_SCREEN)):
+            if i >= failed:
+                break
+            _check_bound(*(v[i].item() for v in after), (start + int(i)) * h + h)
+        if exc is not None:
+            if isinstance(exc, OverflowError):
+                raise BlowUpError(
+                    f"an RK4 stage overflowed in the step from t = {(start + failed) * h:.6g}; "
+                    f"the path likely crosses a caustic") from exc
+            raise exc
+        yield (*after, np.arange(start + 1, stop + 1) * h)
+        delta, alpha, beta, gamma = (v[-1].item() for v in states)
 
 
 def integrate_wei_norman(
@@ -341,13 +489,14 @@ def integrate_wei_norman(
 ) -> CoefficientTrajectory:
     """Integrate the coefficient ODEs from all-zero initial data to t_end, keeping every step.
 
-    See _rk4_states for the scheme and its BlowUpError.  Callers that read
+    See _rk4_blocks for the scheme and its BlowUpError.  Callers that read
     only the end point should use wei_norman_final, which returns the same
     final coefficients without building the samples.
     """
     _check_span(t_end, steps)
     samples = [FactorizationCoefficients.zero(0.0)]
-    samples += (FactorizationCoefficients(*state) for state in _rk4_states(b, t_end, steps))
+    for block in _rk4_blocks(b, t_end, steps):
+        samples += map(FactorizationCoefficients, *(v.tolist() for v in block))
     return CoefficientTrajectory(tuple(samples))
 
 
@@ -356,7 +505,7 @@ def wei_norman_final(
 ) -> FactorizationCoefficients:
     """integrate_wei_norman(b, t_end, steps).final, bit for bit, without the samples."""
     _check_span(t_end, steps)
-    state = (0j, 0j, 0j, 0j, 0.0)
-    for state in _rk4_states(b, t_end, steps):
-        pass
-    return FactorizationCoefficients(*state)
+    final = FactorizationCoefficients.zero(0.0)
+    for block in _rk4_blocks(b, t_end, steps):
+        final = FactorizationCoefficients(*(v[-1].item() for v in block))
+    return final

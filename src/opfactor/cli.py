@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -350,6 +351,11 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are refusals, which main reports."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e3" for a flag; a negative number in exponent form is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ValueError(message)

@@ -156,9 +156,21 @@ def factored_matrix(c: FactorizationCoefficients, dim: int) -> np.ndarray:
 
 
 def squeeze_generator(z: SqueezeParameter, dim: int) -> np.ndarray:
-    """(z a^dag a^dag - z* a a) / 2, the ladder form of the squeeze generator."""
-    a, adag = ladder_matrices(dim)
-    return 0.5 * (z.z * (adag @ adag) - np.conj(z.z) * (a @ a))
+    """(z a^dag a^dag - z* a a) / 2, the ladder form of the squeeze generator.
+
+    a a holds sqrt(k) sqrt(k + 1) at (k - 1, k + 1) and a^dag a^dag its
+    transpose.  Both bands are set directly, each entry the one product that
+    the dense ladder product sums with zeros, so the matrix is that
+    product's bit for bit.
+    """
+    if dim < 2:
+        raise ValueError(f"need dim >= 2, got {dim!r}")
+    k = np.arange(1, dim - 1)
+    band = np.sqrt(k) * np.sqrt(k + 1)
+    aa, adag_adag = np.zeros((2, dim, dim), dtype=complex)
+    aa[k - 1, k + 1] = band
+    adag_adag[k + 1, k - 1] = band
+    return 0.5 * (z.z * adag_adag - np.conj(z.z) * aa)
 
 
 def displacement_generator(x0: float, p0: float, dim: int) -> np.ndarray:

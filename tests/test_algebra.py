@@ -1,11 +1,15 @@
 """Tests for the factorization coefficients: closed forms, ODE system, integrator."""
 import cmath
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opfactor import checks
+from opfactor import algebra, checks
 from opfactor.algebra import (
     BlowUpError,
     CausticError,
@@ -20,6 +24,7 @@ from opfactor.algebra import (
     wei_norman_final,
     wei_norman_rhs,
 )
+from reference import rk4_samples
 
 
 class TestSqueezeParameter:
@@ -287,12 +292,34 @@ def _verify_all_integrations():
     return cases
 
 
+def _outcome(entry, b, t_end, steps):
+    """What an integration returns, or the exception it raises with its message and cause.
+
+    Results compare by repr, which tells every float apart bit for bit,
+    signed zeros included (NaN payloads aside).
+    """
+    try:
+        return repr(entry(b, t_end, steps))
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+
+
+def _reference_final(b, t_end, steps):
+    return rk4_samples(b, t_end, steps)[-1]
+
+
+def _path(b, t_end, steps):
+    return list(integrate_wei_norman(b, t_end, steps).samples)
+
+
 class TestFinalOnly:
-    """wei_norman_final is integrate_wei_norman(...).final, bit for bit."""
+    """Both entry points are the scalar RK4 loop of tests/reference.py, bit for bit."""
 
     @pytest.mark.parametrize("b, t_end, steps", _verify_all_integrations())
     def test_verify_all_integrations(self, b, t_end, steps):
-        assert wei_norman_final(b, t_end, steps) == integrate_wei_norman(b, t_end, steps).final
+        expected = rk4_samples(b, t_end, steps)
+        assert repr(wei_norman_final(b, t_end, steps)) == repr(expected[-1])
+        assert repr(_path(b, t_end, steps)) == repr(expected)
 
     @pytest.mark.parametrize("b, t_end, steps", [
         (GeneratorCoefficients(b2=lambda t: -0.5j * (1.0 + t), b3=lambda t: 0.3 * math.sin(t),
@@ -303,10 +330,20 @@ class TestFinalOnly:
     ])
     def test_callable_zero_and_negative_spans(self, b, t_end, steps):
         final = wei_norman_final(b, t_end, steps)
-        assert final == integrate_wei_norman(b, t_end, steps).final
+        assert repr(final) == repr(_reference_final(b, t_end, steps))
+        assert repr(_path(b, t_end, steps)) == repr(rk4_samples(b, t_end, steps))
         assert final.t == pytest.approx(t_end, abs=1e-15)
         if t_end == 0.0:
             assert final == FactorizationCoefficients.zero(0.0)
+
+    @pytest.mark.parametrize("steps", [
+        algebra.RK4_BLOCK - 1, algebra.RK4_BLOCK, algebra.RK4_BLOCK + 1, 2 * algebra.RK4_BLOCK + 3,
+    ])
+    def test_block_boundaries(self, steps):
+        b = GeneratorCoefficients.squeeze(SqueezeParameter(1.3, 2.0))
+        expected = rk4_samples(b, 1.0, steps)
+        assert repr(wei_norman_final(b, 1.0, steps)) == repr(expected[-1])
+        assert repr(_path(b, 1.0, steps)) == repr(expected)
 
     @pytest.mark.parametrize("t_end, steps", [(1.0, 0), (1.0, -3), (math.inf, 10), (math.nan, 10)])
     def test_same_refusal_at_call_time(self, t_end, steps):
@@ -317,13 +354,90 @@ class TestFinalOnly:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
-    def test_same_blowup(self):
-        messages = []
+    @pytest.mark.parametrize("b, t_end, steps, kind", [
+        # a stage's exp(2 beta) overflows at t = pi/2 before any step ends past the bound
+        (GeneratorCoefficients.oscillator(), 1.6, 52, OverflowError),
+        (GeneratorCoefficients.oscillator(), -1.6, 52, OverflowError),
+        # the state passes the bound at the end of a step
+        (GeneratorCoefficients.oscillator(), 4.0, 100, type(None)),
+        (GeneratorCoefficients.oscillator(), 1.58, 100, type(None)),
+        (GeneratorCoefficients.oscillator(), -1.58, 100, type(None)),
+        # |delta| passes the bound at t = 0.9 while its real and imaginary parts stay below it
+        (GeneratorCoefficients(b1=complex(0.8e12, 0.8e12)), 1.0, 10, type(None)),
+    ])
+    def test_same_blowup_at_the_same_step(self, b, t_end, steps, kind):
+        expected = _outcome(_reference_final, b, t_end, steps)
+        assert expected[0] is BlowUpError and expected[2] is kind
+        assert "caustic" in expected[1]
         for entry in (integrate_wei_norman, wei_norman_final):
-            with pytest.raises(BlowUpError, match="caustic") as info:
-                entry(GeneratorCoefficients.oscillator(), 1.6, 20000)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+            assert _outcome(entry, b, t_end, steps) == expected
+            with mock.patch.object(algebra, "RK4_BLOCK", 7):  # the failing step inside a block
+                assert _outcome(entry, b, t_end, steps) == expected
+
+    def test_nonfinite_stage_raises_as_the_scalar_loop_does(self):
+        # 2 beta reaches an infinite imaginary part at the last stage, where
+        # cmath.exp raises ValueError rather than overflowing
+        b = GeneratorCoefficients(b3=1e308j)
+        expected = _outcome(_reference_final, b, 2.0, 1)
+        assert expected[0] is ValueError
+        assert _outcome(wei_norman_final, b, 2.0, 1) == expected
+
+    def test_nan_in_delta_alone_passes_as_in_the_scalar_loop(self):
+        # max() keeps its first argument against a NaN, so the scalar bound
+        # test lets a NaN delta through; the vectorized screen defers to it
+        b = GeneratorCoefficients(b1=complex(math.nan, 0.0), b2=-0.5j, b4=0.5j)
+        expected = _outcome(_reference_final, b, 1.0, 10)
+        assert "nan" in expected
+        assert _outcome(wei_norman_final, b, 1.0, 10) == expected
+
+
+_coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _generators(draw):
+    """Constant coefficients, or a mix of constants and smooth callables of t."""
+    values = []
+    for _ in range(4):
+        value, rate = draw(_coefficient), draw(_coefficient)
+        form = draw(st.sampled_from(("constant", "linear", "exponential")))
+        if form == "linear":
+            value = lambda t, v=value, w=rate: v * (1.0 + w * t)
+        elif form == "exponential":
+            value = lambda t, v=value, w=rate: v * cmath.exp(w * t)
+        values.append(value)
+    return GeneratorCoefficients(*values)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    b=_generators(),
+    t_end=st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
+    steps=st.integers(1, 40),
+    block=st.sampled_from((1, 2, 3, 7, algebra.RK4_BLOCK)),
+)
+def test_rk4_equals_scalar_reference(b, t_end, steps, block):
+    path = _outcome(rk4_samples, b, t_end, steps)
+    final = _outcome(_reference_final, b, t_end, steps)
+    with mock.patch.object(algebra, "RK4_BLOCK", block):
+        assert _outcome(_path, b, t_end, steps) == path
+        assert _outcome(wei_norman_final, b, t_end, steps) == final
+
+
+def _peak_bytes(entry, steps):
+    tracemalloc.start()
+    try:
+        entry(GeneratorCoefficients.squeeze(SqueezeParameter(0.8, 1.0)), 1.0, steps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_final_memory_is_bounded_by_one_block():
+    short, long = 2 * algebra.RK4_BLOCK, 6 * algebra.RK4_BLOCK
+    assert _peak_bytes(wei_norman_final, long) < 1.25 * _peak_bytes(wei_norman_final, short)
+    # the measurement sees growth where there is some: the full path keeps every step
+    assert _peak_bytes(integrate_wei_norman, long) > 1.5 * _peak_bytes(integrate_wei_norman, short)
 
 
 class TestCoefficientTrajectory:

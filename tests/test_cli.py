@@ -496,6 +496,21 @@ def test_refused_input_exits_2(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["-1.2e1", "-1.2E+1", "-120e-1", "-.12e2", "-12.", "-12"])
+def test_negative_value_in_any_number_form_is_read(capsys, value):
+    # argparse alone takes "-1.2e1" for a flag and refuses the option as missing its argument
+    assert build_parser().parse_args(["evolve", "--initial", "ground", "--grid-min", value]).grid_min == -12.0
+    code, out, _ = run(capsys, "evolve", "--initial", "ground", "--grid-min", value, "--grid-max", "1.2e1")
+    assert code == 0
+    assert out == run(capsys, "evolve", "--initial", "ground")[1]
+
+
+def test_negative_window_edge_in_exponent_form_is_accepted(capsys):
+    code, out, err = run(capsys, "evolve", "--initial", "ground", "--grid-min", "-1e3")
+    assert code == 0 and "error" not in err
+    assert out.splitlines()[1].startswith("-1000,")
+
+
 def test_subcommand_option_strings_are_pinned():
     # each subcommand takes only the flags it reads
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -514,7 +529,7 @@ def test_subcommand_option_strings_are_pinned():
     assert exit_info.value.code == 0
 
 
-_ARG_VALUES = ("0", "1", "-1", "2.5", "64", "1e300", "nan", "inf", "abc")
+_ARG_VALUES = ("0", "1", "-1", "2.5", "64", "1e300", "-1e3", "nan", "inf", "abc")
 _VALUED_FLAGS = (
     "--t", "--r", "--phi", "--ode-steps", "--grid-min", "--grid-max", "--grid-n", "--format",
     "--tol", "--fock-dim", "--dim", "--x0", "--s", "--sign", "--t-min", "--t-max", "--t-steps",

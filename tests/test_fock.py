@@ -27,7 +27,7 @@ from opfactor.fock import (
 )
 from opfactor.grid import Grid, WaveFunction
 from opfactor.states import SqueezedStateSpec, psi_ss
-from reference import matrix_exponential
+from reference import matrix_exponential, squeeze_generator_ladder
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,19 @@ class TestLadder:
         vacuum = np.zeros(16)
         vacuum[0] = 1.0
         assert np.abs(a @ vacuum).max() == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 64, 128, 257, 512])
+    def test_squeeze_generator_is_the_ladder_product(self, dim):
+        # every bit, signed zeros included, of 0.5 (z a^dag a^dag - z* a a) from dense products
+        for z in (SqueezeParameter(0.8, math.pi / 3), SqueezeParameter(2.0, 5.0),
+                  SqueezeParameter(1.0, math.pi), SqueezeParameter(0.0)):
+            got = squeeze_generator(z, dim)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got.view(np.uint64), squeeze_generator_ladder(z, dim).view(np.uint64))
+
+    def test_squeeze_generator_needs_two_levels(self):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            squeeze_generator(SqueezeParameter(0.5), 1)
 
 
 class TestXP:
