@@ -8,8 +8,8 @@ ordered product
 where (alpha, beta, gamma, delta) are functions of t fixed by a coupled ODE
 system with all four vanishing at t = 0.  Closed forms are provided for the
 squeeze family and for harmonic-oscillator time displacement; a fixed-step
-RK4 integrator handles arbitrary, possibly time-dependent, generator
-coefficients and doubles as an independent oracle for the closed forms.
+RK4 integrator handles any generator whose four coefficients are finite
+complex constants and doubles as an independent oracle for the closed forms.
 
 The system is triangular (Wei & Norman, J. Math. Phys. 4, 575 (1963)): alpha
 alone obeys a closed Riccati equation, alpha' = c0 + c1 alpha + c2 alpha^2,
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -52,8 +53,6 @@ ODE_STEPS = 1000
 RK4_BLOCK = 1024  # steps per pass of the integrator; its arrays hold one pass
 _EXP_EXACT_BELOW = 708.0  # see _stage_exp
 _BOUND_SCREEN = BLOWUP_BOUND / 2.0  # |z| <= sqrt(2) max(|Re z|, |Im z|)
-
-CoefficientLike = Union[complex, float, Callable[[float], complex]]
 
 
 class CausticError(ValueError):
@@ -92,25 +91,25 @@ class SqueezeParameter:
 
 @dataclass(frozen=True)
 class GeneratorCoefficients:
-    """Weights (b1, b2, b3, b4) of 1, x^2, x d/dx, d^2/dx^2.
+    """Weights (b1, b2, b3, b4) of 1, x^2, x d/dx, d^2/dx^2, stored as complex constants.
 
-    Each entry is a complex constant or a callable of t for time-dependent
-    generators.
+    ValueError refuses an entry that is not a finite number.
     """
 
-    b1: CoefficientLike = 0.0
-    b2: CoefficientLike = 0.0
-    b3: CoefficientLike = 0.0
-    b4: CoefficientLike = 0.0
+    b1: complex = 0j
+    b2: complex = 0j
+    b3: complex = 0j
+    b4: complex = 0j
 
-    def at(self, t: float) -> tuple[complex, complex, complex, complex]:
-        """Evaluate all four coefficients at time t."""
-        return (
-            complex(self.b1(t)) if callable(self.b1) else complex(self.b1),
-            complex(self.b2(t)) if callable(self.b2) else complex(self.b2),
-            complex(self.b3(t)) if callable(self.b3) else complex(self.b3),
-            complex(self.b4(t)) if callable(self.b4) else complex(self.b4),
-        )
+    def __post_init__(self) -> None:
+        for name in ("b1", "b2", "b3", "b4"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Number) and cmath.isfinite(value)):
+                raise ValueError(f"coefficient {name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, complex(value))
+
+    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
+        return (self.b1, self.b2, self.b3, self.b4)
 
     @classmethod
     def squeeze(cls, z: SqueezeParameter) -> "GeneratorCoefficients":
@@ -228,9 +227,7 @@ def _terms(b1: complex, b2: complex, b3: complex, b4: complex) -> tuple[complex,
 
 
 def wei_norman_rhs(
-    coefficients: FactorizationCoefficients,
-    b: GeneratorCoefficients,
-    t: float | None = None,
+    coefficients: FactorizationCoefficients, b: GeneratorCoefficients
 ) -> tuple[complex, complex, complex, complex]:
     """Time derivatives (alpha', beta', gamma', delta') of the product coefficients.
 
@@ -242,10 +239,8 @@ def wei_norman_rhs(
         beta'  = b3 + 4i b4 alpha
         gamma' = -i b4 exp(2 beta)
         delta' = b1 + 2i b4 alpha
-
-    b is evaluated at t, defaulting to the t carried by `coefficients`.
     """
-    b1, b3, c0, c1, c2, cg, cd = _terms(*b.at(coefficients.t if t is None else t))
+    b1, b3, c0, c1, c2, cg, cd = _terms(*b.as_tuple())
     alpha, beta = coefficients.alpha, coefficients.beta
     return (c0 + c1 * alpha + c2 * alpha * alpha, b3 + c2 * alpha,
             cg * cmath.exp(2.0 * beta), b1 + cd * alpha)
@@ -345,64 +340,53 @@ def _stage_exp(z: np.ndarray) -> tuple[np.ndarray, int | None, Exception | None]
 
 
 def _riccati_steps(
-    b: GeneratorCoefficients, fixed: tuple[complex, ...] | None,
-    alpha: complex, start: int, stop: int, h: float,
-) -> tuple[list[complex], list]:
-    """Step alpha' = c0 + c1 alpha + c2 alpha^2 alone through steps start .. stop - 1.
+    c0: complex, c1: complex, c2: complex, alpha: complex, steps: int, h: float
+) -> list[complex]:
+    """Step alpha' = c0 + c1 alpha + c2 alpha^2 alone through `steps` steps of size h.
 
-    Returns alpha at the start of each step and after the last one.  A
-    time-dependent generator (fixed is None) is evaluated at t0, t0 + h/2 and
-    t0 + h of each step; those _terms come back as one row per step.
+    Returns alpha at the start of each step and after the last one.
     """
     half, sixth = 0.5 * h, h / 6.0
-    alphas, rows = [alpha], []
-    if fixed is not None:
-        c0, c1, c2 = d0, d1, d2 = e0, e1, e2 = fixed[2:5]
-    for step in range(start, stop):
-        if fixed is None:
-            t0 = step * h
-            rows.append((_terms(*b.at(t0)), _terms(*b.at(t0 + half)), _terms(*b.at(t0 + h))))
-            (c0, c1, c2), (d0, d1, d2), (e0, e1, e2) = (tv[2:5] for tv in rows[-1])
+    alphas = [alpha]
+    for _ in range(steps):
         ka = c0 + c1 * alpha + c2 * alpha * alpha
         s = alpha + half * ka
-        kb = d0 + d1 * s + d2 * s * s
+        kb = c0 + c1 * s + c2 * s * s
         s = alpha + half * kb
-        kc = d0 + d1 * s + d2 * s * s
+        kc = c0 + c1 * s + c2 * s * s
         s = alpha + h * kc
-        kd = e0 + e1 * s + e2 * s * s
+        kd = c0 + c1 * s + c2 * s * s
         alpha += sixth * (ka + 2.0 * kb + 2.0 * kc + kd)
         alphas.append(alpha)
-    return alphas, rows
+    return alphas
 
 
 def _quadratures(
-    alphas: list[complex], terms: np.ndarray, beta: complex, gamma: complex,
+    alphas: list[complex], terms: tuple[complex, ...], beta: complex, gamma: complex,
     delta: complex, h: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None, Exception | None]:
     """Every RK4 stage of one block, recomputed from alpha at each step start.
 
-    terms holds the seven _terms at each step's four stages as pairs, shape
-    (2, 7, stage, step), or (2, 7, 1, 1) for a constant generator.  Returns
-    delta, alpha, beta and gamma at the block's start and after each step,
-    and the step whose stage exp(2 beta) raised, with the exception, from
-    _stage_exp.  Each value is formed in the scalar loop's operation order
-    and beta, gamma and delta are summed step by step, so every value is
-    what that loop would give.
+    terms are the generator's seven _terms.  Returns delta, alpha, beta and
+    gamma at the block's start and after each step, and the step whose stage
+    exp(2 beta) raised, with the exception, from _stage_exp.  Each value is
+    formed in the scalar loop's operation order and beta, gamma and delta
+    are summed step by step, so every value is what that loop would give.
     """
     half, sixth = _pairs(0.5 * h), _pairs(h / 6.0)
     weights = _pairs([0.5 * h, 0.5 * h, h])  # stage j + 1 starts from stage j's slope
-    b1, b3, c0, c1, c2, cg, cd = terms.swapaxes(0, 1)
+    b1, b3, c0, c1, c2, cg, cd = _pairs(terms).T[..., None]
     a = np.fromiter(alphas, complex, len(alphas))
     starts = _pairs(a[:-1])
     s = np.empty((2, 4, len(alphas) - 1))  # the stage alphas, then the stage betas
     s[:, 0] = starts
     for j in range(3):
-        sj, at = s[:, j], j % terms.shape[2]
-        k = c0[:, at] + _mul(c1[:, at], sj) + _mul(_mul(c2[:, at], sj), sj)
+        sj = s[:, j]
+        k = c0 + _mul(c1, sj) + _mul(_mul(c2, sj), sj)
         s[:, j + 1] = starts + _mul(weights[:, j], k)
     # each stage array is dropped once read, which keeps a block's peak memory down
-    kbeta = b3 + _mul(c2, s)
-    kdelta = b1 + _mul(cd, s)
+    kbeta = b3[..., None] + _mul(c2, s)
+    kdelta = b1[..., None] + _mul(cd, s)
     increments = _rk4_increment(np.stack((kbeta, kdelta), axis=1), sixth)
     del kdelta
     sums = np.add.accumulate(
@@ -444,25 +428,18 @@ def _rk4_blocks(
     alpha alone, and _quadratures recomputes the stages of beta, gamma and
     delta from it.  Yields nothing for t_end = 0.  Raises BlowUpError once
     any coefficient magnitude exceeds BLOWUP_BOUND or turns non-finite, or a
-    stage's exp(2 beta) overflows, the signature of integrating across a
-    caustic, at the first step where either happens, with the scalar loop's
-    message.  A time-dependent generator is evaluated a block at a time, so
-    possibly at steps past the one that fails.
+    stage's exp(2 beta) overflows or is not finite, the signature of
+    integrating across a caustic, at the first step where either happens,
+    with the scalar loop's message.
     """
     if t_end == 0.0:
         return
     h = t_end / steps
-    varying = any(callable(v) for v in (b.b1, b.b2, b.b3, b.b4))
-    # a constant generator is evaluated once, not three times per step
-    fixed = None if varying else _terms(*b.at(0.0))
+    terms = _terms(*b.as_tuple())
     alpha = beta = gamma = delta = 0j
     for start in range(0, steps, RK4_BLOCK):
         stop = min(start + RK4_BLOCK, steps)
-        alphas, rows = _riccati_steps(b, fixed, alpha, start, stop, h)
-        if varying:  # (step, time, term) -> (term, stage, step)
-            terms = _pairs(np.array(rows)[:, (0, 1, 1, 2)].T)
-        else:
-            terms = _pairs(np.array(fixed)[:, None, None])
+        alphas = _riccati_steps(*terms[2:5], alpha, stop - start, h)
         # steps past a blow-up may overflow; the checks below report the first failing step
         with np.errstate(all="ignore"):
             *states, failed, exc = _quadratures(alphas, terms, beta, gamma, delta, h)
@@ -475,11 +452,9 @@ def _rk4_blocks(
                 break
             _check_bound(*(v[i].item() for v in after), (start + int(i)) * h + h)
         if exc is not None:
-            if isinstance(exc, OverflowError):
-                raise BlowUpError(
-                    f"an RK4 stage overflowed in the step from t = {(start + failed) * h:.6g}; "
-                    f"the path likely crosses a caustic") from exc
-            raise exc
+            raise BlowUpError(
+                f"an RK4 stage overflowed in the step from t = {(start + failed) * h:.6g}; "
+                f"the path likely crosses a caustic") from exc
         yield (*after, np.arange(start + 1, stop + 1) * h)
         delta, alpha, beta, gamma = (v[-1].item() for v in states)
 

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -431,7 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one stderr line that names no source file."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
@@ -445,6 +452,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # a failed write
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
     return code
 
 

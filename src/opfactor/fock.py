@@ -75,9 +75,9 @@ def xp_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return inv_rt2 * (a + adag), inv_rt2 * (a - adag)
 
 
-def generator_matrix(b: GeneratorCoefficients, dim: int, t: float = 0.0) -> np.ndarray:
-    """b1 I + b2 X^2 + b3 X D + b4 D^2 on the truncated basis, with b evaluated at t."""
-    b1, b2, b3, b4 = b.at(t)
+def generator_matrix(b: GeneratorCoefficients, dim: int) -> np.ndarray:
+    """b1 I + b2 X^2 + b3 X D + b4 D^2 on the truncated basis."""
+    b1, b2, b3, b4 = b.as_tuple()
     x, d = xp_matrices(dim)
     return (
         b1 * np.eye(dim, dtype=complex)

@@ -66,26 +66,25 @@ def rk4_samples(b, t_end, steps):
     """The RK4 path from all-zero data at t = 0, one scalar step at a time:
     FactorizationCoefficients at t = 0 and after each step.
 
-    Raises BlowUpError where a stage's exp(2 beta) overflows or a coefficient
-    magnitude exceeds BLOWUP_BOUND or turns non-finite.
+    Raises BlowUpError where a stage's exp(2 beta) overflows or is not
+    finite, or a coefficient magnitude exceeds BLOWUP_BOUND or turns
+    non-finite.
     """
     samples = [FactorizationCoefficients.zero(0.0)]
     if t_end == 0.0:
         return samples
     h = t_end / steps
     half, sixth = 0.5 * h, h / 6.0
+    terms = _terms(*b.as_tuple())
     alpha = beta = gamma = delta = 0j
     for step in range(steps):
         t0 = step * h
-        tv0 = _terms(*b.at(t0))
-        tvh = _terms(*b.at(t0 + half))
-        tv1 = _terms(*b.at(t0 + h))
         try:
-            ka = _rhs(alpha, beta, tv0)
-            kb = _rhs(alpha + half * ka[0], beta + half * ka[1], tvh)
-            kc = _rhs(alpha + half * kb[0], beta + half * kb[1], tvh)
-            kd = _rhs(alpha + h * kc[0], beta + h * kc[1], tv1)
-        except OverflowError as exc:
+            ka = _rhs(alpha, beta, terms)
+            kb = _rhs(alpha + half * ka[0], beta + half * ka[1], terms)
+            kc = _rhs(alpha + half * kb[0], beta + half * kb[1], terms)
+            kd = _rhs(alpha + h * kc[0], beta + h * kc[1], terms)
+        except (OverflowError, ValueError) as exc:  # ValueError: an infinite imaginary part
             raise BlowUpError(f"an RK4 stage overflowed in the step from t = {t0:.6g}; "
                               f"the path likely crosses a caustic") from exc
         alpha += sixth * (ka[0] + 2.0 * kb[0] + 2.0 * kc[0] + kd[0])

@@ -146,6 +146,22 @@ class TestTimeDisplacement:
         assert c.delta == c.beta / 2
 
 
+class TestGeneratorCoefficients:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, -math.inf),
+                                       lambda t: 1.0, "1"],
+                             ids=["nan", "inf", "-inf", "imag-inf", "callable", "string"])
+    @pytest.mark.parametrize("name", ["b1", "b2", "b3", "b4"])
+    def test_entry_that_is_not_a_finite_number_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"coefficient {name} must be a finite number"):
+            GeneratorCoefficients(**{name: value})
+
+    def test_entries_are_stored_as_complex(self):
+        ints, complexes = GeneratorCoefficients(b2=1), GeneratorCoefficients(b2=1 + 0j)
+        assert ints == complexes and hash(ints) == hash(complexes)
+        assert repr(ints) == repr(complexes)
+        assert ints.as_tuple() == (0j, 1 + 0j, 0j, 0j)
+
+
 class TestWeiNormanRhs:
     def test_null_generator(self):
         c = FactorizationCoefficients.zero()
@@ -204,11 +220,6 @@ class TestWeiNormanRhs:
             expected = (-2 * a * a - 0.5, -2 * a, cmath.exp(2 * c.beta) / 2, -a)
             assert max(abs(g - e) for g, e in zip(got, expected)) < 1e-12
 
-    def test_time_dependent_evaluation(self):
-        b = GeneratorCoefficients(b2=lambda t: -0.5j * t)
-        dalpha, _, _, _ = wei_norman_rhs(FactorizationCoefficients.zero(), b, t=2.0)
-        assert dalpha == pytest.approx(-1.0, abs=1e-15)
-
 
 class TestIntegrator:
     def test_null_generator_stays_zero(self):
@@ -242,25 +253,6 @@ class TestIntegrator:
         assert abs(final.gamma - final.alpha) < 1e-9
         assert abs(final.delta - final.beta / 2) < 1e-9
         assert final.unitarity_residue() < 1e-10
-
-    def test_time_dependent_direction_reduces_to_rescaled_time(self):
-        # b(t) = f(t) * b0 with fixed direction b0 integrates to the constant-b
-        # closed form at the effective time F(t) = int_0^t f.
-        z = SqueezeParameter(0.6, 1.1)
-        base = GeneratorCoefficients.squeeze(z)
-        b = GeneratorCoefficients(*(lambda t, v=v: (1.0 + t) * v for v in base.at(0.0)))
-        final = integrate_wei_norman(b, 1.0, steps=2000).final
-        effective = 1.5  # int_0^1 (1 + t) dt
-        closed = squeeze_factorization(z, effective)
-        err = max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple()))
-        assert err < 1e-8
-
-    def test_constant_generator_matches_constant_callables_bitwise(self):
-        base = GeneratorCoefficients.squeeze(SqueezeParameter(0.8, math.pi / 3))
-        as_callables = GeneratorCoefficients(*(lambda t, v=v: v for v in base.at(0.0)))
-        hoisted = integrate_wei_norman(base, 1.0, steps=200)
-        per_step = integrate_wei_norman(as_callables, 1.0, steps=200)
-        assert hoisted == per_step
 
     def test_blowup_detection(self):
         # a stage's exp(2 beta) overflows here before any step ends past the bound
@@ -322,13 +314,11 @@ class TestFinalOnly:
         assert repr(_path(b, t_end, steps)) == repr(expected)
 
     @pytest.mark.parametrize("b, t_end, steps", [
-        (GeneratorCoefficients(b2=lambda t: -0.5j * (1.0 + t), b3=lambda t: 0.3 * math.sin(t),
-                               b4=0.5j), 1.2, 300),
         (GeneratorCoefficients.oscillator(), 0.0, 1000),
         (GeneratorCoefficients.oscillator(), -0.9, 500),
         (GeneratorCoefficients.squeeze(SqueezeParameter(0.8, 1.0)), -1.0, 1),
     ])
-    def test_callable_zero_and_negative_spans(self, b, t_end, steps):
+    def test_zero_and_negative_spans(self, b, t_end, steps):
         final = wei_norman_final(b, t_end, steps)
         assert repr(final) == repr(_reference_final(b, t_end, steps))
         assert repr(_path(b, t_end, steps)) == repr(rk4_samples(b, t_end, steps))
@@ -376,42 +366,22 @@ class TestFinalOnly:
 
     def test_nonfinite_stage_raises_as_the_scalar_loop_does(self):
         # 2 beta reaches an infinite imaginary part at the last stage, where
-        # cmath.exp raises ValueError rather than overflowing
+        # cmath.exp raises ValueError rather than overflowing; that is a
+        # blow-up in the step too
         b = GeneratorCoefficients(b3=1e308j)
         expected = _outcome(_reference_final, b, 2.0, 1)
-        assert expected[0] is ValueError
-        assert _outcome(wei_norman_final, b, 2.0, 1) == expected
-
-    def test_nan_in_delta_alone_passes_as_in_the_scalar_loop(self):
-        # max() keeps its first argument against a NaN, so the scalar bound
-        # test lets a NaN delta through; the vectorized screen defers to it
-        b = GeneratorCoefficients(b1=complex(math.nan, 0.0), b2=-0.5j, b4=0.5j)
-        expected = _outcome(_reference_final, b, 1.0, 10)
-        assert "nan" in expected
-        assert _outcome(wei_norman_final, b, 1.0, 10) == expected
+        assert expected == (BlowUpError, "an RK4 stage overflowed in the step from t = 0; "
+                            "the path likely crosses a caustic", ValueError)
+        for entry in (integrate_wei_norman, wei_norman_final):
+            assert _outcome(entry, b, 2.0, 1) == expected
 
 
 _coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def _generators(draw):
-    """Constant coefficients, or a mix of constants and smooth callables of t."""
-    values = []
-    for _ in range(4):
-        value, rate = draw(_coefficient), draw(_coefficient)
-        form = draw(st.sampled_from(("constant", "linear", "exponential")))
-        if form == "linear":
-            value = lambda t, v=value, w=rate: v * (1.0 + w * t)
-        elif form == "exponential":
-            value = lambda t, v=value, w=rate: v * cmath.exp(w * t)
-        values.append(value)
-    return GeneratorCoefficients(*values)
-
-
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(
-    b=_generators(),
+    b=st.builds(GeneratorCoefficients, _coefficient, _coefficient, _coefficient, _coefficient),
     t_end=st.one_of(st.just(0.0), st.floats(-1.5, 1.5)),
     steps=st.integers(1, 40),
     block=st.sampled_from((1, 2, 3, 7, algebra.RK4_BLOCK)),

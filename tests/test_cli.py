@@ -64,6 +64,12 @@ ALL_CHECK_NAMES = [
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def src_env():
+    """The environment for a fresh interpreter that imports opfactor from this checkout."""
+    src = os.path.join(REPO, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -274,6 +280,20 @@ class TestEvolve:
         code, _, err = run(capsys, "evolve", "--initial", initial, "--op", op, "--grid-n", "64")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_lost_support_warning_is_one_stderr_line(self):
+        # a fresh interpreter, since pytest records warnings instead of printing them
+        argv = ["evolve", "--initial", "squeezed:x0=1,p0=0.5,r=0.8,phi=1.0",
+                "--op", "squeeze:r=0.5,phi=0.3"]
+        proc = subprocess.run([sys.executable, "-m", "opfactor.cli", *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 3 and not any(".py:" in line for line in lines)
+        assert lines[0] == ("warning: dilation by 0.615215 lost a fraction 7.039e-06 "
+                            "of the expected norm to points outside the grid")
+        assert lines[1].startswith("norm = ")
+        assert lines[2].startswith("error: norm drift")
 
     def test_unknown_state_rejected(self, capsys):
         code, _, err = run(capsys, "evolve", "--initial", "plane-wave")
@@ -592,10 +612,9 @@ class TestFailedWrite:
 
     @pytest.mark.parametrize("argv", ["evolve --initial ground", "factorize oscillator"])
     def test_stdout(self, argv):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(REPO, "src"),
-                                                            os.environ.get("PYTHONPATH", "")]))
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "opfactor.cli", *argv.split()], env=env,
+            proc = subprocess.run([sys.executable, "-m", "opfactor.cli", *argv.split()],
+                                  env=src_env(),
                                   stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [
@@ -740,9 +759,7 @@ class TestImportCost:
             def scipy_modules():
                 return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         """) + textwrap.dedent(body)
-        src = os.path.join(REPO, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(), cwd=cwd,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
