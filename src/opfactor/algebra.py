@@ -14,10 +14,11 @@ complex constants and doubles as an independent oracle for the closed forms.
 The system is triangular (Wei & Norman, J. Math. Phys. 4, 575 (1963)): alpha
 alone obeys a closed Riccati equation, alpha' = c0 + c1 alpha + c2 alpha^2,
 and beta, gamma and delta are quadratures of the stage values of alpha and
-beta.  So a scalar loop steps alpha alone, and numpy then forms every stage
-of the other three from it, in a scalar RK4 loop's operation order and with
-step-by-step sums, which gives that loop's results bit for bit.  It runs in
-blocks of RK4_BLOCK steps, so its memory stays bounded for any step count.
+beta.  So a scalar loop steps alpha alone and hands numpy the stage values
+it computes, and numpy forms beta, gamma and delta from them, in a scalar RK4
+loop's operation order, with one exact-product helper and step-by-step sums,
+which gives that loop's results bit for bit.  It runs in blocks of RK4_BLOCK
+steps, so its memory stays bounded for any step count.
 `integrate_wei_norman` returns every step as a CoefficientTrajectory, and
 `wei_norman_final`, which every command uses, keeps only the last; both
 read the same blocks.
@@ -283,42 +284,23 @@ def _check_span(t_end: float, steps: int) -> None:
         raise ValueError(f"t_end must be finite, got {t_end!r}")
 
 
-def _pairs(values) -> np.ndarray:
-    """Complex values as (real, imaginary) pairs along a new first axis."""
-    values = np.asarray(values, dtype=complex)
-    return np.stack((values.real, values.imag))
+def _mul(x: complex | np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y formed as Python forms a complex product; x may be a Python number.
 
-
-def _complex(pairs: np.ndarray) -> np.ndarray:
-    out = np.empty(pairs.shape[1:], dtype=complex)
-    out.real, out.imag = pairs
+    That product is (xr yr - xi yi, xr yi + xi yr), and a real x counts as
+    (x, 0).  numpy's own complex multiply may fuse a multiply and an add,
+    which moves the last bit; here every product and sum is its own ufunc
+    call, so every stage equals the scalar loop's bit for bit.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(x), y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
     return out
 
 
-_TWO = _pairs(2.0)
-_FLIP = np.array([-1.0, 1.0])
-
-
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y over (real, imaginary) pairs, formed as Python forms a complex product.
-
-    That product is (xr yr - xi yi, xr yi + xi yr).  numpy's own complex
-    multiply may fuse a multiply and an add, which moves the last bit.  Here
-    it is (xr, xi) yr + (-xi, xr) yi, and (-xi) yi is -(xi yi) exactly, so
-    every stage equals the scalar loop's bit for bit.  x may lack trailing
-    axes of y, which then broadcast.
-    """
-    pad = (1,) * (y.ndim - x.ndim)
-    x = x.reshape(x.shape + pad)
-    product = x * y[0]
-    product += x[::-1] * _FLIP.reshape((2,) + (1,) * (y.ndim - 1)) * y[1]
-    return product
-
-
-def _rk4_increment(k: np.ndarray, sixth: np.ndarray) -> np.ndarray:
-    """sixth * (k1 + 2 k2 + 2 k3 + k4) over the stage axis, k[..., stage, step]."""
-    return _mul(sixth, k[..., 0, :] + _mul(_TWO, k[..., 1, :]) + _mul(_TWO, k[..., 2, :])
-                + k[..., 3, :])
+def _rk4_increment(k: np.ndarray, sixth: float) -> np.ndarray:
+    """sixth * (k1 + 2 k2 + 2 k3 + k4) for each step, k[step, stage]."""
+    return _mul(sixth, k[:, 0] + _mul(2.0, k[:, 1]) + _mul(2.0, k[:, 2]) + k[:, 3])
 
 
 def _stage_exp(z: np.ndarray) -> tuple[np.ndarray, int | None, Exception | None]:
@@ -341,69 +323,55 @@ def _stage_exp(z: np.ndarray) -> tuple[np.ndarray, int | None, Exception | None]
 
 def _riccati_steps(
     c0: complex, c1: complex, c2: complex, alpha: complex, steps: int, h: float
-) -> list[complex]:
+) -> tuple[np.ndarray, complex]:
     """Step alpha' = c0 + c1 alpha + c2 alpha^2 alone through `steps` steps of size h.
 
-    Returns alpha at the start of each step and after the last one.
+    Returns alpha at the four stages of each step, indexed [step, stage],
+    and alpha after the last step.
     """
     half, sixth = 0.5 * h, h / 6.0
-    alphas = [alpha]
+    stages = []
     for _ in range(steps):
         ka = c0 + c1 * alpha + c2 * alpha * alpha
-        s = alpha + half * ka
-        kb = c0 + c1 * s + c2 * s * s
-        s = alpha + half * kb
-        kc = c0 + c1 * s + c2 * s * s
-        s = alpha + h * kc
-        kd = c0 + c1 * s + c2 * s * s
+        sb = alpha + half * ka
+        kb = c0 + c1 * sb + c2 * sb * sb
+        sc = alpha + half * kb
+        kc = c0 + c1 * sc + c2 * sc * sc
+        sd = alpha + h * kc
+        kd = c0 + c1 * sd + c2 * sd * sd
+        stages += (alpha, sb, sc, sd)
         alpha += sixth * (ka + 2.0 * kb + 2.0 * kc + kd)
-        alphas.append(alpha)
-    return alphas
+    return np.fromiter(stages, complex, 4 * steps).reshape(steps, 4), alpha
 
 
 def _quadratures(
-    alphas: list[complex], terms: tuple[complex, ...], beta: complex, gamma: complex,
+    stages: np.ndarray, terms: tuple[complex, ...], beta: complex, gamma: complex,
     delta: complex, h: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int | None, Exception | None]:
-    """Every RK4 stage of one block, recomputed from alpha at each step start.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None, Exception | None]:
+    """beta, gamma and delta through one block, from its stage alphas.
 
-    terms are the generator's seven _terms.  Returns delta, alpha, beta and
-    gamma at the block's start and after each step, and the step whose stage
-    exp(2 beta) raised, with the exception, from _stage_exp.  Each value is
-    formed in the scalar loop's operation order and beta, gamma and delta
-    are summed step by step, so every value is what that loop would give.
+    stages and h are those of _riccati_steps, terms the generator's seven
+    _terms.  Returns delta, beta and gamma after each step, and the step
+    whose stage exp(2 beta) raised, with the exception, from _stage_exp.
+    Each value is formed in the scalar loop's operation order and summed
+    step by step, so every value is what that loop would give.
     """
-    half, sixth = _pairs(0.5 * h), _pairs(h / 6.0)
-    weights = _pairs([0.5 * h, 0.5 * h, h])  # stage j + 1 starts from stage j's slope
-    b1, b3, c0, c1, c2, cg, cd = _pairs(terms).T[..., None]
-    a = np.fromiter(alphas, complex, len(alphas))
-    starts = _pairs(a[:-1])
-    s = np.empty((2, 4, len(alphas) - 1))  # the stage alphas, then the stage betas
-    s[:, 0] = starts
-    for j in range(3):
-        sj = s[:, j]
-        k = c0 + _mul(c1, sj) + _mul(_mul(c2, sj), sj)
-        s[:, j + 1] = starts + _mul(weights[:, j], k)
-    # each stage array is dropped once read, which keeps a block's peak memory down
-    kbeta = b3[..., None] + _mul(c2, s)
-    kdelta = b1[..., None] + _mul(cd, s)
-    increments = _rk4_increment(np.stack((kbeta, kdelta), axis=1), sixth)
-    del kdelta
-    sums = np.add.accumulate(
-        np.concatenate((_pairs([[beta], [delta]]), increments), axis=-1), axis=-1)
-    betas, deltas = sums[:, 0], sums[:, 1]
-    s[:, 0] = betas[:, :-1]
-    s[:, 1:] = betas[:, None, :-1] + _mul(weights, kbeta[:, :3])
-    del kbeta
+    b1, b3, _, _, c2, cg, cd = terms
+    sixth = h / 6.0
+    kbeta = b3 + _mul(c2, stages)
+    betas = np.add.accumulate(np.concatenate(([beta], _rk4_increment(kbeta, sixth))))
+    deltas = np.add.accumulate(
+        np.concatenate(([delta], _rk4_increment(b1 + _mul(cd, stages), sixth))))
+    stage_betas = np.empty_like(stages)
+    stage_betas[:, 0] = betas[:-1]
+    # stage j + 1 starts from stage j's slope
+    stage_betas[:, 1:] = betas[:-1, None] + _mul(np.array([0.5 * h, 0.5 * h, h]), kbeta[:, :3])
     # (step, stage) order, so the first failing entry is the scalar loop's first
-    e, failed, exc = _stage_exp(_complex(_mul(_TWO, s)).T)
-    del s
-    kgamma = _mul(cg, _pairs(e.T))
-    del e
+    e, failed, exc = _stage_exp(_mul(2.0, stage_betas))
     gammas = np.add.accumulate(
-        np.concatenate((_pairs([gamma]), _rk4_increment(kgamma, sixth)), axis=-1), axis=-1)
+        np.concatenate(([gamma], _rk4_increment(_mul(cg, e), sixth))))
     failed = None if failed is None else failed // 4
-    return _complex(deltas), a, _complex(betas), _complex(gammas), failed, exc
+    return deltas[1:], betas[1:], gammas[1:], failed, exc
 
 
 def _check_bound(
@@ -425,8 +393,8 @@ def _rk4_blocks(
 
     Classical fixed-step fourth-order Runge-Kutta from all-zero data at
     t = 0, fully deterministic for fixed arguments: _riccati_steps steps
-    alpha alone, and _quadratures recomputes the stages of beta, gamma and
-    delta from it.  Yields nothing for t_end = 0.  Raises BlowUpError once
+    alpha alone, and _quadratures forms beta, gamma and delta from its stage
+    values.  Yields nothing for t_end = 0.  Raises BlowUpError once
     any coefficient magnitude exceeds BLOWUP_BOUND or turns non-finite, or a
     stage's exp(2 beta) overflows or is not finite, the signature of
     integrating across a caustic, at the first step where either happens,
@@ -439,13 +407,14 @@ def _rk4_blocks(
     alpha = beta = gamma = delta = 0j
     for start in range(0, steps, RK4_BLOCK):
         stop = min(start + RK4_BLOCK, steps)
-        alphas = _riccati_steps(*terms[2:5], alpha, stop - start, h)
+        stages, alpha = _riccati_steps(*terms[2:5], alpha, stop - start, h)
         # steps past a blow-up may overflow; the checks below report the first failing step
         with np.errstate(all="ignore"):
-            *states, failed, exc = _quadratures(alphas, terms, beta, gamma, delta, h)
-            after = [v[1:] for v in states]
+            deltas, betas, gammas, failed, exc = _quadratures(
+                stages, terms, beta, gamma, delta, h)
+            after = [deltas, np.append(stages[1:, 0], alpha), betas, gammas]
             worst = np.abs(np.stack(after).view(float)).max(axis=0).reshape(-1, 2).max(axis=1)
-        failed = len(alphas) - 1 if failed is None else failed
+        failed = stop - start if failed is None else failed
         # a step with a part past the screen gets the scalar check, which alone decides
         for i in np.flatnonzero(~(worst <= _BOUND_SCREEN)):
             if i >= failed:
@@ -456,7 +425,7 @@ def _rk4_blocks(
                 f"an RK4 stage overflowed in the step from t = {(start + failed) * h:.6g}; "
                 f"the path likely crosses a caustic") from exc
         yield (*after, np.arange(start + 1, stop + 1) * h)
-        delta, alpha, beta, gamma = (v[-1].item() for v in states)
+        delta, beta, gamma = deltas[-1].item(), betas[-1].item(), gammas[-1].item()
 
 
 def integrate_wei_norman(

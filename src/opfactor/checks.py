@@ -403,9 +403,9 @@ def check_grid_box_phase(grid: Grid):
         mask = np.abs(psi.samples) > 0.1
         ratio = out.samples[mask] / psi.samples[mask]
         expected = states.box_mode_phase(n, 1.0)
-        results.append(
-            CheckResult("grid", f"box_mode_phase_n{n}", float(np.abs(ratio - expected).max()), 1e-9)
-        )
+        # a mode that no sample resolves fails the check
+        measured = float(np.abs(ratio - expected).max()) if mask.any() else math.inf
+        results.append(CheckResult("grid", f"box_mode_phase_n{n}", measured, 1e-9))
     return results
 
 

@@ -111,6 +111,8 @@ def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tupl
                 raise ValueError(
                     f"{what} {name!r} takes keys {allowed[name]}, not {key!r}"
                 )
+            if key in params:
+                raise ValueError(f"{what} {name!r} repeats key {key!r} in {text!r}")
             try:
                 number = float(value)
             except ValueError as exc:

@@ -394,6 +394,15 @@ def test_rk4_equals_scalar_reference(b, t_end, steps, block):
         assert _outcome(wei_norman_final, b, t_end, steps) == final
 
 
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(x=st.complex_numbers(), y=st.complex_numbers())
+def test_mul_is_python_complex_product(x, y):
+    # NaN, infinities and signed zeros included: every bit of the product, zero signs too
+    with np.errstate(all="ignore"):
+        got = algebra._mul(x, np.array([y]))[0].item()
+    assert repr(got) == repr(x * y)
+
+
 def _peak_bytes(entry, steps):
     tracemalloc.start()
     try:
