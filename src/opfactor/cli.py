@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from .grid import (
 
 WAVEFUNCTION_COLUMNS = ["x", "re", "im", "density"]
 DENSITY_COLUMNS = ["t", "x", "rho_analytic", "rho_grid", "abs_delta", "raw_integral"]
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 FORMATS = ("csv", "json")
 
 
@@ -176,6 +177,107 @@ def _fmt17(value: float) -> str:
     return f"{value:.17g}"
 
 
+# --- exact %.17g fields ------------------------------------------------------------
+
+_FIELD = 29  # bytes per field: sign, "0.000", 17 digits and a dot, "e+123"
+_EXP0 = 400  # the exponent tables' column of decimal exponent 0
+_U = float(np.finfo(np.longdouble).eps) / 2
+# |w - |x| 10^(16-k)| <= (2u + u^2) 10^17 for the longdouble product w in _fields17
+_ERROR_BOUND = (2 * _U + _U * _U) * 1e17
+
+
+@functools.cache
+def _field_tables():
+    """The kernel's lookup tables, built on its first call.
+
+    Per decimal exponent k in [-400, 400]: the correctly rounded longdouble
+    10^(16-k), the body slot of the dot, the count of leading digits that
+    are always written, and the bytes of the "0.000" prefix and the "e+123"
+    suffix, NUL where %g writes none.  Per group of 4 digits: their ASCII
+    bytes and the count of trailing zeros (4 for 0000).
+    """
+    k = np.arange(-_EXP0, _EXP0 + 1)
+    powers = np.array([f"1e{16 - e}" for e in k.tolist()]).astype(np.longdouble)
+    fixed = (k >= -4) & (k < 17)
+    dots = np.where(fixed, np.where(k < 0, 17, k + 1), 1).astype(np.uint8)
+    whole = np.where(fixed & (k >= 0), k + 1, 1).astype(np.uint8)
+    form = np.zeros((10, k.size), np.uint8)
+    prefix = fixed & (k < np.array([[0], [0], [-1], [-2], [-3]]))
+    form[:5] = np.frombuffer(b"0.000", np.uint8)[:, None] * prefix
+    e = np.abs(k)
+    form[5:] = ~fixed * np.array([
+        np.full_like(k, ord("e")), np.where(k < 0, ord("-"), ord("+")),
+        np.where(e >= 100, e // 100 + ord("0"), 0), e // 10 % 10 + ord("0"), e % 10 + ord("0"),
+    ])
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)
+    zeros = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.uint8)
+    return powers, dots, whole, form, digits + np.uint8(ord("0")), zeros
+
+
+def _fields17(x) -> np.ndarray:
+    """The `%.17g` text of each number of the 1-D array `x`, as a
+    (_FIELD, len(x)) uint8 array: column i holds the text of x[i] with NUL
+    bytes among it, which the caller deletes.
+
+    With k = floor(log10|x|), the digits are those of N = round(|x| 10^(16-k)).
+    The product w = |x| 10^(16-k) is formed in longdouble, from a correctly
+    rounded power, so it is within _ERROR_BOUND of the exact product.  Where
+    w is farther than that from a half-integer and 10^16 < rint(w) < 10^17,
+    the exact product rounds to rint(w), so N = rint(w) and k is the exponent
+    of %.17g.  Every other number, among them zero, NaN, inf, near-ties and
+    powers of ten, is formatted by `_fmt17`.  Where longdouble is a plain
+    double the bound exceeds 1/2, so that is every number.
+    """
+    powers, dots, whole, form, digits, trailing = _field_tables()
+    x = np.asarray(x, dtype=np.float64).ravel()
+    n = x.size
+    a = np.abs(x)
+    fast = (a > 0) & (a < np.inf)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp) + _EXP0
+    w = a.astype(np.longdouble) * powers[k]
+    r = np.rint(w)
+    # w - r is exact, and as w >= 2^10 it is a multiple of 2^-53, so it is
+    # exact as a double too; the step down covers the rounding of the limit
+    fast &= np.abs((w - r).astype(np.float64)) < np.nextafter(0.5 - _ERROR_BOUND, 0.0)
+    N = r.astype(np.uint64)
+    fast &= N - np.uint64(10**16 + 1) < np.uint64(9 * 10**16 - 1)
+
+    # N as a leading digit and four groups of 4 digits, each group a table row
+    hi, lo = (half.astype(np.intp) for half in np.divmod(N, 100000000))
+    h1 = hi // 10000
+    lead = h1 // 10000
+    g = np.array([h1 - lead * 10000, hi - h1 * 10000, lo // 10000, lo % 10000])
+    slot = np.arange(18, dtype=np.uint8)[:, None]
+    body = np.zeros((18, n), np.uint8)
+    body[0] = lead + np.uint8(ord("0"))
+    for i in range(4):
+        np.take(digits[i], g, out=body[1 + i:17:4])
+    # the significant digits are those up to the last nonzero one
+    t = trailing[g]
+    places = 17 - (t[3] + (g[3] == 0) * (t[2] + (g[2] == 0) * (t[1] + (g[1] == 0) * t[0])))
+    body[:17] *= (slot[:17] < np.maximum(places, whole[k])).view(np.uint8)
+
+    # insert the dot at its slot p: digits before p stay, the rest move up one
+    p = dots[k]
+    shifted = np.empty_like(body)
+    shifted[0] = 0
+    shifted[1:] = body[:17]
+    body = shifted + (slot < p).view(np.uint8) * (body - shifted)
+    body.reshape(-1)[p.astype(np.intp) * n + np.arange(n)] = (places > p) * np.uint8(ord("."))
+
+    out = np.empty((_FIELD, n), np.uint8)
+    out[0] = np.signbit(x) * np.uint8(ord("-"))
+    np.take(form[:5], k, axis=1, out=out[1:6])
+    out[6:24] = body
+    np.take(form[5:], k, axis=1, out=out[24:])
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = "".join(_fmt17(v).ljust(_FIELD, "\0") for v in x[slow].tolist())
+        out[:, slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD).T
+    return out
+
+
 def _write_rows(columns, values, config: RunConfig, stream) -> None:
     """Write a table of numbers to `stream` as CSV or JSON.
 
@@ -184,14 +286,14 @@ def _write_rows(columns, values, config: RunConfig, stream) -> None:
     (blocks, 1) array is constant within each block, a 1-D array is a column
     that every block shares, and a (blocks, rows) array has a cell per row.
 
-    CSV formats each number once per distinct position.  A block constant is
-    formatted once per block and written straight into the block's line
-    template.  The shared column (the first 1-D array, when there is more
-    than one block) is formatted once per table, and its text is joined into
-    each chunk's template between the cells.  Cells are formatted once per
-    row, by one `%` per chunk of CSV_BLOCK_ROWS rows.  With a single block
-    nothing repeats, so every column but the constants is written as cells.
-    JSON builds the full rows array.
+    CSV formats each number once per distinct position, with `_fields17`,
+    whose text is that of `%.17g`.  Block constants are formatted once per
+    table, and so is the shared column (the first 1-D array, when there is
+    more than one block); their fields are copied into every row.  Cells are
+    formatted per chunk of CSV_BLOCK_ROWS rows, all cell columns of a chunk
+    in one call, and each chunk is written once its NUL bytes are deleted.
+    With a single block nothing repeats, so every column but the constants is
+    written as cells.  JSON builds the full rows array.
     """
     shape = np.broadcast_shapes(*(np.shape(v) for v in values))
     blocks, nrows = shape if len(shape) == 2 else (1, *shape)
@@ -209,27 +311,26 @@ def _write_rows(columns, values, config: RunConfig, stream) -> None:
     stream.write(",".join(columns) + "\r\n")
     constant = [np.shape(v)[1:] == (1,) for v in values]
     shared = next((j for j, v in enumerate(values) if np.ndim(v) == 1), None) if blocks > 1 else None
+    cells = [j for j, c in enumerate(constant) if not c and j != shared]
+    # a row of each block: every column's field, then "," or "\r\n"
+    line = np.zeros((blocks, len(values), _FIELD + 2), np.uint8)
+    line[:, :, _FIELD] = ord(",")
+    line[:, -1, _FIELD:] = np.frombuffer(b"\r\n", np.uint8)
+    for j in np.flatnonzero(constant):
+        line[:, j, :_FIELD] = _fields17(views[j][:, 0]).T
     if shared is not None:
-        shared_text = [_fmt17(x) for x in values[shared].tolist()]
-    cells = [v for j, (v, c) in enumerate(zip(views, constant)) if not c and j != shared]
+        shared_fields = _fields17(values[shared]).T
     for b in range(blocks):
-        # formatted numbers hold no '%', so a constant's text is safe in the template
-        texts = [_fmt17(float(v[b, 0])) if c else "%.17g" for v, c in zip(views, constant)]
-        if shared is not None:
-            head = "".join(f + "," for f in texts[:shared])
-            tail = "".join("," + f for f in texts[shared + 1:]) + "\r\n"
-        else:
-            line = ",".join(texts) + "\r\n"
         for start in range(0, nrows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, nrows)
+            chunk = np.empty((stop - start, *line.shape[1:]), np.uint8)
+            chunk[:] = line[b]
             if shared is not None:
-                template = head + (tail + head).join(shared_text[start:stop]) + tail
-            else:
-                template = line * (stop - start)
-            args = [None] * ((stop - start) * len(cells))
-            for i, v in enumerate(cells):
-                args[i::len(cells)] = v[b, start:stop].tolist()
-            stream.write(template % tuple(args))
+                chunk[:, shared, :_FIELD] = shared_fields[start:stop]
+            if cells:
+                fields = _fields17(np.stack([views[j][b, start:stop] for j in cells], axis=1))
+                chunk[:, cells, :_FIELD] = fields.T.reshape(stop - start, len(cells), _FIELD)
+            stream.write(chunk.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 @contextlib.contextmanager

@@ -9,15 +9,19 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opfactor import checks
+from opfactor import checks, cli
 from opfactor.algebra import CoefficientTrajectory, SqueezeParameter
-from opfactor.cli import CSV_BLOCK_ROWS, RunConfig, _write_rows, build_parser, main
+from opfactor.cli import (
+    CSV_BLOCK_ROWS, DENSITY_COLUMNS, RunConfig, _fields17, _write_rows, build_parser, main,
+)
 from opfactor.grid import MAX_TIME_SUBSTEPS, WaveFunction, apply_chain, squeeze_factors
 from opfactor.states import (
     EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_spm, psi_ss,
@@ -686,58 +690,101 @@ def _evolve_rows():
     return np.column_stack([grid.x, out.samples.real, out.samples.imag, out.density()])
 
 
+_SMALL_ROWS = np.array([[-0.0, 1e-320, 0.1], [1.0, 2.5, -1.0 / 3.0]])
+
+
+def _big_rows():
+    """More rows than one chunk, with the small rows straddling a chunk edge."""
+    big = np.random.default_rng(5).standard_normal((2 * CSV_BLOCK_ROWS + 3, 3))
+    big[CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = _SMALL_ROWS
+    return big
+
+
+def _block_table():
+    """A table of two block constants, a shared column and cells, as the
+    writer takes it, and as the four full columns of its rows.
+
+    -0.0 and a subnormal are block constants and sit in a shared column that
+    spans two chunks, with the literals straddling the chunk edge.
+    """
+    rng = np.random.default_rng(11)
+    nrows = CSV_BLOCK_ROWS + 5
+    constant = np.array([-0.0, 1e-320, 0.1])
+    other_constant = np.array([1.0 / 3.0, -0.0, -1e-320])
+    shared = rng.standard_normal(nrows)
+    shared[CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = [-0.0, 1e-320]
+    cells = rng.standard_normal((3, nrows))
+    cells[1, CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = [1e-320, -0.0]
+    values = [constant[:, None], shared, cells, other_constant[:, None]]
+    full = [
+        np.repeat(constant, nrows), np.tile(shared, 3), cells.ravel(),
+        np.repeat(other_constant, nrows),
+    ]
+    return values, full
+
+
+_BLOCK_ORDERS = [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1)]
+
+
+def _csv_tables():
+    """(columns, values) of every table that the CSV byte pins write."""
+    values, _ = _block_table()
+    return [(["a", "b", "c"], list(rows.T)) for rows in (_SMALL_ROWS, _big_rows())] + [
+        (["a", "b", "c", "d"], [values[j] for j in order]) for order in _BLOCK_ORDERS
+    ]
+
+
+def _csv_text(columns, values, config=None):
+    stream = io.StringIO()
+    _write_rows(columns, values, config or RunConfig(), stream)
+    return stream.getvalue()
+
+
 class TestOutputFormat:
     def test_csv_bytes(self):
-        small = np.array([[-0.0, 1e-320, 0.1], [1.0, 2.5, -1.0 / 3.0]])
         small_text = (
             "a,b,c\r\n"
             "-0,9.9998886718268301e-321,0.10000000000000001\r\n"
             "1,2.5,-0.33333333333333331\r\n"
         )
-        # more rows than one block, with the literal rows straddling a block edge
-        big = np.random.default_rng(5).standard_normal((2 * CSV_BLOCK_ROWS + 3, 3))
-        big[CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = small
         big_text = io.StringIO()
-        np.savetxt(big_text, big, fmt="%.17g", delimiter=",", newline="\r\n",
+        np.savetxt(big_text, _big_rows(), fmt="%.17g", delimiter=",", newline="\r\n",
                    header="a,b,c", comments="")
-        for rows, expected in [(small, small_text), (big, big_text.getvalue())]:
-            stream = io.StringIO()
-            _write_rows(["a", "b", "c"], list(rows.T), RunConfig(), stream)
+        for rows, expected in [(_SMALL_ROWS, small_text), (_big_rows(), big_text.getvalue())]:
             # line lists: as strict as comparing the strings, and a mismatch
             # is reported at once instead of through a quadratic text diff
-            assert stream.getvalue().split("\r\n") == expected.split("\r\n")
+            assert _csv_text(["a", "b", "c"], list(rows.T)).split("\r\n") == expected.split("\r\n")
 
-    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 0, 2, 3), (2, 3, 0, 1)])
+    @pytest.mark.parametrize("order", _BLOCK_ORDERS)
     def test_csv_bytes_of_block_columns(self, order):
-        # -0.0 and a subnormal as block constants and in a shared column that
-        # spans two chunks, with the literals straddling the chunk edge
-        rng = np.random.default_rng(11)
-        nrows = CSV_BLOCK_ROWS + 5
-        constant = np.array([-0.0, 1e-320, 0.1])
-        other_constant = np.array([1.0 / 3.0, -0.0, -1e-320])
-        shared = rng.standard_normal(nrows)
-        shared[CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = [-0.0, 1e-320]
-        cells = rng.standard_normal((3, nrows))
-        cells[1, CSV_BLOCK_ROWS - 1:CSV_BLOCK_ROWS + 1] = [1e-320, -0.0]
-        values = [constant[:, None], shared, cells, other_constant[:, None]]
-        full = [
-            np.repeat(constant, nrows), np.tile(shared, 3), cells.ravel(),
-            np.repeat(other_constant, nrows),
-        ]
+        values, full = _block_table()
         columns = ["a", "b", "c", "d"]
         expected = io.StringIO()
         np.savetxt(expected, np.column_stack([full[j] for j in order]), fmt="%.17g",
                    delimiter=",", newline="\r\n", header=",".join(columns), comments="")
-        stream = io.StringIO()
-        _write_rows(columns, [values[j] for j in order], RunConfig(), stream)
+        text = _csv_text(columns, [values[j] for j in order])
         # compared as line lists, which pytest reports cheaply when they differ
-        assert stream.getvalue().split("\r\n") == expected.getvalue().split("\r\n")
-        assert "\r\n-0," in stream.getvalue() and "\r\n9.9998886718268301e-321," in stream.getvalue()
+        assert text.split("\r\n") == expected.getvalue().split("\r\n")
+        assert "\r\n-0," in text and "\r\n9.9998886718268301e-321," in text
 
-        stream = io.StringIO()
-        _write_rows(columns, [values[j] for j in order], RunConfig(fmt="json"), stream)
-        rows = np.array(json.loads(stream.getvalue())["rows"])
+        text = _csv_text(columns, [values[j] for j in order], RunConfig(fmt="json"))
+        rows = np.array(json.loads(text)["rows"])
         assert rows.tobytes() == np.column_stack([full[j] for j in order]).tobytes()
+
+    def test_fallback_alone_writes_the_same_bytes(self, monkeypatch):
+        # Where longdouble is a plain double, the kernel's error bound is over
+        # 1/2 and every number is formatted by _fmt17.  That one path must
+        # write the same bytes as the kernel.
+        tables = _csv_tables()
+        numbers = sum(np.size(v) for _, values in tables for v in values)
+        formatted = []
+        monkeypatch.setattr(cli, "_fmt17", lambda value: formatted.append(value) or f"{value:.17g}")
+        kernel = [_csv_text(*table) for table in tables]
+        assert 0 < len(formatted) < numbers / 10
+        formatted.clear()
+        monkeypatch.setattr(cli, "_ERROR_BOUND", 0.5)
+        assert [_csv_text(*table) for table in tables] == kernel
+        assert len(formatted) == numbers
 
     @pytest.mark.parametrize("argv, columns, build", [
         ("density --x0 2 --s 1.5 --sign -1 --t-min 0 --t-max 3.14159 --t-steps 3",
@@ -764,6 +811,115 @@ class TestOutputFormat:
         with open(json_path) as handle:
             json_rows = np.array(json.load(handle)["rows"])
         assert json_rows.tobytes() == csv_rows.tobytes()
+
+
+def _printf_mismatches(x):
+    """(value, field, %.17g) for each value of x whose kernel field differs."""
+    x = np.asarray(x, dtype=np.float64)
+    fields = [col.tobytes().replace(b"\0", b"").decode("ascii") for col in _fields17(x).T]
+    return [(v, f, "%.17g" % v) for v, f in zip(x.tolist(), fields) if f != "%.17g" % v]
+
+
+# NaN payloads of both signs, +-0, +-inf, subnormals and the largest finite double
+_SPECIAL_BITS = [
+    0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000,
+    0xFFFFFFFFFFFFFFFF, 0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+]
+
+
+class TestFields17:
+    # every field of the CSV kernel is the text of '%.17g' % x
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS)),
+                    min_size=1, max_size=100))
+    def test_raw_bit_patterns(self, bits):
+        assert _printf_mismatches(np.array(bits, dtype=np.uint64).view(np.float64)) == []
+
+    def test_random_doubles(self):
+        # about 2% of these are near-ties, which the error bound sends to _fmt17
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False)
+        scaled = rng.standard_normal(20000) * 10.0 ** rng.integers(-30, 30, 20000)
+        assert _printf_mismatches(np.concatenate([bits.view(np.float64), scaled])) == []
+
+    def test_near_ties(self):
+        # Each exact product x 10^(16-k) lies within 0.002 of a half-integer,
+        # and x87 extended precision rounds it to the wrong side: only the
+        # error bound sends these to _fmt17.
+        x = [
+            5.736632302678879e+280, 3.1840308524721733e-211, 1.6121981551231505e-68,
+            3.5467102090433724e-38, 5.4991768101597764e+47, 6.846927541353596e-68,
+            3.225747164139698e-78, 1.7887800551475538e-68, 7.018233560401107e+39,
+            6.686749228402829e-239, 1.2565321321327867e+143, 6.102004672069592e+47,
+            3.3448499066819996e-298, 4.798007607361451e+106, 6.690893857757486e-155,
+        ]
+        for v in x:
+            exact = Fraction(v) * Fraction(10) ** (16 - math.floor(math.log10(v)))
+            assert abs(exact - math.floor(exact) - Fraction(1, 2)) < Fraction(1, 500), v
+        assert _printf_mismatches(x + [-v for v in x]) == []
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        x = np.concatenate([
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            [float(f"1e{j}") for j in range(-323, 309)],
+        ])
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+        assert _printf_mismatches(np.concatenate([x, -x])) == []
+
+    def test_exact_ties(self):
+        # x = m 2^-j with m odd has x 10^(j-1) = m 5^(j-1) / 2, a tie at 17
+        # digits when m 5^(j-1) / 2 lies in [10^16, 10^17)
+        ties = []
+        for j in range(2, 26):
+            low, high = -(-2 * 10**16 // 5 ** (j - 1)), min(2 * 10**17 // 5 ** (j - 1), 2**53)
+            for m in {low | 1, (low + high) // 2 | 1, (high - 1) | 1, 3}:
+                exact = Fraction(m, 2**j) * 10 ** (j - 1)
+                if low <= m < high and 10**16 <= exact < 10**17:
+                    assert exact.denominator == 2
+                    ties.append(math.ldexp(m, -j))
+        assert 2.0**-25 in ties and len(ties) > 60
+        assert _printf_mismatches(ties + [-t for t in ties]) == []
+
+    def test_every_fixed_exponent_and_both_notation_switches(self):
+        # 1 to 17 significant digits at each exponent from -6 to 18, which
+        # holds the fixed notation's -4..16 and its edges at 1e-5/1e-4 and
+        # 1e16/1e17; integer values keep their trailing zeros
+        x = [float(f"{d[0]}.{d[1:s]}e{e}") for d in ("12345678901234567", "90000000000000009")
+             for s in range(1, 18) for e in range(-6, 19)]
+        x += [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 9.9999999999999995e16]
+        x = np.array(x)
+        assert _printf_mismatches(np.concatenate([x, -x, np.nextafter(x, 0)])) == []
+
+    def test_power_table_is_correctly_rounded(self):
+        powers = cli._field_tables()[0]
+        for k, power in zip(range(-cli._EXP0, cli._EXP0 + 1), powers):
+            exact = Fraction(10) ** (16 - k)
+            error = abs(Fraction(*power.as_integer_ratio()) - exact)
+            for neighbour in (np.nextafter(power, power.dtype.type(np.inf)),
+                              np.nextafter(power, power.dtype.type(-np.inf))):
+                assert error <= abs(Fraction(*neighbour.as_integer_ratio()) - exact), k
+
+
+def _writer_peak_bytes(blocks):
+    """tracemalloc's peak while writing a density-shaped CSV table."""
+    rng = np.random.default_rng(3)
+    nrows = 2 * CSV_BLOCK_ROWS
+    values = [rng.random((blocks, 1)), np.linspace(-12.0, 12.0, nrows),
+              *rng.standard_normal((3, blocks, nrows)), rng.random((blocks, 1))]
+    _fields17(np.zeros(1))  # the kernel's tables are built once per process
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            _write_rows(DENSITY_COLUMNS, values, RunConfig(), sink)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_csv_memory_is_bounded_by_one_chunk():
+    assert _writer_peak_bytes(8) < 1.25 * _writer_peak_bytes(2)
 
 
 def _readme_commands():
