@@ -21,6 +21,8 @@ from .algebra import (
 )
 from .fock import (
     FockBasis,
+    apply_factored,
+    apply_squeeze,
     displacement_generator,
     factored_matrix,
     fock_to_position,

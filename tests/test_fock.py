@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opfactor import fock
+from opfactor import checks, fock
 from opfactor.algebra import (
     GeneratorCoefficients,
     SqueezeParameter,
@@ -14,6 +16,8 @@ from opfactor.algebra import (
 )
 from opfactor.fock import (
     FockBasis,
+    apply_factored,
+    apply_squeeze,
     displacement_generator,
     factored_matrix,
     fock_to_position,
@@ -192,12 +196,31 @@ SPECTRAL_CASES = {
 class TestSpectralRoutes:
     @pytest.mark.parametrize("dim", [64, 128, 256, 512])
     def test_factored_matrix_matches_expm_product(self, dim):
+        # the dense matrix, a (dim, k) block and a 1-D vector, all on the low quarter
         quarter = slice(0, dim // 4)
+        rng = np.random.default_rng(dim)
+        vector = np.zeros(dim, dtype=complex)
+        vector[quarter] = rng.standard_normal(dim // 4) + 1j * rng.standard_normal(dim // 4)
+        block = np.eye(dim, dim // 4) + 0.5j * np.eye(dim, dim // 4, k=1)
         for name, c in SPECTRAL_CASES.items():
-            got = factored_matrix(c, dim)[quarter, quarter]
-            ref = expm_product(c, dim)[quarter, quarter]
-            rel = np.abs(got - ref).max() / np.abs(ref).max()
-            assert rel <= 1e-12, (name, rel)
+            ref = expm_product(c, dim)
+            for got, want in ((factored_matrix(c, dim)[quarter, quarter], ref[quarter, quarter]),
+                              (apply_factored(c, block)[quarter], (ref @ block)[quarter]),
+                              (apply_factored(c, vector)[quarter], (ref @ vector)[quarter])):
+                assert got.shape == want.shape
+                rel = np.abs(got - want).max() / np.abs(want).max()
+                assert rel <= 1e-12, (name, rel)
+
+    @pytest.mark.parametrize("dim", [64, 128, 256])
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 3, math.pi, 5.0])
+    def test_apply_squeeze_matches_expm(self, dim, phi):
+        # P exp(rK) P^dag with phi read as the angle of z, so phi past pi too
+        for r in (0.8, 2.0):
+            z = SqueezeParameter(r, phi)
+            ref = matrix_exponential(squeeze_generator(z, dim))
+            assert np.abs(apply_squeeze(z, np.eye(dim)) - ref).max() <= 1e-12
+            vector = ref[:, 3].conj()
+            assert np.abs(apply_squeeze(z, vector) - ref @ vector).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [64, 256])
     def test_unitary_exponential_matches_expm(self, dim):
@@ -210,23 +233,35 @@ class TestSpectralRoutes:
         for g in generators:
             assert np.abs(unitary_exponential(g) - matrix_exponential(g)).max() <= 1e-12
 
-    def test_decomposition_cache_is_read_only_and_bounded(self):
-        for dim in (8, 16, 24, 32, 40, 48):
-            bundle = fock._spectra(dim)
-            assert fock._spectra(dim) is bundle
-            assert all(not a.flags.writeable for a in bundle)
+    @pytest.mark.parametrize("cached", [fock._spectra, fock._squeeze_spectra],
+                             ids=["factored", "squeeze"])
+    def test_decomposition_cache_is_read_only_and_bounded(self, cached):
+        for dim in (8, 9, 16, 24, 32, 40, 48):
+            bundle = cached(dim)
+            assert cached(dim) is bundle
+            assert [len(b[0]) for b in bundle] == [(dim + 1) // 2, dim // 2]
+            assert all(not a.flags.writeable for b in bundle for a in b)
             with pytest.raises(ValueError):
-                bundle.u[0, 0] = 1.0
-        info = fock._spectra.cache_info()
+                bundle[1].u[0, 0] = 1.0
+        info = cached.cache_info()
         assert info.currsize <= info.maxsize
 
-    def test_decompositions_reconstruct_x_and_xd(self):
-        dim = 32
-        s = fock._spectra(dim)
+    @pytest.mark.parametrize("dim", [32, 33])
+    def test_decompositions_reconstruct_x_and_xd(self, dim):
+        # each parity block rebuilds X^2, X D and K; every product is zero across the blocks
         x, d = xp_matrices(dim)
-        assert np.abs((s.u * s.lam) @ s.u.T - x).max() < 1e-13
-        assert np.abs((s.v * s.mu) @ s.v_inv - x @ d).max() < 1e-12
-        assert np.abs(-1j * (s.f.conj()[:, None] * x * s.f) - d).max() == 0.0
+        k = squeeze_generator(SqueezeParameter(1.0), dim)
+        assert np.abs(-1j * (fock._i_powers(dim).conj()[:, None] * x * fock._i_powers(dim))
+                      - d).max() == 0.0
+        for m in (x @ x, x @ d, k):
+            assert np.all(m[0::2, 1::2] == 0) and np.all(m[1::2, 0::2] == 0)
+        for start, (b, sq) in enumerate(zip(fock._spectra(dim), fock._squeeze_spectra(dim))):
+            blk = slice(start, None, 2)
+            assert np.abs((b.u * b.lam2) @ b.u.T - (x @ x)[blk, blk]).max() < 1e-12
+            assert np.abs((b.v * b.mu) @ b.v_inv - (x @ d)[blk, blk]).max() < 1e-12
+            assert np.array_equal(b.f, fock._i_powers(dim)[blk])
+            rebuilt = sq.s[:, None] * (-1j * (sq.u * sq.sigma) @ sq.u.T) * sq.s.conj()
+            assert np.abs(rebuilt - k[blk, blk]).max() < 1e-12
 
     @pytest.mark.parametrize(
         "g",
@@ -240,14 +275,54 @@ class TestSpectralRoutes:
     @pytest.mark.parametrize("dim", [256, 512])
     def test_truncation_wall_overflow_is_refused(self, dim):
         # beta = -ln cos 2 has imaginary part -pi, so e^{beta mu} overflows.
+        c = time_displacement_factorization(2.0)
         with pytest.raises(OverflowError):
-            factored_matrix(time_displacement_factorization(2.0), dim)
+            factored_matrix(c, dim)
+        for vectors in (np.eye(dim, 16), np.eye(dim)[0]):
+            with pytest.raises(OverflowError):
+                apply_factored(c, vectors)
 
     def test_nonfinite_coefficients_rejected(self):
         from opfactor.algebra import FactorizationCoefficients
 
+        c = FactorizationCoefficients(0j, complex(math.nan), 0j, 0j)
         with pytest.raises(ValueError):
-            factored_matrix(FactorizationCoefficients(0j, complex(math.nan), 0j, 0j), 16)
+            factored_matrix(c, 16)
+        with pytest.raises(ValueError):
+            apply_factored(c, np.eye(16)[0])
+
+    @pytest.mark.parametrize("apply", [
+        lambda v: apply_factored(time_displacement_factorization(0.3), v),
+        lambda v: apply_squeeze(SqueezeParameter(0.5), v),
+    ], ids=["factored", "squeeze"])
+    def test_apply_refuses_other_shapes(self, apply):
+        with pytest.raises(ValueError, match="vector or a"):
+            apply(np.zeros((16, 2, 2)))
+
+    def test_warm_oracle_checks_decompose_nothing(self, monkeypatch):
+        # cold, every cached spectrum is decomposed once per distinct dim; warm, never
+        counts = {"eig": 0, "eigh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        fock._spectra.cache_clear()
+        fock._squeeze_spectra.cache_clear()
+        checks.check_fock_squeeze_oracle()
+        checks.check_fock_truncation_monotonicity()
+        # dims 128 and 64, two parity blocks each: eig of X D, eigh of X^2 and of K
+        assert counts == {"eig": 4, "eigh": 8}
+        checks.check_fock_squeeze_oracle()
+        checks.check_fock_truncation_monotonicity()
+        assert counts == {"eig": 4, "eigh": 8}
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(r=st.floats(0.0, 1.0), phi=st.floats(0.0, 2 * math.pi, exclude_max=True))
+def test_squeeze_oracle_holds_for_any_z(r, phi):
+    # the verify check's comparison and tolerance, at dim 128 with a 32-state block
+    assert checks._squeeze_block_error(SqueezeParameter(r, phi), 128, 32) <= 1e-6
 
 
 class TestFockBasis:
@@ -284,6 +359,13 @@ class TestHermite:
         h = hermite_functions(24, grid.x)
         gram = (h @ h.T) * grid.dx
         assert np.abs(gram - np.eye(24)).max() < 1e-10
+
+    def test_basis_cache_is_shared_and_read_only(self, grid):
+        basis = fock._hermite_basis(24, grid)
+        assert fock._hermite_basis(24, Grid()) is basis
+        assert np.array_equal(basis, hermite_functions(24, grid.x))
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
     def test_count_limit(self, grid):
         with pytest.raises(ValueError):
