@@ -16,6 +16,7 @@ from .algebra import (
     squeeze_factorization,
     squeeze_scale,
     time_displacement_factorization,
+    time_periods,
     wei_norman_final,
     wei_norman_rhs,
 )
@@ -44,7 +45,6 @@ from .grid import (
     WaveFunction,
     apply_chain,
     apply_dilation,
-    apply_factor,
     apply_phase,
     apply_shift,
     apply_spectral_d2,

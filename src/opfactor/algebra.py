@@ -44,6 +44,7 @@ __all__ = [
     "squeeze_factorization",
     "squeeze_scale",
     "time_displacement_factorization",
+    "time_periods",
     "wei_norman_final",
     "wei_norman_rhs",
 ]
@@ -54,6 +55,8 @@ ODE_STEPS = 1000
 RK4_BLOCK = 1024  # steps per pass of the integrator; its arrays hold one pass
 _EXP_EXACT_BELOW = 708.0  # see _stage_exp
 _BOUND_SCREEN = BLOWUP_BOUND / 2.0  # |z| <= sqrt(2) max(|Re z|, |Im z|)
+_TAU_LOW = 2.4492935982947064e-16  # 2 pi - math.tau
+MAX_PERIODS = 2**50
 
 
 class CausticError(ValueError):
@@ -195,16 +198,36 @@ def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationC
     )
 
 
+def time_periods(t: float) -> tuple[int, float]:
+    """Whole periods m in t and the rest t - 2 pi m: T(t) = (-1)^m T(rest).
+
+    A period is exp(-2 pi i H) = -1, as the spectrum is n + 1/2 (the
+    metaplectic sign; Moshinsky & Quesne, J. Math. Phys. 12, 1971).  The
+    remainder by the double math.tau is exact, and m _TAU_LOW takes off what
+    it drops, so the rest is exact to half an ulp and 6e-17, and is t itself
+    for |t| <= pi.  ValueError for a t not finite or of MAX_PERIODS periods or more.
+    """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    near = math.remainder(t, math.tau)
+    m = round((t - near) / math.tau)
+    if abs(m) >= MAX_PERIODS:
+        raise ValueError(f"t = {t:.6g} spans 2^50 oscillator periods or more")
+    return m, near - m * _TAU_LOW
+
+
 def time_displacement_factorization(t: float) -> FactorizationCoefficients:
     """Closed-form product coefficients for oscillator time displacement.
 
-        alpha = -tan(t)/2,  beta = -ln(cos t),  gamma = tan(t)/2,  delta = beta/2
+        alpha = -tan(t)/2,  beta = -ln(cos t),  gamma = tan(t)/2,
+        delta = beta/2 + i pi k,  k = floor((t + pi/2) / 2 pi)
 
     Raises CausticError where |cos t| < CAUSTIC_EPS, next to odd multiples of
     pi/2, where the individual factors diverge even though the total operator
-    is regular.  For cos(t) < 0 the logarithm takes its principal branch; grid
-    propagation should instead compose substeps shorter than pi/2.
+    is regular.  The logarithm's principal branch is right for t in
+    [-pi/2, 3pi/2); an odd k carries the sign of time_periods.
     """
+    m, rest = time_periods(t)
     c = math.cos(t)
     if abs(c) < CAUSTIC_EPS:
         raise CausticError(
@@ -213,8 +236,10 @@ def time_displacement_factorization(t: float) -> FactorizationCoefficients:
         )
     half_tan = 0.5 * math.tan(t)
     beta = -cmath.log(complex(c))
+    # k is m, or m - 1 where the rest is below -pi/2
+    odd = (m - (rest < -0.5 * math.pi)) % 2
     return FactorizationCoefficients(
-        delta=0.5 * beta,
+        delta=0.5 * beta + 1j * math.pi if odd else 0.5 * beta,
         alpha=complex(-half_tan),
         beta=beta,
         gamma=complex(half_tan),

@@ -434,10 +434,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     config = _config_from(args)
     spec = states.EvenOddSpec(args.x0, args.s, args.sign)
-    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < 1:
-        raise ValueError("need a finite t range and t_steps >= 1")
-    # the chain of the farthest t is refused if any t of the range would be
-    time_displacement_factors(max(abs(args.t_min), abs(args.t_max)))
+    # the samples include both endpoints, so two different ones need two
+    fewest = 1 if args.t_min == args.t_max else 2
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < fewest:
+        raise ValueError("need a finite t range and t_steps >= 2, or 1 where t_min = t_max")
     initial = checks.evenodd_initial(config.make_grid(), spec, config.norm_tol)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)

@@ -20,9 +20,10 @@ pins these silent wrong answers as strict xfails.
 Every factor kind but the dilation is one operation: multiply the samples,
 or for Shift and SpectralD2 their spectrum, by a fixed array.  That array is
 computed once per (grid, factor) and reused from a small bounded cache, so a
-time chain of k substeps evaluates its three distinct multipliers once rather
-than 2k + 1 times.  The cached arrays are read-only.  The chain builders keep
-factors that are the identity; only the kernel lookup skips them.
+time chain of k substeps evaluates its three distinct multipliers (four with
+a period's sign) once, not 2k + 1 times.  The cached arrays are read-only.
+The chain builders keep factors that are the identity; only the kernel
+lookup skips them.
 
 There are two private kernels, kernel(buf, grid, factor), that may overwrite
 buf and return the result: _multiply returns buf itself (numpy's in-place
@@ -41,7 +42,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .algebra import CausticError, SqueezeParameter, squeeze_factorization
+from .algebra import CausticError, SqueezeParameter, squeeze_factorization, time_periods
 
 __all__ = [
     "ChainError",
@@ -57,7 +58,6 @@ __all__ = [
     "WaveFunction",
     "apply_chain",
     "apply_dilation",
-    "apply_factor",
     "apply_phase",
     "apply_shift",
     "apply_spectral_d2",
@@ -303,8 +303,6 @@ def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
     raise TypeError(f"not a pointwise factor: {factor!r}")
 
 
-# The public functions below call this rather than apply_factor, so that a
-# profiler or tracer charges each one's work to its own name.
 def _apply(psi: WaveFunction, factor: OperatorFactor) -> WaveFunction:
     kernel = _kernel(psi.grid, factor)
     if kernel is None:
@@ -351,11 +349,6 @@ def apply_phase(psi: WaveFunction, factor: QuadraticPhase) -> WaveFunction:
     """Pointwise multiplication by s exp[i (a x^2 + p x)]."""
     if not isinstance(factor, QuadraticPhase):
         raise TypeError(f"not a pointwise factor: {factor!r}")
-    return _apply(psi, factor)
-
-
-def apply_factor(psi: WaveFunction, factor: OperatorFactor) -> WaveFunction:
-    """Apply one factor to a copy of psi's samples; an identity factor returns psi."""
     return _apply(psi, factor)
 
 
@@ -431,29 +424,29 @@ def time_displacement_factors(t: float, substeps: int | None = None) -> list[Ope
     exp[-i (tan(tau/2)/2) x^2], exact with unit scalar for |tau| < pi, and the
     chirps of neighbouring substeps are fused into one.  Substeps must stay
     strictly inside (-pi/2, pi/2), which bounds the chirp rate tan(|tau|/2)
-    below 1.  The default count is min_time_substeps(t), the fewest admissible;
-    a smaller one is refused with it as a hint.  More than MAX_TIME_SUBSTEPS
-    substeps are refused before any factor list is built.
+    below 1.  Without a count, time_periods(t) = (m, rest) comes first, and
+    the chain is that of rest in its fewest admissible substeps, at most 3,
+    with (-1)^m in its first chirp's scalar.  An explicit count splits t
+    itself; a smaller one than min_time_substeps(t) is refused with it as a
+    hint, and one above MAX_TIME_SUBSTEPS before any factor list is built.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    sign = 1.0
     if substeps is None:
-        # past the bound, the check below refuses t with the bound in its hint
-        substeps = min(min_time_substeps(t), MAX_TIME_SUBSTEPS)
+        periods, t = time_periods(t)
+        sign, substeps = (-1.0) ** periods, min_time_substeps(t)
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps!r}")
     if substeps > MAX_TIME_SUBSTEPS:
         raise ValueError(f"substeps must be <= {MAX_TIME_SUBSTEPS}, got {substeps:.6g}")
     tau = t / substeps
     if abs(tau) >= 0.5 * math.pi:
-        needed = min_time_substeps(t)
-        hint = f"use at least {needed} substeps for t = {t:.6g}"
-        if needed > MAX_TIME_SUBSTEPS:
-            hint += f", more than the {MAX_TIME_SUBSTEPS} allowed, so shorten |t|"
-        raise CausticError(f"substep {tau:.6g} reaches pi/2; {hint}")
+        raise CausticError(f"substep {tau:.6g} reaches pi/2; use at least "
+                           f"{min_time_substeps(t)} substeps for t = {t:.6g}, or none")
     half_chirp = -0.5 * math.tan(0.5 * tau)
     fresnel = SpectralD2(0.5j * math.sin(tau))
-    factors: list[OperatorFactor] = [QuadraticPhase(half_chirp), fresnel]
+    factors: list[OperatorFactor] = [QuadraticPhase(half_chirp, 0.0, sign), fresnel]
     factors += [QuadraticPhase(2.0 * half_chirp), fresnel] * (substeps - 1)
     factors.append(QuadraticPhase(half_chirp))
     return factors

@@ -2,11 +2,12 @@
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opfactor import algebra, checks
@@ -21,6 +22,7 @@ from opfactor.algebra import (
     squeeze_factorization,
     squeeze_scale,
     time_displacement_factorization,
+    time_periods,
     wei_norman_final,
     wei_norman_rhs,
 )
@@ -144,6 +146,56 @@ class TestTimeDisplacement:
         assert c.beta.real == pytest.approx(-math.log(abs(math.cos(2.0))), abs=1e-14)
         assert c.beta.imag == pytest.approx(-math.pi, abs=1e-14)
         assert c.delta == c.beta / 2
+
+    def test_delta_carries_the_period_sign(self):
+        # the principal branch alone is right on [-pi/2, 3pi/2)
+        for t in (-1.5, 0.3, 2.0, math.pi, 4.5):
+            c = time_displacement_factorization(t)
+            assert c.delta == c.beta / 2
+        # a period on, exp(delta) changes sign and the other three stay
+        for t in (-4.0, -1.5, 0.3, 2.0, 4.5, 40.0):
+            c = time_displacement_factorization(t)
+            later = time_displacement_factorization(t + 2 * math.pi)
+            for now, on in zip(c.as_tuple()[1:], later.as_tuple()[1:]):
+                assert on == pytest.approx(now, abs=1e-12)
+            assert cmath.exp(later.delta) == pytest.approx(-cmath.exp(c.delta), abs=1e-12)
+            assert later.unitarity_residue() < 1e-15
+
+    def test_beyond_2_to_50_periods_refused(self):
+        with pytest.raises(ValueError, match="2\\^50"):
+            time_displacement_factorization(1e300)
+        with pytest.raises(CausticError):
+            time_displacement_factorization(4.5 * math.pi)
+
+
+TWO_PI = Fraction("6.2831853071795864769252867665590057683943387987502")  # to 50 digits
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(t=st.floats(-1e15, 1e15, allow_nan=False))
+@example(t=1e15)
+@example(t=-1e15)
+@example(t=math.pi)
+@example(t=-math.pi)
+@example(t=2 * math.pi)
+@example(t=3 * math.pi)
+def test_time_periods_rest_is_exact(t):
+    m, rest = time_periods(t)
+    if abs(t) <= math.pi:
+        assert m == 0 and math.copysign(1.0, rest) == math.copysign(1.0, t) and rest == t
+    # half an ulp of the rest, and 6e-17 for m times the low part of 2 pi
+    assert abs(Fraction(t) - m * TWO_PI - Fraction(rest)) <= 0.5 * math.ulp(rest) + 6e-17
+    assert abs(rest) <= math.pi + abs(m) * 2.5e-16
+
+
+def test_time_periods_refuses_2_to_50_periods_and_nonfinite_t():
+    assert time_periods(float(2**50 - 1) * 2 * math.pi)[0] == 2**50 - 1
+    for t in (float(2**50) * 2 * math.pi, -1e300):
+        with pytest.raises(ValueError, match="2\\^50"):
+            time_periods(t)
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            time_periods(t)
 
 
 class TestGeneratorCoefficients:

@@ -99,6 +99,12 @@ class TestFactorize:
         assert values["alpha"] == pytest.approx(-0.5, abs=1e-14)
         assert values["gamma"] == pytest.approx(0.5, abs=1e-14)
 
+    def test_oscillator_full_period_is_minus_one(self, capsys):
+        # T(2 pi) = -1 = exp(i pi): the period's sign sits in delta
+        code, out, _ = run(capsys, "factorize", "oscillator", "--t", "6.283185307179586")
+        assert code == 0
+        assert out.splitlines()[0] == "delta = 0 +3.14159265358979i"
+
     def test_singularity_exit_code(self, capsys):
         code, _, err = run(capsys, "factorize", "oscillator", "--t", str(math.pi / 2))
         assert code == 1
@@ -231,6 +237,14 @@ class TestEvolve:
         assert code == 0
         x, psi = read_wavefunction(str(path))
         assert np.abs(psi - coherent_evolved(x, 2.0, 3.0, 1.0)).max() < 1e-12
+
+    def test_long_time_reduced_by_periods(self, capsys, tmp_path):
+        path = tmp_path / "coherent.csv"
+        code, _, _ = run(capsys, "evolve", "--initial", "coherent:x0=1,p0=0.5",
+                         "--op", "time:t=100000", "--out", str(path))
+        assert code == 0
+        x, psi = read_wavefunction(str(path))
+        assert np.abs(psi - coherent_evolved(x, 1e5, 1.0, 0.5)).max() <= 1e-13
 
     def test_full_period_negates_squeezed_state(self, capsys, tmp_path):
         path = tmp_path / "period.csv"
@@ -427,14 +441,18 @@ class TestDensity:
             assert rows[:, 4].max() < tol, argv
 
     @pytest.mark.parametrize("t_min, t_max", [("0", "2e5"), ("-2e5", "1")])
-    def test_time_beyond_substep_bound_refused(self, capsys, t_min, t_max):
-        # |t| = 2e5 needs 127324 substeps, more than MAX_TIME_SUBSTEPS
-        code, _, err = run(
+    def test_time_beyond_substep_bound_is_reduced(self, capsys, tmp_path, t_min, t_max):
+        # 127324 substeps would be needed at |t| = 2e5; the rest after whole periods needs at most 3
+        path = tmp_path / "trace.csv"
+        code, _, _ = run(
             capsys, "density", "--x0", "2", "--s", "1.5", "--sign", "1",
             f"--t-min={t_min}", f"--t-max={t_max}", "--t-steps", "2", "--grid-n", "64",
+            "--out", str(path),
         )
-        assert code == 2
-        assert err.startswith("error:") and str(MAX_TIME_SUBSTEPS) in err
+        assert code == 0
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert sorted(set(rows[:, 0])) == sorted({float(t_min), float(t_max)})
+        assert rows[:, 4].max() <= 1e-11
 
     def test_raw_integral_column(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
@@ -497,6 +515,9 @@ class TestDensity:
     "verify grid --grid-max 1e300",
     "factorize oscillator --t 1 --ode-check --ode-steps 0",
     "factorize oscillator --t nan",
+    # 2^50 oscillator periods or more
+    "factorize oscillator --t 1e300",
+    "evolve --initial ground --op time:t=1e300",
     "factorize squeeze --r -1",
     "evolve --initial ground --fock-dim 600",
     "factorize squeeze --r 1000",
@@ -540,6 +561,8 @@ class TestDensity:
     "verify bogus",
     "evolve",
     "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --format xml",
+    # one t sample cannot hold both ends of a range
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 1 --grid-n 256",
     # flags of a subcommand that does not read them
     "verify grid --tol 1",
     "evolve --initial ground --ode-steps 5",

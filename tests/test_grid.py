@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opfactor.algebra import CausticError, SqueezeParameter
+from opfactor.algebra import (
+    CausticError, SqueezeParameter, time_displacement_factorization, time_periods,
+)
 from opfactor.grid import (
     MAX_TIME_SUBSTEPS,
     ChainError,
@@ -23,7 +25,6 @@ from opfactor.grid import (
     WaveFunction,
     apply_chain,
     apply_dilation,
-    apply_factor,
     apply_phase,
     apply_shift,
     apply_spectral_d2,
@@ -33,7 +34,7 @@ from opfactor.grid import (
     time_displacement_factors,
 )
 from opfactor.grid import _multiplier
-from opfactor.states import coherent_state, psi0
+from opfactor.states import coherent_evolved, coherent_state, psi0
 
 
 # the dilation in the chain of squeeze:r=1.5,phi=2
@@ -44,6 +45,11 @@ SQUEEZE_SCALE = next(
 
 def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _one_factor(psi, factor):
+    """One factor alone, on a fresh copy of psi's samples: the factor-by-factor reference."""
+    return apply_chain(psi, [factor])
 
 
 @pytest.fixture(scope="module")
@@ -276,8 +282,8 @@ class TestMultiplierCache:
         # every kind's multiplier, the shift's and the phase ramp's too, is built once
         for factor in self.FACTORS:
             _multiplier.cache_clear()
-            first = apply_factor(ground, factor)
-            assert np.array_equal(apply_factor(ground, factor).samples, first.samples)
+            first = _one_factor(ground, factor)
+            assert np.array_equal(_one_factor(ground, factor).samples, first.samples)
             info = _multiplier.cache_info()
             assert (info.misses, info.hits) == (1, 1)
             with pytest.raises(ValueError):
@@ -372,17 +378,24 @@ class TestFactorSequences:
                 time_displacement_factors(1.0, substeps)
         assert len(time_displacement_factors(1.0, MAX_TIME_SUBSTEPS)) == 2 * MAX_TIME_SUBSTEPS + 1
 
-    def test_caustic_hint_names_substep_bound(self):
-        with pytest.raises(CausticError, match="use at least 3 substeps") as small:
+    def test_caustic_hint_names_the_fewest_count_or_none(self):
+        with pytest.raises(CausticError, match="use at least 3 substeps for t = 4, or none$"):
             time_displacement_factors(4.0, 2)
-        assert "allowed" not in str(small.value)
-        # 2e5 needs 127324 substeps, which the bound refuses, also by default
-        with pytest.raises(CausticError, match=f"127324 .*more than the {MAX_TIME_SUBSTEPS}"):
-            time_displacement_factors(2e5)
+        # 2e5 needs 127324 substeps, more than MAX_TIME_SUBSTEPS: a count is refused, none is not
+        with pytest.raises(CausticError, match="127324 substeps for t = 200000, or none$"):
+            time_displacement_factors(2e5, 5)
+        assert len(time_displacement_factors(2e5)) <= 7
 
-    def test_default_count_is_the_fewest_admissible(self):
-        for t in (0.0, 0.6, math.pi / 2, 2.0, -7.0, 32 * math.pi, 1e5):
+    def test_default_count_is_the_fewest_for_the_rest(self):
+        # within half a period the rest is t itself, so the chain is that of the fewest count
+        for t in (0.0, -0.0, 0.6, math.pi / 2, 2.0, math.pi, -math.pi):
             assert time_displacement_factors(t) == time_displacement_factors(t, min_time_substeps(t))
+        # beyond, it is (-1)^m times the chain of the rest, the sign in the first chirp's scalar
+        for t in (-7.0, 32 * math.pi, 33 * math.pi + 0.5, 1e5, -2e5):
+            m, rest = time_periods(t)
+            chain = time_displacement_factors(rest, min_time_substeps(rest))
+            chain[0] = QuadraticPhase(chain[0].a, 0.0, (-1.0) ** m)
+            assert time_displacement_factors(t) == chain
 
     def test_zero_time_is_identity_chain(self, ground):
         out = apply_chain(ground, time_displacement_factors(0.0, 3))
@@ -481,7 +494,7 @@ class TestChains:
         psi = WaveFunction.from_callable(Grid(n=n), lambda x: coherent_state(x, x0, p0))
         before = psi.samples.copy()
         out = apply_chain(psi, chain)
-        for reference in (apply_factor, _out_of_place):
+        for reference in (_one_factor, _out_of_place):
             assert np.array_equal(out.samples, functools.reduce(reference, chain, psi).samples)
         assert np.array_equal(psi.samples, before)
 
@@ -507,5 +520,51 @@ def test_random_chain_is_bit_identical_to_factor_by_factor(chain):
     psi = WaveFunction.from_callable(Grid(-8.0, 8.0, 128), lambda x: coherent_state(x, 1.0, 0.5))
     before = psi.samples.copy()
     out = apply_chain(psi, chain)
-    assert np.array_equal(out.samples, functools.reduce(apply_factor, chain, psi).samples)
+    assert np.array_equal(out.samples, functools.reduce(_one_factor, chain, psi).samples)
     assert np.array_equal(psi.samples, before)
+
+
+# --- the period rule: T(t) = (-1)^m T(t - 2 pi m) ------------------------------------
+
+PERIOD_GRID = Grid(-10.0, 10.0, 128)
+
+
+def _evolved(t):
+    """The count-free chain of t on a coherent state, and its error against
+    coherent_evolved, phase included."""
+    chain = time_displacement_factors(t)
+    assert len(chain) <= 7  # at most 3 substeps
+    psi = WaveFunction.from_callable(PERIOD_GRID, lambda x: coherent_state(x, 1.0, 0.5))
+    out = apply_chain(psi, chain)
+    return out.samples, np.abs(out.samples - coherent_evolved(PERIOD_GRID.x, t, 1.0, 0.5)).max()
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(t=_finite(-1e6, 1e6))
+@example(t=1e12)
+@example(t=-1e12)
+def test_count_free_chain_is_the_evolution_at_any_t(t):
+    for s in (t, t + 2.0 * math.pi):
+        assert _evolved(s)[1] <= 1e-13
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(t=_finite(-50.0, 50.0))
+def test_chain_a_period_on_is_the_negative(t):
+    # on this lattice the sum t + 2 pi is exact, so the two times differ by the double 2 pi alone
+    t = round(t * 2.0**40) / 2.0**40
+    assert (t + 2.0 * math.pi) - t == 2.0 * math.pi
+    assert np.abs(_evolved(t + 2.0 * math.pi)[0] + _evolved(t)[0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("t", [2 * math.pi + 0.3, 2 * math.pi - 0.3, 4 * math.pi + 0.3,
+                               -2 * math.pi + 0.3])
+def test_closed_form_carries_the_period_sign(t):
+    grid = Grid(-12.0, 12.0, 256)
+    c = time_displacement_factorization(t)
+    assert c.beta.imag == 0.0  # cos t > 0 at each of these t
+    chain = [SpectralD2(1j * c.gamma.real), Dilation(math.exp(c.beta.real)),
+             QuadraticPhase(c.alpha.real, 0.0, cmath.exp(c.delta))]
+    psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 1.0, 0.5))
+    out = apply_chain(psi, chain)
+    assert np.abs(out.samples - coherent_evolved(grid.x, t, 1.0, 0.5)).max() <= 1e-12
