@@ -59,8 +59,9 @@ _TAU_LOW = 2.4492935982947064e-16  # 2 pi - math.tau
 MAX_PERIODS = 2**50
 
 
-class CausticError(ValueError):
-    """A factor parameter diverges, i.e. cos(t) vanishes for the time family."""
+class CausticError(ArithmeticError):
+    """A factor parameter diverges (cos t vanishes for the time family): a
+    singularity of valid input, not a refusal of it, so not a ValueError."""
 
 
 class BlowUpError(RuntimeError):

@@ -171,7 +171,7 @@ def evenodd_initial(grid: Grid, spec: states.EvenOddSpec, tol: float) -> WaveFun
     sampled, or where the quadrature of rho_spm at t = 0 is off its closed form
     by a relative error above tol: the window does not hold the pair, which the
     state's norm, fixed by normalizing, cannot show."""
-    psi = WaveFunction.from_callable(grid, lambda x: states.psi_spm(x, 0.0, spec), normalize=True)
+    psi = WaveFunction.from_callable(grid, lambda x: states.psi_spm(x, 0.0, spec)).normalized()
     measured = float(np.sum(_rho_spm(grid.x, 0.0, spec)) * grid.dx)
     expected = states.rho_spm_integral(0.0, spec)
     if not abs(measured - expected) <= tol * abs(expected):

@@ -23,6 +23,7 @@ from .algebra import (
     SqueezeParameter,
     squeeze_factorization,
     time_displacement_factorization,
+    time_periods,
     wei_norman_final,
 )
 from .fock import MAX_HERMITE, MIN_DIM, FockBasis
@@ -353,17 +354,13 @@ def _sink(config: RunConfig):
 def cmd_factorize(args: argparse.Namespace) -> int:
     if not math.isfinite(args.t) or args.ode_steps < 1:
         raise ValueError("need a finite --t and --ode-steps >= 1")
-    try:
-        if args.family == "squeeze":
-            z = SqueezeParameter(args.r, args.phi)
-            coeffs = squeeze_factorization(z, args.t)
-            generator = GeneratorCoefficients.squeeze(z)
-        else:
-            coeffs = time_displacement_factorization(args.t)
-            generator = GeneratorCoefficients.oscillator()
-    except CausticError as exc:  # a singularity of valid input, not a refusal
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.family == "squeeze":
+        z = SqueezeParameter(args.r, args.phi)
+        coeffs = squeeze_factorization(z, args.t)
+        generator = GeneratorCoefficients.squeeze(z)
+    else:
+        coeffs = time_displacement_factorization(args.t)
+        generator = GeneratorCoefficients.oscillator()
 
     for name in ("delta", "alpha", "beta", "gamma"):
         value = getattr(coeffs, name)
@@ -438,6 +435,9 @@ def cmd_density(args: argparse.Namespace) -> int:
     fewest = 1 if args.t_min == args.t_max else 2
     if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)) or args.t_steps < fewest:
         raise ValueError("need a finite t range and t_steps >= 2, or 1 where t_min = t_max")
+    # |m| grows with |t|, so the two ends refuse any t of the range that spans too many periods
+    time_periods(args.t_min)
+    time_periods(args.t_max)
     initial = checks.evenodd_initial(config.make_grid(), spec, config.norm_tol)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
@@ -549,7 +549,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a refusal, which a command raises before it opens its sink
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChainError as exc:  # a factor that failed on valid input
+    except (ChainError, CausticError) as exc:  # a failure, or a singularity, of valid input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # a failed write

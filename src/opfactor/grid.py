@@ -42,7 +42,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .algebra import CausticError, SqueezeParameter, squeeze_factorization, time_periods
+from .algebra import SqueezeParameter, squeeze_factorization, time_periods
 
 __all__ = [
     "ChainError",
@@ -147,11 +147,8 @@ class WaveFunction:
         object.__setattr__(self, "samples", arr)
 
     @classmethod
-    def from_callable(
-        cls, grid: Grid, f: Callable[[np.ndarray], np.ndarray], normalize: bool = False
-    ) -> "WaveFunction":
-        psi = cls(grid, np.asarray(f(grid.x), dtype=complex))
-        return psi.normalized() if normalize else psi
+    def from_callable(cls, grid: Grid, f: Callable[[np.ndarray], np.ndarray]) -> "WaveFunction":
+        return cls(grid, np.asarray(f(grid.x), dtype=complex))
 
     def norm(self) -> float:
         """L2 norm by the rectangle rule (spectrally accurate for decaying states)."""
@@ -175,40 +172,48 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class Shift:
-    """Resample to psi(x + c)."""
+    """Resample to psi(x + c), c finite."""
 
     c: float
+
+    def __post_init__(self) -> None:
+        if not cmath.isfinite(self.c):
+            raise ValueError(f"shift must be finite, got {self.c!r}")
 
 
 @dataclass(frozen=True)
 class Dilation:
-    """Resample to psi(scale * x); scale = e^tau must be positive."""
+    """Resample to psi(scale * x); scale = e^tau must be finite and positive."""
 
     scale: float
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise ValueError(f"dilation scale must be > 0, got {self.scale!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"dilation scale must be finite and > 0, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
 class SpectralD2:
-    """Apply exp[c d^2/dx^2], requiring Re(c) >= 0."""
+    """Apply exp[c d^2/dx^2], requiring a finite c with Re(c) >= 0."""
 
     c: complex
 
     def __post_init__(self) -> None:
-        if complex(self.c).real < 0.0:
-            raise ValueError(f"Re(c) must be >= 0, got c = {self.c!r}")
+        if not (cmath.isfinite(self.c) and complex(self.c).real >= 0.0):
+            raise ValueError(f"c must be finite with Re(c) >= 0, got c = {self.c!r}")
 
 
 @dataclass(frozen=True)
 class QuadraticPhase:
-    """Multiply by s exp[i (a x^2 + p x)]: a chirp, a phase ramp and a constant."""
+    """Multiply by s exp[i (a x^2 + p x)], a, p, s finite: a chirp, a phase ramp and a constant."""
 
     a: float
     p: float = 0.0
     s: complex = 1.0
+
+    def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, (self.a, self.p, self.s))):
+            raise ValueError(f"a, p and s must be finite, got {self!r}")
 
 
 OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase]
@@ -442,8 +447,8 @@ def time_displacement_factors(t: float, substeps: int | None = None) -> list[Ope
         raise ValueError(f"substeps must be <= {MAX_TIME_SUBSTEPS}, got {substeps:.6g}")
     tau = t / substeps
     if abs(tau) >= 0.5 * math.pi:
-        raise CausticError(f"substep {tau:.6g} reaches pi/2; use at least "
-                           f"{min_time_substeps(t)} substeps for t = {t:.6g}, or none")
+        raise ValueError(f"substep {tau:.6g} reaches pi/2; use at least "
+                         f"{min_time_substeps(t)} substeps for t = {t:.6g}, or none")
     half_chirp = -0.5 * math.tan(0.5 * tau)
     fresnel = SpectralD2(0.5j * math.sin(tau))
     factors: list[OperatorFactor] = [QuadraticPhase(half_chirp, 0.0, sign), fresnel]

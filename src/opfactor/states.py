@@ -6,7 +6,7 @@ displaced squeezed Gaussians together with their densities.
 
 Normalization caveat: the two-Gaussian family below is written with constants
 whose norm is not conserved in t (see rho_spm); comparisons should use states
-renormalized by quadrature, e.g. WaveFunction.from_callable(..., normalize=True).
+renormalized by quadrature.
 """
 from __future__ import annotations
 

@@ -133,6 +133,11 @@ class TestTimeDisplacement:
         with pytest.raises(CausticError):
             time_displacement_factorization(math.pi / 2)
 
+    def test_caustic_is_a_singularity_not_a_refusal(self):
+        # the CLI reports a refusal (ValueError) with exit 2 and a singularity with exit 1
+        assert issubclass(CausticError, ArithmeticError)
+        assert not issubclass(CausticError, ValueError)
+
     def test_caustic_boundary(self):
         # CAUSTIC_EPS = 1e-9 bounds |cos t| from below
         time_displacement_factorization(math.pi / 2 - 1e-6)

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line surface."""
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -17,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opfactor
 from opfactor import checks, cli
-from opfactor.algebra import CoefficientTrajectory, SqueezeParameter
+from opfactor.algebra import CausticError, CoefficientTrajectory, SqueezeParameter
 from opfactor.cli import (
     CSV_BLOCK_ROWS, DENSITY_COLUMNS, RunConfig, _fields17, _write_rows, build_parser, main,
 )
@@ -106,9 +109,13 @@ class TestFactorize:
         assert out.splitlines()[0] == "delta = 0 +3.14159265358979i"
 
     def test_singularity_exit_code(self, capsys):
-        code, _, err = run(capsys, "factorize", "oscillator", "--t", str(math.pi / 2))
+        code, out, err = run(capsys, "factorize", "oscillator", "--t", str(math.pi / 2))
         assert code == 1
-        assert "singular" in err
+        assert out == "" and err.startswith("error: ") and "singular" in err
+        # main, not the command, turns the singularity into its exit status
+        args = build_parser().parse_args(["factorize", "oscillator", "--t", str(math.pi / 2)])
+        with pytest.raises(CausticError):
+            args.func(args)
 
     def test_squeeze_ode_check(self, capsys):
         code, out, _ = run(
@@ -405,6 +412,19 @@ class TestVerify:
 
 
 class TestDensity:
+    @pytest.mark.parametrize("t_min, t_max, end", [("0", "7.1e15", "7.1e+15"),
+                                                    ("-7.1e15", "1", "-7.1e+15")])
+    def test_too_many_periods_refused_before_any_chain(self, capsys, monkeypatch,
+                                                       t_min, t_max, end):
+        # the end of the range with the most periods is refused before the sweep starts
+        def no_chain(*args):
+            raise AssertionError("a chain was built")
+        monkeypatch.setattr(checks, "apply_chain", no_chain)
+        code, out, err = run(capsys, "density", "--x0", "2", "--s", "1.5", "--t-min", t_min,
+                             "--t-max", t_max, "--t-steps", "2000")
+        assert code == 2 and out == ""
+        assert err == f"error: t = {end} spans 2^50 oscillator periods or more\n"
+
     def test_trace_with_exact_caustic(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         # 9 samples over [0, pi] place index 4 exactly at pi/2
@@ -943,6 +963,14 @@ def _writer_peak_bytes(blocks):
 
 def test_csv_memory_is_bounded_by_one_chunk():
     assert _writer_peak_bytes(8) < 1.25 * _writer_peak_bytes(2)
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(opfactor.__path__)])
+def test_every_exported_name_resolves(name):
+    # each module owns its public names; a name dropped from the module must leave __all__ too
+    module = importlib.import_module(f"opfactor.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
 
 
 def _readme_commands():

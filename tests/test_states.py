@@ -230,8 +230,8 @@ class TestEvenOdd:
         x, dx = grid.x, grid.dx
         for spec in (self.spec_plus, self.spec_minus):
             initial = WaveFunction.from_callable(
-                grid, lambda xs: psi_spm(xs, 0.0, spec), normalize=True
-            )
+                grid, lambda xs: psi_spm(xs, 0.0, spec)
+            ).normalized()
             for t, substeps in ((0.6, 1), (math.pi / 2, 2), (2.0, 2)):
                 out = apply_chain(initial, time_displacement_factors(t, substeps))
                 rho = rho_spm(x, t, spec)
