@@ -6,10 +6,10 @@ ordered product
     exp[delta] exp[i alpha x^2] exp[beta x d/dx] exp[i gamma d^2/dx^2],
 
 where (alpha, beta, gamma, delta) are functions of t fixed by a coupled ODE
-system with all four vanishing at t = 0.  Closed forms are provided for the
-squeeze family and for harmonic-oscillator time displacement; a fixed-step
-RK4 integrator handles any generator whose four coefficients are finite
-complex constants and doubles as an independent oracle for the closed forms.
+system with all four vanishing at t = 0.  `generator_factorization` is its
+one closed form, for any generator of four finite complex constants, with
+the presets `squeeze_factorization` and `time_displacement_factorization`;
+a fixed-step RK4 integrator of the same system is its independent oracle.
 
 The system is triangular (Wei & Norman, J. Math. Phys. 4, 575 (1963)): alpha
 alone obeys a closed Riccati equation, alpha' = c0 + c1 alpha + c2 alpha^2,
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -40,9 +40,9 @@ __all__ = [
     "FactorizationCoefficients",
     "GeneratorCoefficients",
     "SqueezeParameter",
+    "generator_factorization",
     "integrate_wei_norman",
     "squeeze_factorization",
-    "squeeze_scale",
     "time_displacement_factorization",
     "time_periods",
     "wei_norman_final",
@@ -149,54 +149,60 @@ class FactorizationCoefficients:
         return cls(0j, 0j, 0j, 0j, t)
 
 
-def squeeze_scale(z: SqueezeParameter, t: float = 1.0) -> float:
-    """Scale function cosh(r t) + cos(phi) sinh(r t) of the squeeze family.
+def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> FactorizationCoefficients:
+    """Closed-form product coefficients of exp[t (b1 + b2 x^2 + b3 x d/dx + b4 d^2/dx^2)].
 
-    cos(phi) carries the analytic value of z1/r, which keeps the r = 0 limit
-    exact: the function is identically 1 there, as at t = 0.  At t = 1 this
-    equals e^r cos^2(phi/2) + e^{-r} sin^2(phi/2), so it is positive for every
-    r and phi.  No two terms cancel in exp(-r t) + 2 cos^2(phi/2) sinh(r t), used
-    where cos(phi) < 0, nor in exp(r t) - 2 sin^2(phi/2) sinh(r t), used where r t < 0.
+    With alpha = -u'/(4i b4 u), the Riccati equation of alpha is the 2x2
+    constant system u'' = 2 b3 u' - 4 b2 b4 u, u(0) = 1, u'(0) = 0, solved by
+    u = e^{b3 t} Q, where w^2 = b3^2 - 4 b2 b4, s = sinh(w t)/w (s = t at
+    w = 0) and Q = cosh(w t) - b3 s.  Then, b4 = 0 included,
 
-    Raises ValueError, a refusal of the input rather than a singularity, once
-    a term or the scale itself overflows, near |r t| = 709.8.
+        alpha = -i b2 s / Q,   gamma = -i b4 s / Q,
+        beta  = -log Q,        delta = (b1 - b3/2) t - (log Q)/2.
+
+    Q is formed as e^{w t} + 4 b2 b4 s / (w - b3), with the root w for which
+    |w - b3| >= |w + b3|, so -(w + b3) is never a difference of near-equal
+    numbers.  The log is the principal branch: the result is exact while
+    arg Q stays inside (-pi, pi) on [0, t].
+
+    CausticError where the two terms of Q cancel to within CAUSTIC_EPS of the
+    larger, at a zero of Q, where the factors diverge though the operator is
+    regular; a small Q alone is no caustic.  ValueError, a refusal, where t
+    is not finite or a term or a coefficient overflows, near |Re(w t)| = 709.8.
     """
-    rt = z.r * t
+    b1, b2, b3, b4 = b.as_tuple()
+    four_b2b4 = 4.0 * b2 * b4
+    w = cmath.sqrt(b3 * b3 - four_b2b4)
+    if abs(w - b3) < abs(w + b3):
+        w = -w
+    wt = w * t
+    refusal = f"the closed form is not finite at w*t = {wt!r}; need finite t, |Re(w*t)| below 709"
     try:
-        if math.cos(z.phi) < 0.0:
-            scale = math.exp(-rt) + 2.0 * math.cos(0.5 * z.phi) ** 2 * math.sinh(rt)
-        elif rt < 0.0:
-            scale = math.exp(rt) - 2.0 * math.sin(0.5 * z.phi) ** 2 * math.sinh(rt)
-        else:
-            scale = math.cosh(rt) + math.cos(z.phi) * math.sinh(rt)
+        ewt = cmath.exp(wt)
+        s = cmath.sinh(wt) / w if w else complex(t)
     except OverflowError:
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise ValueError(f"squeeze scale overflows at r*t = {rt!r}; need |r*t| below about 709")
-    return scale
+        raise ValueError(refusal) from None
+    tail = four_b2b4 * s / (w - b3) if w != b3 else 0j
+    q = ewt + tail
+    if abs(q) < CAUSTIC_EPS * max(abs(ewt), abs(tail)):
+        raise CausticError(f"the factors are singular at t={t!r}: "
+                           f"|Q| = {abs(q):.3e} is below {CAUSTIC_EPS:.1e} of its terms")
+    log_q = cmath.log(q)
+    c = FactorizationCoefficients(delta=(b1 - 0.5 * b3) * t - 0.5 * log_q, alpha=-1j * b2 * s / q,
+                                  beta=-log_q, gamma=-1j * b4 * s / q, t=t)
+    if not all(cmath.isfinite(v) for v in c.as_tuple()):
+        raise ValueError(refusal)
+    return c
 
 
 def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationCoefficients:
-    """Closed-form product coefficients for the squeeze family.
+    """generator_factorization of the squeeze generator.
 
-    With S(t) the squeeze scale:
-
-        alpha = gamma = (sin(phi)/2) sinh(r t) / S(t)
-        beta  = -ln S(t)
-        delta = beta / 2
-
-    All four vanish at t = 0, and exp(2 delta - beta) = 1 identically.
+    Here Q = e^{-beta} = cosh(r t) + cos(phi) sinh(r t) > 0 for every r, phi
+    and t, so all four coefficients are real, alpha = gamma and
+    delta = beta/2, and exp(2 delta - beta) = 1 identically.
     """
-    scale = squeeze_scale(z, t)
-    alpha = 0.5 * math.sin(z.phi) * math.sinh(z.r * t) / scale
-    beta = -math.log(scale)
-    return FactorizationCoefficients(
-        delta=complex(0.5 * beta),
-        alpha=complex(alpha),
-        beta=complex(beta),
-        gamma=complex(alpha),
-        t=t,
-    )
+    return generator_factorization(GeneratorCoefficients.squeeze(z), t)
 
 
 def time_periods(t: float) -> tuple[int, float]:
@@ -218,34 +224,21 @@ def time_periods(t: float) -> tuple[int, float]:
 
 
 def time_displacement_factorization(t: float) -> FactorizationCoefficients:
-    """Closed-form product coefficients for oscillator time displacement.
+    """generator_factorization of the oscillator, Q = cos t, with the sign of its periods:
 
         alpha = -tan(t)/2,  beta = -ln(cos t),  gamma = tan(t)/2,
-        delta = beta/2 + i pi k,  k = floor((t + pi/2) / 2 pi)
+        delta = beta/2 + i pi k,  k = floor((t + pi/2) / 2 pi).
 
-    Raises CausticError where |cos t| < CAUSTIC_EPS, next to odd multiples of
-    pi/2, where the individual factors diverge even though the total operator
-    is regular.  The logarithm's principal branch is right for t in
-    [-pi/2, 3pi/2); an odd k carries the sign of time_periods.
+    CausticError where |cos t| < CAUSTIC_EPS, next to odd multiples of pi/2.
+    The principal log is right for t in [-pi/2, 3pi/2); an odd k carries the
+    sign of time_periods.
     """
     m, rest = time_periods(t)
-    c = math.cos(t)
-    if abs(c) < CAUSTIC_EPS:
-        raise CausticError(
-            f"time displacement factors are singular at t={t!r}: "
-            f"|cos t| = {abs(c):.3e} < {CAUSTIC_EPS:.1e}"
-        )
-    half_tan = 0.5 * math.tan(t)
-    beta = -cmath.log(complex(c))
+    c = generator_factorization(GeneratorCoefficients.oscillator(), t)
     # k is m, or m - 1 where the rest is below -pi/2
-    odd = (m - (rest < -0.5 * math.pi)) % 2
-    return FactorizationCoefficients(
-        delta=0.5 * beta + 1j * math.pi if odd else 0.5 * beta,
-        alpha=complex(-half_tan),
-        beta=beta,
-        gamma=complex(half_tan),
-        t=t,
-    )
+    if (m - (rest < -0.5 * math.pi)) % 2:
+        return replace(c, delta=c.delta + 1j * math.pi)
+    return c
 
 
 def _terms(b1: complex, b2: complex, b3: complex, b4: complex) -> tuple[complex, ...]:

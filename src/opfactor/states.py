@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SqueezeParameter, squeeze_scale
+from .algebra import SqueezeParameter
 
 __all__ = [
     "EvenOddSpec",
@@ -60,18 +60,23 @@ class SqueezedStateSpec:
 def psi_ss(x, spec: SqueezedStateSpec):
     """General squeezed state: displacement applied after the squeeze.
 
-    With S = squeeze_scale(z) and chirp kappa = (sin(phi)/2) sinh(r) / S:
+    With the width S = e^r cos^2(phi/2) + e^{-r} sin^2(phi/2), whose terms are
+    all >= 0, and chirp kappa = (sin(phi)/2) sinh(r) / S:
 
         pi^{-1/4} [S (1 + 2i kappa)]^{-1/2}
             exp[-(x - x0)^2 (1 / (2 S^2 (1 + 2i kappa)) - i kappa)
                 + i p0 x - i x0 p0 / 2]
 
     For real positive z (phi = 0) this collapses to a width-e^r Gaussian
-    centered at x0 carrying momentum p0.
+    centered at x0 carrying momentum p0.  ValueError where e^r overflows.
     """
     x = np.asarray(x, dtype=float)
     z = spec.z
-    scale = squeeze_scale(z, 1.0)
+    half = 0.5 * z.phi
+    try:
+        scale = math.exp(z.r) * math.cos(half) ** 2 + math.exp(-z.r) * math.sin(half) ** 2
+    except OverflowError:
+        raise ValueError(f"squeezed state width e^r overflows at r = {z.r!r}") from None
     kappa = 0.5 * math.sin(z.phi) * math.sinh(z.r) / scale
     chirp = 1.0 + 2j * kappa
     prefactor = _ROOT4_PI_INV / cmath.sqrt(scale * chirp)

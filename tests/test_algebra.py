@@ -18,9 +18,9 @@ from opfactor.algebra import (
     FactorizationCoefficients,
     GeneratorCoefficients,
     SqueezeParameter,
+    generator_factorization,
     integrate_wei_norman,
     squeeze_factorization,
-    squeeze_scale,
     time_displacement_factorization,
     time_periods,
     wei_norman_final,
@@ -41,43 +41,46 @@ class TestSqueezeParameter:
             SqueezeParameter(-0.1)
 
 
+def squeeze_scale(r: float, phi: float, t: float = 1.0) -> complex:
+    """The squeeze family's scale cosh(r t) + cos(phi) sinh(r t), as e^{-beta} of the closed form."""
+    return cmath.exp(-squeeze_factorization(SqueezeParameter(r, phi), t).beta)
+
+
 class TestSqueezeScale:
     def test_identity_at_zero_squeeze(self):
         for phi in (0.0, 1.0, math.pi, 5.0):
-            assert squeeze_scale(SqueezeParameter(0.0, phi), 1.0) == 1.0
+            assert squeeze_scale(0.0, phi) == 1.0
 
     def test_pure_stretch(self):
         # phi = 0 selects e^{r t}
-        assert squeeze_scale(SqueezeParameter(1.0, 0.0), 1.0) == pytest.approx(math.e, abs=1e-14)
+        assert squeeze_scale(1.0, 0.0) == pytest.approx(math.e, abs=1e-14)
 
     def test_pure_compression(self):
         # phi = pi selects e^{-r t}
-        assert squeeze_scale(SqueezeParameter(1.0, math.pi), 1.0) == pytest.approx(
-            1.0 / math.e, abs=1e-14
-        )
+        assert squeeze_scale(1.0, math.pi) == pytest.approx(1.0 / math.e, abs=1e-14)
 
     def test_two_algebraic_forms_agree(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             r = 2.0 * rng.random()
             phi = 2.0 * math.pi * rng.random()
-            hyperbolic = squeeze_scale(SqueezeParameter(r, phi), 1.0)
             half_angle = (
                 math.exp(r) * math.cos(phi / 2) ** 2 + math.exp(-r) * math.sin(phi / 2) ** 2
             )
-            assert abs(hyperbolic - half_angle) < 1e-12
+            assert abs(squeeze_scale(r, phi) - half_angle) < 1e-12
 
     def test_overflow_is_a_refusal_not_a_caustic(self):
-        assert math.isfinite(squeeze_scale(SqueezeParameter(400.0), 1.0))
+        assert math.isfinite(squeeze_scale(400.0, 0.0).real)
         for r, t in ((1000.0, 1.0), (400.0, 2.0), (400.0, -2.0)):
-            for phi in (0.5, 2.5):  # both forms of the scale
-                with pytest.raises(ValueError, match="r\\*t") as info:
-                    squeeze_scale(SqueezeParameter(r, phi), t)
+            for phi in (0.5, 2.5):  # both signs of the root w
+                with pytest.raises(ValueError, match="closed form is not finite at w\\*t") as info:
+                    squeeze_scale(r, phi, t)
                 assert not isinstance(info.value, CausticError)
 
     def test_positive_everywhere(self):
         for t in (-2.0, -0.5, 0.0, 0.5, 3.0):
-            assert squeeze_scale(SqueezeParameter(1.5, 2.8), t) > 0.0
+            scale = squeeze_scale(1.5, 2.8, t)
+            assert scale.real > 0.0 and scale.imag == 0.0
 
 
 class TestSqueezeFactorization:
@@ -117,6 +120,56 @@ class TestSqueezeFactorization:
         assert max(abs(v) for v in c.as_tuple()) == 0.0
 
 
+def branch_free(c: FactorizationCoefficients) -> tuple[complex, ...]:
+    """alpha, gamma, e^{-beta} and e^{-2 delta}: the values no branch of log Q moves."""
+    return (c.alpha, c.gamma, cmath.exp(-c.beta), cmath.exp(-2.0 * c.delta))
+
+
+class TestGeneratorFactorization:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           t=st.floats(-1.5, 1.5))
+    def test_matches_rk4_on_any_generator(self, parts, t):
+        # complex entries, non-unitary generators included
+        b = GeneratorCoefficients(*(complex(parts[k], parts[k + 1]) for k in range(0, 8, 2)))
+        closed, ode = generator_factorization(b, t), wei_norman_final(b, t)
+        assert max(abs(x - y) for x, y in zip(branch_free(closed), branch_free(ode))) < 1e-7
+
+    def test_principal_log_off_by_i_pi_is_the_documented_limit(self):
+        # arg Q passes pi on [0, t], so the principal log Q is the continuous
+        # one less 2 pi i: beta and delta are off by 2 pi i and pi i, and
+        # exp(delta) has the wrong sign, while the branch-free values agree
+        b = GeneratorCoefficients(-0.02 - 0.67j, -0.36 - 0.72j, 0.86 - 0.94j, -0.61 + 0.34j)
+        closed, ode = generator_factorization(b, 1.358), wei_norman_final(b, 1.358)
+        assert ode.beta - closed.beta == pytest.approx(-2j * math.pi, abs=1e-9)
+        assert ode.delta - closed.delta == pytest.approx(-1j * math.pi, abs=1e-9)
+        assert cmath.exp(ode.delta) == pytest.approx(-cmath.exp(closed.delta), abs=1e-9)
+        assert max(abs(x - y) for x, y in zip(branch_free(closed), branch_free(ode))) < 1e-9
+
+    def test_presets_are_the_general_form(self):
+        z = SqueezeParameter(1.3, 2.2)
+        assert squeeze_factorization(z, 0.7) == generator_factorization(
+            GeneratorCoefficients.squeeze(z), 0.7)
+        for t in (-1.5, 0.4, 2.0, 4.5):  # no period sign on [-pi/2, 3pi/2)
+            assert time_displacement_factorization(t) == generator_factorization(
+                GeneratorCoefficients.oscillator(), t)
+
+    def test_caustic_is_a_cancellation_of_q(self):
+        # b = (0, -i, 1, i): w = i sqrt(3), Q = cos(sqrt(3) t) - sin(sqrt(3) t)/sqrt(3),
+        # which vanishes at t = atan(sqrt(3))/sqrt(3) = pi / (3 sqrt(3))
+        b = GeneratorCoefficients(0.0, -1j, 1.0, 1j)
+        t = math.pi / (3.0 * math.sqrt(3.0))
+        with pytest.raises(CausticError, match="singular"):
+            generator_factorization(b, t)
+        generator_factorization(b, t - 1e-6)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_t_not_finite_is_a_refusal(self, t):
+        with pytest.raises(ValueError, match="need finite t") as info:
+            generator_factorization(GeneratorCoefficients.oscillator(), t)
+        assert not isinstance(info.value, CausticError)
+
+
 class TestTimeDisplacement:
     def test_zero_time(self):
         c = time_displacement_factorization(0.0)
@@ -141,6 +194,7 @@ class TestTimeDisplacement:
     def test_caustic_boundary(self):
         # CAUSTIC_EPS = 1e-9 bounds |cos t| from below
         time_displacement_factorization(math.pi / 2 - 1e-6)
+        time_displacement_factorization(math.pi / 2 - 5e-7)
         t = math.pi / 2 - 5e-10
         assert abs(math.cos(t)) < 1e-9
         with pytest.raises(CausticError):

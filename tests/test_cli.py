@@ -149,6 +149,18 @@ class TestFactorize:
         assert "beta = 19 +0i" in out.splitlines()
         assert "delta = 9.5 +0i" in out.splitlines()
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--r", "25", "--phi", "3.141592653589793"],
+         "delta = 12.4999999999903 +0i\nalpha = 158735.825749558 +0i\n"
+         "beta = 24.9999999999806 +0i\ngamma = 158735.825749558 +0i\n"),
+        (["--r", "25", "--phi", "0", "--t", "-1"],
+         "delta = 12.5 +0i\nalpha = 0 +0i\nbeta = 25 +0i\ngamma = 0 +0i\n"),
+    ], ids=["phi-pi", "mirror"])
+    def test_squeeze_scale_below_caustic_eps_is_no_caustic(self, capsys, argv, expected):
+        # the scale e^{-25} is below CAUSTIC_EPS, but its terms do not cancel
+        code, out, err = run(capsys, "factorize", "squeeze", *argv)
+        assert (code, out, err) == (0, expected, "")
+
     def test_ode_check_across_caustic_fails(self, capsys):
         # an RK4 stage overflows on the way across pi/2
         code, _, err = run(capsys, "factorize", "oscillator", "--t", "1.6", "--ode-check")

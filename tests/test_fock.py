@@ -11,6 +11,7 @@ from opfactor import checks, fock
 from opfactor.algebra import (
     GeneratorCoefficients,
     SqueezeParameter,
+    generator_factorization,
     squeeze_factorization,
     time_displacement_factorization,
 )
@@ -323,6 +324,18 @@ class TestSpectralRoutes:
 def test_squeeze_oracle_holds_for_any_z(r, phi):
     # the verify check's comparison and tolerance, at dim 128 with a 32-state block
     assert checks._squeeze_block_error(SqueezeParameter(r, phi), 128, 32) <= 1e-6
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(a=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), t=st.floats(-0.6, 0.6))
+def test_closed_form_matches_dense_exponential_on_unitary_generators(a, t):
+    # b2, b4 imaginary, b3 real and b1 - b3/2 imaginary: an anti-Hermitian generator
+    b = GeneratorCoefficients(0.5 * a[0] + 1j * a[1], 1j * a[2], a[0], 1j * a[3])
+    g = generator_matrix(b, 128)
+    # (g - g^dag)/2 takes the exact compression {X, D}/2 in place of the truncated X D
+    oracle = unitary_exponential(0.5 * t * (g - g.conj().T))[:16, :16]
+    factored = apply_factored(generator_factorization(b, t), np.eye(128, 16))[:16]
+    assert np.abs(factored - oracle).max() < 1e-12
 
 
 class TestFockBasis:

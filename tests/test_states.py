@@ -61,6 +61,12 @@ class TestSqueezedState:
         expected = (math.sqrt(math.pi) * s) ** -0.5 * np.exp(-((grid.x - 1.0) ** 2) / (2 * s * s))
         assert np.abs(psi_ss(grid.x, spec) - expected).max() < 1e-12
 
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_width_overflow_is_a_refusal(self, grid, phi):
+        # the CLI maps ValueError to exit 2: `evolve --initial squeezed:r=710`
+        with pytest.raises(ValueError, match="width e\\^r overflows"):
+            psi_ss(grid.x, SqueezedStateSpec(z=SqueezeParameter(710.0, phi)))
+
     def test_unit_norm(self, grid):
         spec = SqueezedStateSpec(x0=1.0, p0=0.5, z=SqueezeParameter(0.8, math.pi / 3))
         psi = WaveFunction.from_callable(grid, lambda x: psi_ss(x, spec))
