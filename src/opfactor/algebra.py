@@ -163,7 +163,11 @@ def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> Factori
     Q is formed as e^{w t} + 4 b2 b4 s / (w - b3), with the root w for which
     |w - b3| >= |w + b3|, so -(w + b3) is never a difference of near-equal
     numbers.  The log is the principal branch: the result is exact while
-    arg Q stays inside (-pi, pi) on [0, t].
+    arg Q stays inside (-pi, pi) on [0, t].  Where |Q - 1| < 1/2 it is
+    log(1 + u), with u = Q - 1 = 2 sinh^2(w t/2) - b3 s free of the
+    cancellation in Q - 1, so beta and delta keep their relative accuracy
+    as Q nears 1; that holds while both terms of u stay within 1, and past
+    that, or near a zero of Q, log Q itself is the accurate form.
 
     CausticError where the two terms of Q cancel to within CAUSTIC_EPS of the
     larger, at a zero of Q, where the factors diverge though the operator is
@@ -187,7 +191,14 @@ def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> Factori
     if abs(q) < CAUSTIC_EPS * max(abs(ewt), abs(tail)):
         raise CausticError(f"the factors are singular at t={t!r}: "
                            f"|Q| = {abs(q):.3e} is below {CAUSTIC_EPS:.1e} of its terms")
-    log_q = cmath.log(q)
+    half = cmath.sinh(0.5 * wt)
+    h, b3s = 2.0 * half * half, b3 * s
+    if abs(q - 1.0) < 0.5 and max(abs(h), abs(b3s)) <= 1.0:
+        u = h - b3s  # Q - 1
+        log_q = complex(0.5 * math.log1p(u.real * (2.0 + u.real) + u.imag * u.imag),
+                        math.atan2(u.imag, 1.0 + u.real))
+    else:
+        log_q = cmath.log(q)
     c = FactorizationCoefficients(delta=(b1 - 0.5 * b3) * t - 0.5 * log_q, alpha=-1j * b2 * s / q,
                                   beta=-log_q, gamma=-1j * b4 * s / q, t=t)
     if not all(cmath.isfinite(v) for v in c.as_tuple()):

@@ -4,8 +4,10 @@ The oracle applies each operator to the vectors a comparison reads, a
 `(dim,)` vector or a `(dim, k)` block of columns, and never builds a dense
 matrix only to slice it.  X^2, X D and the squeeze generator couple level n
 only to n and n +- 2, so each is decomposed as its even and odd parity
-blocks, half the size, cached per dimension, and every operator acts on one
-block of rows at a time.  The factored product is applied from `eigh` of the
+blocks, half the size, and every operator acts on one block of rows at a
+time.  One cache keyed by the dimension holds, per parity block, the
+decompositions of all three, which both the factored product and the
+squeeze exponential read.  The factored product is applied from `eigh` of the
 real blocks of X^2 and `eig` of the blocks of X D, which the truncation
 corner makes non-normal; D^2 reuses X^2's decomposition through
 D = -i F^dag X F with F = diag(i^n).  The squeeze exponential is
@@ -142,10 +144,12 @@ def _i_powers(count: int) -> np.ndarray:
 
 
 class _ParityBlock(NamedTuple):
-    """The truncated X^2 and X D on the levels start, start + 2, ...
+    """The truncated X^2, X D and K = (a^dag a^dag - a a)/2 on the levels start, start + 2, ...
 
     X^2 = u diag(lam2) u^T with u real orthogonal; X D = v diag(mu) v_inv,
     which the truncation corner makes non-normal; f is F's diagonal there.
+    K's block is real antisymmetric and tridiagonal, so S = diag(i^j), with
+    s its diagonal, makes it S (-i w diag(sigma) w^T) S^dag, w real orthogonal.
     """
 
     lam2: np.ndarray
@@ -154,11 +158,16 @@ class _ParityBlock(NamedTuple):
     v: np.ndarray
     v_inv: np.ndarray
     f: np.ndarray
+    sigma: np.ndarray
+    w: np.ndarray
+    s: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
 def _spectra(dim: int) -> tuple[_ParityBlock, _ParityBlock]:
     """Read-only decompositions of the even (first) and odd (second) parity blocks."""
+    # K (real) first, so its temporaries are freed before those of X and D
+    k = squeeze_generator(SqueezeParameter(1.0), dim).real.copy()
     x, d = xp_matrices(dim)
     x, d = x.real, d.real
     x2, xd, f = x @ x, x @ d, _i_powers(dim)
@@ -167,7 +176,9 @@ def _spectra(dim: int) -> tuple[_ParityBlock, _ParityBlock]:
         b = slice(start, None, 2)
         lam2, u = np.linalg.eigh(x2[b, b])
         mu, v = np.linalg.eig(xd[b, b])
-        blocks.append(_ParityBlock(lam2, u, mu, v, np.linalg.inv(v), f[b]))
+        s = _i_powers(len(lam2))
+        sigma, w = np.linalg.eigh((1j * s.conj()[:, None] * k[b, b] * s).real)
+        blocks.append(_ParityBlock(lam2, u, mu, v, np.linalg.inv(v), f[b], sigma, w, s))
         _read_only(*blocks[-1])
     return blocks[0], blocks[1]
 
@@ -222,32 +233,6 @@ def squeeze_generator(z: SqueezeParameter, dim: int) -> np.ndarray:
     return 0.5 * (z.z * adag_adag - np.conj(z.z) * aa)
 
 
-class _SqueezeBlock(NamedTuple):
-    """K on the levels start, start + 2, ... as S (-i u diag(sigma) u^T) S^dag.
-
-    K's block is real antisymmetric and tridiagonal, so S = diag(i^j) turns
-    i K into the real symmetric u diag(sigma) u^T; s is S's diagonal.
-    """
-
-    sigma: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-
-
-@functools.lru_cache(maxsize=4)
-def _squeeze_spectra(dim: int) -> tuple[_SqueezeBlock, _SqueezeBlock]:
-    """Read-only decompositions of K = (a^dag a^dag - a a)/2 on its even and odd blocks."""
-    k = squeeze_generator(SqueezeParameter(1.0), dim)
-    blocks = []
-    for start in (0, 1):
-        b = slice(start, None, 2)
-        s = _i_powers(len(range(dim)[b]))
-        sigma, u = np.linalg.eigh((1j * s.conj()[:, None] * k[b, b] * s).real)
-        blocks.append(_SqueezeBlock(sigma, u, s))
-        _read_only(*blocks[-1])
-    return blocks[0], blocks[1]
-
-
 def apply_squeeze(z: SqueezeParameter, vectors: np.ndarray) -> np.ndarray:
     """exp((z a^dag a^dag - z* a a)/2) applied to a (dim,) vector or (dim, k) block.
 
@@ -258,10 +243,10 @@ def apply_squeeze(z: SqueezeParameter, vectors: np.ndarray) -> np.ndarray:
     y = _columns(vectors)
     p = np.exp(0.5j * cmath.phase(z.z) * np.arange(y.shape[0]))[:, None]
     out = np.empty_like(y)
-    for start, b in enumerate(_squeeze_spectra(y.shape[0])):
+    for start, b in enumerate(_spectra(y.shape[0])):
         q = p[start::2] * b.s[:, None]
-        part = _real_matmul(b.u.T, q.conj() * y[start::2])
-        out[start::2] = q * _real_matmul(b.u, np.exp(-1j * z.r * b.sigma)[:, None] * part)
+        part = _real_matmul(b.w.T, q.conj() * y[start::2])
+        out[start::2] = q * _real_matmul(b.w, np.exp(-1j * z.r * b.sigma)[:, None] * part)
     return _finite_or_raise(out.reshape(np.shape(vectors)))
 
 

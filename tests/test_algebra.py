@@ -146,6 +146,31 @@ class TestGeneratorFactorization:
         assert cmath.exp(ode.delta) == pytest.approx(-cmath.exp(closed.delta), abs=1e-9)
         assert max(abs(x - y) for x, y in zip(branch_free(closed), branch_free(ode))) < 1e-9
 
+    def test_beta_and_delta_keep_relative_accuracy_near_q_one(self):
+        # where Q nears 1, log Q = log1p(Q - 1) keeps beta and delta to a few
+        # ulps, which cmath.log(Q) kept only in absolute terms
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(25)
+        draws = zip(rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 2 * math.pi, 2000),
+                    rng.uniform(-0.05, 0.05, 2000))
+        cases = [(GeneratorCoefficients.squeeze(SqueezeParameter(r, phi)), t)
+                 for r, phi, t in draws]
+        cases.append((GeneratorCoefficients.squeeze(SqueezeParameter(0.04775, 1.4852)), 6.07e-5))
+        cases += [(GeneratorCoefficients.oscillator(), t) for t in (1e-5, 1e-3, 0.3)]
+        # Q near 1 where both terms of Q - 1 are near e^46 / 2: log Q itself serves
+        cases += [(GeneratorCoefficients(0.0, -1e-20, 1.0, 1.0), t) for t in (45.8, 46.0)]
+        worst = 0.0
+        with mpmath.workdps(40):
+            for b, t in cases:
+                b1, b2, b3, b4 = (mpmath.mpc(v) for v in b.as_tuple())
+                w = mpmath.sqrt(b3 * b3 - 4 * b2 * b4)
+                s = mpmath.sinh(w * t) / w if w else mpmath.mpf(t)
+                log_q = mpmath.log(mpmath.cosh(w * t) - b3 * s)
+                c = generator_factorization(b, t)
+                for got, want in ((c.beta, -log_q), (c.delta, (b1 - b3 / 2) * t - log_q / 2)):
+                    worst = max(worst, float(abs(got - want) / abs(want)))
+        assert worst <= 1e-13
+
     def test_presets_are_the_general_form(self):
         z = SqueezeParameter(1.3, 2.2)
         assert squeeze_factorization(z, 0.7) == generator_factorization(

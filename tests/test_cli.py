@@ -103,10 +103,20 @@ class TestFactorize:
         assert values["gamma"] == pytest.approx(0.5, abs=1e-14)
 
     def test_oscillator_full_period_is_minus_one(self, capsys):
-        # T(2 pi) = -1 = exp(i pi): the period's sign sits in delta
+        # T(2 pi) = -1 = exp(i pi): the period's sign sits in delta; the float
+        # t is 2 pi - 2.449e-16, so cos t = 1 - 3.0e-32 and -ln(cos t)/2 = 1.5e-32
         code, out, _ = run(capsys, "factorize", "oscillator", "--t", "6.283185307179586")
         assert code == 0
-        assert out.splitlines()[0] == "delta = 0 +3.14159265358979i"
+        assert out.splitlines()[0] == "delta = 1.49975978266186e-32 +3.14159265358979i"
+
+    def test_oscillator_small_t_keeps_every_digit(self, capsys):
+        # beta = -ln(cos t) = t^2/2 + t^4/12 + ..., delta = beta/2, alpha = -tan(t)/2
+        code, out, _ = run(capsys, "factorize", "oscillator", "--t", "1e-5")
+        assert code == 0
+        assert out == ("delta = 2.50000000004167e-11 +0i\n"
+                       "alpha = -5.00000000016667e-06 +0i\n"
+                       "beta = 5.00000000008333e-11 +0i\n"
+                       "gamma = 5.00000000016667e-06 +0i\n")
 
     def test_singularity_exit_code(self, capsys):
         code, out, err = run(capsys, "factorize", "oscillator", "--t", str(math.pi / 2))

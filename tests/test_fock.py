@@ -234,18 +234,18 @@ class TestSpectralRoutes:
         for g in generators:
             assert np.abs(unitary_exponential(g) - matrix_exponential(g)).max() <= 1e-12
 
-    @pytest.mark.parametrize("cached", [fock._spectra, fock._squeeze_spectra],
-                             ids=["factored", "squeeze"])
-    def test_decomposition_cache_is_read_only_and_bounded(self, cached):
+    def test_decomposition_cache_is_read_only_and_bounded(self):
         for dim in (8, 9, 16, 24, 32, 40, 48):
-            bundle = cached(dim)
-            assert cached(dim) is bundle
-            assert [len(b[0]) for b in bundle] == [(dim + 1) // 2, dim // 2]
+            bundle = fock._spectra(dim)
+            assert fock._spectra(dim) is bundle
+            assert [len(b.lam2) for b in bundle] == [(dim + 1) // 2, dim // 2]
+            assert all(len(a) == len(b.lam2) for b in bundle for a in b)
             assert all(not a.flags.writeable for b in bundle for a in b)
-            with pytest.raises(ValueError):
-                bundle[1].u[0, 0] = 1.0
-        info = cached.cache_info()
-        assert info.currsize <= info.maxsize
+            for name in ("u", "w"):
+                with pytest.raises(ValueError):
+                    getattr(bundle[1], name)[0, 0] = 1.0
+        info = fock._spectra.cache_info()
+        assert info.maxsize == 4 and info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("dim", [32, 33])
     def test_decompositions_reconstruct_x_and_xd(self, dim):
@@ -256,12 +256,12 @@ class TestSpectralRoutes:
                       - d).max() == 0.0
         for m in (x @ x, x @ d, k):
             assert np.all(m[0::2, 1::2] == 0) and np.all(m[1::2, 0::2] == 0)
-        for start, (b, sq) in enumerate(zip(fock._spectra(dim), fock._squeeze_spectra(dim))):
+        for start, b in enumerate(fock._spectra(dim)):
             blk = slice(start, None, 2)
             assert np.abs((b.u * b.lam2) @ b.u.T - (x @ x)[blk, blk]).max() < 1e-12
             assert np.abs((b.v * b.mu) @ b.v_inv - (x @ d)[blk, blk]).max() < 1e-12
             assert np.array_equal(b.f, fock._i_powers(dim)[blk])
-            rebuilt = sq.s[:, None] * (-1j * (sq.u * sq.sigma) @ sq.u.T) * sq.s.conj()
+            rebuilt = b.s[:, None] * (-1j * (b.w * b.sigma) @ b.w.T) * b.s.conj()
             assert np.abs(rebuilt - k[blk, blk]).max() < 1e-12
 
     @pytest.mark.parametrize(
@@ -301,7 +301,7 @@ class TestSpectralRoutes:
             apply(np.zeros((16, 2, 2)))
 
     def test_warm_oracle_checks_decompose_nothing(self, monkeypatch):
-        # cold, every cached spectrum is decomposed once per distinct dim; warm, never
+        # cold, the one cached bundle is decomposed once per distinct dim; warm, never
         counts = {"eig": 0, "eigh": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -309,7 +309,6 @@ class TestSpectralRoutes:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         fock._spectra.cache_clear()
-        fock._squeeze_spectra.cache_clear()
         checks.check_fock_squeeze_oracle()
         checks.check_fock_truncation_monotonicity()
         # dims 128 and 64, two parity blocks each: eig of X D, eigh of X^2 and of K
