@@ -6,9 +6,9 @@ ordered product
     exp[delta] exp[i alpha x^2] exp[beta x d/dx] exp[i gamma d^2/dx^2],
 
 where (alpha, beta, gamma, delta) are functions of t fixed by a coupled ODE
-system with all four vanishing at t = 0.  `generator_factorization` is its
-one closed form, for any generator of four finite complex constants, with
-the presets `squeeze_factorization` and `time_displacement_factorization`;
+system with all four vanishing at t = 0, which also fixes delta's branch.
+`generator_factorization` is its one closed form for any constant generator,
+with the presets `squeeze_factorization` and `time_displacement_factorization`;
 a fixed-step RK4 integrator of the same system is its independent oracle.
 
 The system is triangular (Wei & Norman, J. Math. Phys. 4, 575 (1963)): alpha
@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -162,17 +162,18 @@ def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> Factori
 
     Q is formed as e^{w t} + 4 b2 b4 s / (w - b3), with the root w for which
     |w - b3| >= |w + b3|, so -(w + b3) is never a difference of near-equal
-    numbers.  The log is the principal branch: the result is exact while
-    arg Q stays inside (-pi, pi) on [0, t].  Where |Q - 1| < 1/2 it is
-    log(1 + u), with u = Q - 1 = 2 sinh^2(w t/2) - b3 s free of the
-    cancellation in Q - 1, so beta and delta keep their relative accuracy
-    as Q nears 1; that holds while both terms of u stay within 1, and past
-    that, or near a zero of Q, log Q itself is the accurate form.
+    numbers.  Where |Q - 1| < 1/2 the log is log(1 + u), with
+    u = Q - 1 = 2 sinh^2(w t/2) - b3 s free of the cancellation in Q - 1,
+    so beta and delta keep their relative accuracy as Q nears 1; that holds
+    while both terms of u stay within 1, and past that, or near a zero of
+    Q, log Q itself is the accurate form.  beta keeps that principal log;
+    delta continues log Q along [0, t] from 0, as the ODEs do (_odd_turn).
 
     CausticError where the two terms of Q cancel to within CAUSTIC_EPS of the
     larger, at a zero of Q, where the factors diverge though the operator is
     regular; a small Q alone is no caustic.  ValueError, a refusal, where t
-    is not finite or a term or a coefficient overflows, near |Re(w t)| = 709.8.
+    is not finite, a term or a coefficient overflows (|Re(w t)| near 709.8),
+    or |Im(w t)| spans MAX_PERIODS periods, where a float t fixes no turn.
     """
     b1, b2, b3, b4 = b.as_tuple()
     four_b2b4 = 4.0 * b2 * b4
@@ -203,7 +204,36 @@ def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> Factori
                                   beta=-log_q, gamma=-1j * b4 * s / q, t=t)
     if not all(cmath.isfinite(v) for v in c.as_tuple()):
         raise ValueError(refusal)
+    if abs(wt.imag) >= MAX_PERIODS * math.tau:
+        raise ValueError(f"t = {t:.6g} spans 2^50 periods of exp(i Im(w) t) or more")
+    if _odd_turn(b3, b4, w, wt, q, t):
+        return FactorizationCoefficients(c.delta + 1j * math.pi, *c.as_tuple()[1:], t=t)
     return c
+
+
+def _odd_turn(b3: complex, b4: complex, w: complex, wt: complex, q: complex, t: float) -> bool:
+    """Whether log Q, continued along [0, t] from 0, is Log Q plus an odd multiple of 2 pi i.
+
+    Q = e^{w t} (1 + z)/(1 + z0), z = z0 e^{-2 w t}, |z0| <= 1 (Wei & Norman 1963).
+    While |z| <= 1, arg Q continues as Im(w t) + Arg(Q e^{-i Im(w t)}); once |z|
+    passes 1, at tau, as Arg z0 - Im(w t) + Arg(Q e^{i Im(w t)}/z0) less the turns
+    of arg z behind tau: rounds of phases that cmath reduces exactly.  A real Q has
+    its zeros on the path (a unitary generator's caustics), and each steps arg Q by
+    pi sgn(t Im b4), the sign in which gamma = -i b4 s/Q diverges: the metaplectic
+    sign (Moshinsky & Quesne, J. Math. Phys. 12, 1971).  A real w leaves one zero at
+    most; an imaginary w keeps |z| = 1, inside where Im(w) Im(b4) >= 0.
+    """
+    if not (b3.imag or w.imag):
+        return q.real < 0 and math.copysign(1.0, q.imag) != math.copysign(1.0, t * b4.imag)
+    grow, turn = math.exp(wt.real), cmath.rect(1.0, wt.imag)
+    rest, lead = abs(w + b3) / grow, abs(w - b3) * grow  # |z| = rest / lead
+    if rest < lead or (rest == lead and w.imag * b4.imag >= 0):
+        return round((wt.imag + cmath.phase(q / turn) - cmath.phase(q)) / math.tau) % 2 == 1
+    z0 = (w + b3) / (w - b3)
+    tau = math.log(abs(z0)) / (2.0 * w.real) if w.real else 0.0
+    behind = cmath.phase(z0) - 2.0 * w.imag * tau - cmath.phase(z0 * cmath.exp(-2.0 * w * tau))
+    gap = cmath.phase(z0) - wt.imag + cmath.phase(q * turn / z0) - cmath.phase(q)
+    return (round(gap / math.tau) - round(behind / math.tau)) % 2 == 1
 
 
 def squeeze_factorization(z: SqueezeParameter, t: float = 1.0) -> FactorizationCoefficients:
@@ -235,21 +265,11 @@ def time_periods(t: float) -> tuple[int, float]:
 
 
 def time_displacement_factorization(t: float) -> FactorizationCoefficients:
-    """generator_factorization of the oscillator, Q = cos t, with the sign of its periods:
-
-        alpha = -tan(t)/2,  beta = -ln(cos t),  gamma = tan(t)/2,
-        delta = beta/2 + i pi k,  k = floor((t + pi/2) / 2 pi).
-
-    CausticError where |cos t| < CAUSTIC_EPS, next to odd multiples of pi/2.
-    The principal log is right for t in [-pi/2, 3pi/2); an odd k carries the
-    sign of time_periods.
+    """generator_factorization of the oscillator, Q = cos t: alpha = -tan(t)/2,
+    beta = -Log(cos t), gamma = tan(t)/2 and delta = beta/2, plus i pi on odd
+    turns of log Q, so T(2 pi) = -1.  CausticError where |cos t| < CAUSTIC_EPS.
     """
-    m, rest = time_periods(t)
-    c = generator_factorization(GeneratorCoefficients.oscillator(), t)
-    # k is m, or m - 1 where the rest is below -pi/2
-    if (m - (rest < -0.5 * math.pi)) % 2:
-        return replace(c, delta=c.delta + 1j * math.pi)
-    return c
+    return generator_factorization(GeneratorCoefficients.oscillator(), t)
 
 
 def _terms(b1: complex, b2: complex, b3: complex, b4: complex) -> tuple[complex, ...]:

@@ -1,7 +1,8 @@
 """Independent references that only the tests use: scipy's general matrix
 exponential, a reader for the files `opfactor evolve` writes, the scalar
-RK4 step loop that the vectorized integrator must equal bit for bit, and
-the ladder-product form of the squeeze generator.
+RK4 step loop that the vectorized integrator must equal bit for bit, the
+exponent that exp(t b) gives a Gaussian, and the ladder-product form of the
+squeeze generator.
 
 The package itself needs numpy only; scipy is a test dependency
 (`pip install -e .[test]`).
@@ -100,6 +101,31 @@ def rk4_samples(b, t_end, steps):
             )
         samples.append(FactorizationCoefficients(delta, alpha, beta, gamma, (step + 1) * h))
     return samples
+
+
+def gaussian_exponent(b, t_end, steps=4000):
+    """(c, n) with exp(t_end b) exp(-x^2/2) = exp(n - c x^2), by RK4 from (1/2, 0).
+
+    b1 + b2 x^2 + b3 x d/dx + b4 d^2/dx^2 keeps the Gaussian form, with
+    c' = -b2 + 2 b3 c - 4 b4 c^2 and n' = b1 - 2 b4 c.  For a unitary
+    generator Re c stays positive, so n is regular through the caustics,
+    where the product coefficients diverge, and fixes the operator's sign.
+    """
+    b1, b2, b3, b4 = b.as_tuple()
+    h = t_end / steps
+
+    def rhs(c):
+        return -b2 + 2.0 * b3 * c - 4.0 * b4 * c * c, b1 - 2.0 * b4 * c
+
+    c, n = 0.5 + 0j, 0j
+    for _ in range(steps):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * h * k1[0])
+        k3 = rhs(c + 0.5 * h * k2[0])
+        k4 = rhs(c + h * k3[0])
+        c += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        n += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return c, n
 
 
 def squeeze_generator_ladder(z, dim):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opfactor import checks, fock
@@ -327,6 +327,9 @@ def test_squeeze_oracle_holds_for_any_z(r, phi):
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(a=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), t=st.floats(-0.6, 0.6))
+# past two caustics, where Q = 0.895 and 1.150 is positive again and exp(delta) turns sign
+@example(a=[0.5, 0.1, -0.4, 0.6], t=6.0)
+@example(a=[0.5, 0.1, -0.4, 0.6], t=7.0)
 def test_closed_form_matches_dense_exponential_on_unitary_generators(a, t):
     # b2, b4 imaginary, b3 real and b1 - b3/2 imaginary: an anti-Hermitian generator
     b = GeneratorCoefficients(0.5 * a[0] + 1j * a[1], 1j * a[2], a[0], 1j * a[3])
