@@ -18,6 +18,7 @@ from .algebra import (
     ODE_STEPS,
     GeneratorCoefficients,
     SqueezeParameter,
+    generator_factorization,
     squeeze_factorization,
     time_displacement_factorization,
     wei_norman_final,
@@ -34,7 +35,8 @@ from .grid import (
     time_displacement_factors,
 )
 
-__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "evenodd_initial", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "evenodd_initial", "ode_deviation",
+           "run_checks"]
 
 DEFAULT_SEED = 20260810
 
@@ -70,9 +72,10 @@ def _max_abs(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
-def coeff_distance(got, expected) -> float:
-    """Largest |difference| between two sets of product coefficients."""
-    return max(abs(g - e) for g, e in zip(got.as_tuple(), expected.as_tuple()))
+def ode_deviation(b: GeneratorCoefficients, t: float, steps: int) -> float:
+    """Largest coefficient gap between wei_norman_final(b, t, steps) and the closed form."""
+    final, closed = wei_norman_final(b, t, steps), generator_factorization(b, t)
+    return max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple()))
 
 
 def _phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
@@ -91,34 +94,25 @@ def check_ode_squeeze(ode_steps: int):
     worst = 0.0
     for _ in range(ODE_SQUEEZE_SAMPLES):
         z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
-        closed = squeeze_factorization(z, 1.0)
-        final = wei_norman_final(GeneratorCoefficients.squeeze(z), 1.0, ode_steps)
-        worst = max(worst, coeff_distance(final, closed))
+        worst = max(worst, ode_deviation(GeneratorCoefficients.squeeze(z), 1.0, ode_steps))
     return [CheckResult("analytic", "ode_vs_closed_form_squeeze", worst, 1e-7)]
 
 
 def check_ode_oscillator(ode_steps: int):
     """RK4 trajectories reproduce the time-displacement closed forms."""
-    worst = 0.0
-    for t in (0.3, 0.7, 1.0, 1.4):
-        closed = time_displacement_factorization(t)
-        final = wei_norman_final(GeneratorCoefficients.oscillator(), t, ode_steps)
-        worst = max(worst, coeff_distance(final, closed))
+    b = GeneratorCoefficients.oscillator()
+    worst = max(ode_deviation(b, t, ode_steps) for t in (0.3, 0.7, 1.0, 1.4))
     return [CheckResult("analytic", "ode_vs_closed_form_oscillator", worst, 1e-7)]
 
 
 def check_unitarity_residue():
     """exp(2 delta - beta) stays 1 along both families, closed form and ODE."""
-    worst = 0.0
-    for t in (0.25, 0.7, 1.0):
-        worst = max(worst, time_displacement_factorization(t).unitarity_residue())
-        final = wei_norman_final(GeneratorCoefficients.oscillator(), t, RESIDUE_ODE_STEPS)
-        worst = max(worst, final.unitarity_residue())
-    for r, phi in ((0.5, 0.0), (1.0, math.pi / 3), (2.0, 5.0)):
-        z = SqueezeParameter(r, phi)
-        worst = max(worst, squeeze_factorization(z, 1.0).unitarity_residue())
-        final = wei_norman_final(GeneratorCoefficients.squeeze(z), 1.0, RESIDUE_ODE_STEPS)
-        worst = max(worst, final.unitarity_residue())
+    cases = [(GeneratorCoefficients.oscillator(), t) for t in (0.25, 0.7, 1.0)]
+    cases += [(GeneratorCoefficients.squeeze(SqueezeParameter(r, phi)), 1.0)
+              for r, phi in ((0.5, 0.0), (1.0, math.pi / 3), (2.0, 5.0))]
+    worst = max(max(generator_factorization(b, t).unitarity_residue(),
+                    wei_norman_final(b, t, RESIDUE_ODE_STEPS).unitarity_residue())
+                for b, t in cases)
     return [CheckResult("analytic", "unitarity_residue", worst, 1e-10)]
 
 

@@ -10,7 +10,8 @@ decompositions of all three, which both the factored product and the
 squeeze exponential read.  The factored product is applied from `eigh` of the
 real blocks of X^2 and `eig` of the blocks of X D, which the truncation
 corner makes non-normal; D^2 reuses X^2's decomposition through
-D = -i F^dag X F with F = diag(i^n).  The squeeze exponential is
+D = -i F^dag X F with F = diag(i^n); exp(i pi k X D) is the parity (-1)^{n k},
+so beta's turns of i pi past a caustic are a sign.  The squeeze exponential is
 P exp(r K) P^dag, with P = diag(e^{i n phi/2}) and K the squeeze generator at
 z = 1, so one decomposition of K per dimension serves every z.  Real
 eigenvectors act as one real matrix product on the complex array's float
@@ -190,12 +191,16 @@ def apply_factored(c: FactorizationCoefficients, vectors: np.ndarray) -> np.ndar
     dim-level basis; the result has its shape.  Every factor keeps parity,
     so each parity block of rows goes through all three on its own.  The
     D^2 factor acts first, as F^dag exp(-i gamma X^2) F, so one
-    decomposition of X^2 serves both quadratic factors.  Raises
-    OverflowError when the result is not finite, which is how the truncation
-    wall shows at large |beta|.
+    decomposition of X^2 serves both quadratic factors.  As exp(i pi k X D)
+    is the parity (-1)^{n k}, an odd k = round(Im beta / pi) negates the odd
+    block and X D's spectrum takes only beta - i pi k, so Q < 0 does not
+    overflow.  Raises OverflowError when the result is not finite, which is
+    how the truncation wall shows at large |beta|.
     """
     if not all(cmath.isfinite(v) for v in c.as_tuple()):
         raise ValueError(f"coefficients must be finite, got {c.as_tuple()}")
+    turns = round(c.beta.imag / math.pi)
+    beta = c.beta - 1j * math.pi * turns
     y = _columns(vectors)
     out = np.empty_like(y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,7 +208,8 @@ def apply_factored(c: FactorizationCoefficients, vectors: np.ndarray) -> np.ndar
             f, lam2 = b.f[:, None], b.lam2[:, None]
             part = _real_matmul(b.u.T, f * y[start::2])
             part = f.conj() * _real_matmul(b.u, np.exp(-1j * c.gamma * lam2) * part)
-            part = b.v @ (np.exp(c.beta * b.mu)[:, None] * (b.v_inv @ part))
+            part = b.v @ (np.exp(beta * b.mu)[:, None] * (b.v_inv @ part))
+            part = -part if start and turns % 2 else part
             part = _real_matmul(b.u.T, part)
             out[start::2] = _real_matmul(b.u, np.exp(1j * c.alpha * lam2) * part)
         out *= cmath.exp(c.delta)

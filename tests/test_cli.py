@@ -353,7 +353,7 @@ class TestEvolve:
         assert "takes keys" in err
 
     @pytest.mark.xfail(strict=True, reason="content that leaves the window re-enters on the "
-                       "other side with exit 0 (ROADMAP item 3, the footprint predictor)")
+                       "other side with exit 0 (ROADMAP item 5, the footprint predictor)")
     def test_state_leaving_the_window_is_not_exit_0(self, capsys):
         # coherent_evolved puts the peak at x = +13.05, outside [-12, 12); the
         # periodic chain puts it at -10.96 and the norm does not move
@@ -372,7 +372,7 @@ class TestEvolve:
         assert code != 0 or np.abs(psi * (abs(overlap) / overlap) - expected).max() < 1e-8
 
     @pytest.mark.xfail(strict=True, reason="the pair's momentum passes the grid's Nyquist band "
-                       "near t = pi/2 and aliases with exit 0 (ROADMAP item 3)")
+                       "near t = pi/2 and aliases with exit 0 (ROADMAP items 3, 5)")
     def test_density_past_nyquist_is_not_silently_off(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "density", "--x0", "7", "--s", "1.5", "--grid-min", "-100",
@@ -595,6 +595,11 @@ class TestDensity:
     # a required key=value missing from --initial or --op
     "evolve --initial evenodd:s=1.5",
     "evolve --initial ground --op time",
+    # an --op item with no "=", a value that is not a number, and a count of no substeps
+    "evolve --initial ground --op time:t",
+    "evolve --initial ground --op time:t=abc",
+    "evolve --initial ground --op time:t=1,substeps=0",
+    "verify grid --ode-steps 0",
     # a key given twice in --initial or --op
     "evolve --initial coherent:x0=1,x0=2",
     "evolve --initial ground --op squeeze:r=1,r=2",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from opfactor import checks, fock
 from opfactor.algebra import (
+    FactorizationCoefficients,
     GeneratorCoefficients,
     SqueezeParameter,
     generator_factorization,
@@ -137,8 +138,6 @@ class TestMatrixExponential:
 
 class TestFactoredMatrix:
     def test_zero_coefficients_identity(self):
-        from opfactor.algebra import FactorizationCoefficients
-
         m = factored_matrix(FactorizationCoefficients.zero(), 32)
         assert np.abs(m - np.eye(32)).max() < 1e-14
 
@@ -274,9 +273,16 @@ class TestSpectralRoutes:
             unitary_exponential(g)
 
     @pytest.mark.parametrize("dim", [256, 512])
+    @pytest.mark.parametrize("t", [2.0, 2.5, -2.0])
+    def test_past_a_caustic_beta_turns_are_the_parity(self, dim, t):
+        # cos t < 0, so beta = -ln|cos t| -+ i pi: the i pi is the parity (-1)^n, not an exponent
+        m = apply_factored(time_displacement_factorization(t), np.eye(dim, 8))
+        assert np.abs(m[:8] - np.diag(np.exp(-1j * (np.arange(8) + 0.5) * t))).max() < 1e-12
+
+    @pytest.mark.parametrize("dim", [256, 512])
     def test_truncation_wall_overflow_is_refused(self, dim):
-        # beta = -ln cos 2 has imaginary part -pi, so e^{beta mu} overflows.
-        c = time_displacement_factorization(2.0)
+        # exp(i alpha X^2) = exp(2 X^2) is not finite on the truncated basis
+        c = FactorizationCoefficients(0j, -2j, 0j, 0j)
         with pytest.raises(OverflowError):
             factored_matrix(c, dim)
         for vectors in (np.eye(dim, 16), np.eye(dim)[0]):
@@ -284,8 +290,6 @@ class TestSpectralRoutes:
                 apply_factored(c, vectors)
 
     def test_nonfinite_coefficients_rejected(self):
-        from opfactor.algebra import FactorizationCoefficients
-
         c = FactorizationCoefficients(0j, complex(math.nan), 0j, 0j)
         with pytest.raises(ValueError):
             factored_matrix(c, 16)
@@ -330,6 +334,9 @@ def test_squeeze_oracle_holds_for_any_z(r, phi):
 # past two caustics, where Q = 0.895 and 1.150 is positive again and exp(delta) turns sign
 @example(a=[0.5, 0.1, -0.4, 0.6], t=6.0)
 @example(a=[0.5, 0.1, -0.4, 0.6], t=7.0)
+# past one caustic, where Q = -1.16 and -0.84 and beta carries i pi
+@example(a=[0.5, 0.1, -0.4, 0.6], t=3.0)
+@example(a=[0.5, 0.1, -0.4, 0.6], t=4.0)
 def test_closed_form_matches_dense_exponential_on_unitary_generators(a, t):
     # b2, b4 imaginary, b3 real and b1 - b3/2 imaginary: an anti-Hermitian generator
     b = GeneratorCoefficients(0.5 * a[0] + 1j * a[1], 1j * a[2], a[0], 1j * a[3])

@@ -499,6 +499,10 @@ class TestChains:
             apply_chain(ground, [QuadraticPhase(0.0, 0.0, 1e200)] * 2 + [Shift(20.0)])
         assert issubclass(ChainRefusedError, ChainError) and issubclass(ChainRefusedError, ValueError)
 
+    def test_object_that_is_not_a_factor_is_refused(self, ground):
+        with pytest.raises(ChainRefusedError, match="factor 0 .* not a pointwise factor"):
+            apply_chain(ground, [object()])
+
     def test_nonfinite_mid_chain_names_its_factor(self, ground):
         with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 2"):
             apply_chain(ground, [QuadraticPhase(0.0, 0.0, s) for s in (1.0, 1e200, 1e200)])
