@@ -353,7 +353,10 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     if not math.isfinite(args.t) or args.ode_steps < 1:
         raise ValueError("need a finite --t and --ode-steps >= 1")
     if args.family == "squeeze":
-        generator = GeneratorCoefficients.squeeze(SqueezeParameter(args.r, args.phi))
+        r, phi = (0.0 if v is None else v for v in (args.r, args.phi))
+        generator = GeneratorCoefficients.squeeze(SqueezeParameter(r, phi))
+    elif (args.r, args.phi) != (None, None):
+        raise ValueError("factorize oscillator takes no --r or --phi")
     else:
         generator = GeneratorCoefficients.oscillator()
     coeffs = generator_factorization(generator, args.t)
@@ -486,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fact = sub.add_parser("factorize", help="print product coefficients for one family")
     p_fact.add_argument("family", choices=("squeeze", "oscillator"))
     p_fact.add_argument("--t", type=float, default=1.0, help="evolution parameter")
-    p_fact.add_argument("--r", type=float, default=0.0, help="squeeze magnitude")
-    p_fact.add_argument("--phi", type=float, default=0.0, help="squeeze phase (radians)")
+    p_fact.add_argument("--r", type=float, help="squeeze magnitude (squeeze only; default 0)")
+    p_fact.add_argument("--phi", type=float, help="squeeze phase in radians (squeeze only; default 0)")
     p_fact.add_argument("--ode-check", action="store_true",
                         help="also integrate the ODE system and print the deviation")
     p_fact.add_argument("--ode-steps", type=int, default=RunConfig.ode_steps, help="RK4 steps")

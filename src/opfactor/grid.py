@@ -27,9 +27,9 @@ lookup skips them.
 
 There are two private kernels, kernel(buf, grid, factor), that may overwrite
 buf and return the result: _multiply returns buf itself (numpy's in-place
-fft/ifft via out=, hence numpy >= 2.0), _dilate a new array.  A chain copies
-its input samples once and runs every factor in place on that one buffer;
-the public apply_* functions run the same kernel on a copy of the samples.
+fft/ifft via out=, hence numpy >= 2.0), _dilate a new array.  One runner,
+_run, serves apply_chain and the apply_* functions, which are chains of one
+factor, so a refused factor is a ChainRefusedError in each of them.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ __all__ = [
     "Grid",
     "OperatorFactor",
     "QuadraticPhase",
-    "ShiftRangeError",
     "Shift",
     "SpectralD2",
     "SupportOverflowWarning",
@@ -70,10 +69,6 @@ __all__ = [
 OVERFLOW_FRAC = 1e-6
 MAX_TIME_SUBSTEPS = 2**16
 _MULTIPLIER_CACHE_SIZE = 8
-
-
-class ShiftRangeError(ValueError):
-    """Shift magnitude would wrap state content around the periodic boundary."""
 
 
 class SupportOverflowWarning(UserWarning):
@@ -290,13 +285,12 @@ def _dilate(buf: np.ndarray, grid: Grid, factor: Dilation) -> np.ndarray:
 def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
     """The kernel that applies factor on grid, or None where factor is the identity.
 
-    Raises the refusals of the public apply_* functions: ShiftRangeError for a
-    shift that would wrap, TypeError for an object that is not a factor.
+    A ValueError refuses a shift that would wrap, a TypeError an object that
+    is not a factor; _run raises either as a ChainRefusedError.
     """
     if isinstance(factor, Shift) and abs(factor.c) >= 0.5 * grid.span:
-        raise ShiftRangeError(
-            f"|c| = {abs(factor.c):.6g} is not below half the grid span {0.5 * grid.span:.6g}"
-        )
+        raise ValueError(f"|c| = {abs(factor.c):.6g} is not below half the grid span "
+                         f"{0.5 * grid.span:.6g}")
     match factor:
         case (Dilation(scale=1.0) | Shift(c=0.0) | SpectralD2(c=0.0)
               | QuadraticPhase(a=0.0, p=0.0, s=1.0)):
@@ -308,67 +302,8 @@ def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
     raise TypeError(f"not a pointwise factor: {factor!r}")
 
 
-def _apply(psi: WaveFunction, factor: OperatorFactor) -> WaveFunction:
-    kernel = _kernel(psi.grid, factor)
-    if kernel is None:
-        return psi
-    return psi.with_samples(kernel(psi.samples.copy(), psi.grid, factor))
-
-
-def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
-    """Return samples of psi(x + c) via the spectral shift theorem.
-
-    Exact for band-limited content, so off-grid shifts do not smear.  Shifts
-    of half the grid span or more are refused: content would wrap around the
-    periodic boundary.
-    """
-    return _apply(psi, Shift(c))
-
-
-def apply_dilation(psi: WaveFunction, scale: float) -> WaveFunction:
-    """Return samples of psi(scale * x) by band-limited spectral resampling.
-
-    The grid's own trigonometric interpolant is evaluated at scale * x_j with
-    one chirp-z (Bluestein) convolution.  Points mapped outside
-    [x_0, x_{n-1}] read as zero, which is exact for states that decay inside
-    the window, and no point is read across the periodic boundary.
-    The continuum identity ||psi(scale x)||^2 = ||psi||^2 / scale is used for
-    norm accounting: if more than OVERFLOW_FRAC of the expected output norm is
-    missing, the dilated support crossed the window edge and a
-    SupportOverflowWarning is issued.
-    """
-    return _apply(psi, Dilation(scale))
-
-
-def apply_spectral_d2(psi: WaveFunction, c: complex) -> WaveFunction:
-    """Apply exp[c d^2/dx^2] as the spectral multiplier exp(-c k^2).
-
-    For real positive c this equals convolution with the heat kernel of
-    variance 2c; for purely imaginary c it is unitary Fresnel propagation.
-    Re(c) < 0 (backward diffusion) is refused as ill-posed.
-    """
-    return _apply(psi, SpectralD2(complex(c)))
-
-
-def apply_phase(psi: WaveFunction, factor: QuadraticPhase) -> WaveFunction:
-    """Pointwise multiplication by s exp[i (a x^2 + p x)]."""
-    if not isinstance(factor, QuadraticPhase):
-        raise TypeError(f"not a pointwise factor: {factor!r}")
-    return _apply(psi, factor)
-
-
-def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFunction:
-    """Apply factors in sequence; factors[0] acts first.
-
-    A chain lists the factors of an operator product read right to left, so
-    the product's rightmost factor sits at index 0.  The samples are copied
-    once, at the first factor that is not the identity, and every factor then
-    runs in place on that one buffer, so psi is never written and a chain of
-    identities returns psi itself.  The buffer is checked to be finite after
-    every factor.  Every factor's kernel is resolved before the first runs,
-    so a refused factor raises ChainRefusedError and a failure while running
-    raises ChainError, each with the offending index in the message.
-    """
+def _run(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFunction:
+    """apply_chain's body; the apply_* functions run it, not apply_chain, so a trace counts one call."""
     grid = psi.grid
     kernels = []
     for index, factor in enumerate(factors):
@@ -386,6 +321,63 @@ def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFun
         except (ValueError, TypeError) as exc:
             raise ChainError(f"factor {index} ({type(factor).__name__}) failed: {exc}") from exc
     return psi if buf is None else psi.with_samples(buf)
+
+
+def apply_shift(psi: WaveFunction, c: float) -> WaveFunction:
+    """Return samples of psi(x + c) via the spectral shift theorem.
+
+    Exact for band-limited content, so off-grid shifts do not smear.  A shift
+    of half the grid span or more would wrap content around the periodic
+    boundary; it is refused with ChainRefusedError, as in any chain.
+    """
+    return _run(psi, [Shift(c)])
+
+
+def apply_dilation(psi: WaveFunction, scale: float) -> WaveFunction:
+    """Return samples of psi(scale * x) by band-limited spectral resampling.
+
+    The grid's own trigonometric interpolant is evaluated at scale * x_j with
+    one chirp-z (Bluestein) convolution.  Points mapped outside
+    [x_0, x_{n-1}] read as zero, which is exact for states that decay inside
+    the window, and no point is read across the periodic boundary.
+    The continuum identity ||psi(scale x)||^2 = ||psi||^2 / scale is used for
+    norm accounting: if more than OVERFLOW_FRAC of the expected output norm is
+    missing, the dilated support crossed the window edge and a
+    SupportOverflowWarning is issued.
+    """
+    return _run(psi, [Dilation(scale)])
+
+
+def apply_spectral_d2(psi: WaveFunction, c: complex) -> WaveFunction:
+    """Apply exp[c d^2/dx^2] as the spectral multiplier exp(-c k^2).
+
+    For real positive c this equals convolution with the heat kernel of
+    variance 2c; for purely imaginary c it is unitary Fresnel propagation.
+    Re(c) < 0 (backward diffusion) is refused as ill-posed.
+    """
+    return _run(psi, [SpectralD2(complex(c))])
+
+
+def apply_phase(psi: WaveFunction, factor: QuadraticPhase) -> WaveFunction:
+    """Pointwise multiplication by s exp[i (a x^2 + p x)]."""
+    if not isinstance(factor, QuadraticPhase):
+        raise TypeError(f"not a pointwise factor: {factor!r}")
+    return _run(psi, [factor])
+
+
+def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFunction:
+    """Apply factors in sequence; factors[0] acts first.
+
+    A chain lists the factors of an operator product read right to left, so
+    the product's rightmost factor sits at index 0.  The samples are copied
+    once, at the first factor that is not the identity, and every factor then
+    runs in place on that one buffer, so psi is never written and a chain of
+    identities returns psi itself.  The buffer is checked to be finite after
+    every factor.  Every factor's kernel is resolved before the first runs,
+    so a refused factor raises ChainRefusedError and a failure while running
+    raises ChainError, each with the offending index in the message.
+    """
+    return _run(psi, factors)
 
 
 # --- factor chains for the named operator families ----------------------------

@@ -584,6 +584,10 @@ def test_final_memory_is_bounded_by_one_block():
 
 
 class TestCoefficientTrajectory:
+    def test_requires_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            CoefficientTrajectory(())
+
     def test_requires_zero_start(self):
         good = FactorizationCoefficients.zero(0.0)
         bad = FactorizationCoefficients(0.1 + 0j, 0j, 0j, 0j, 0.0)

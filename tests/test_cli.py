@@ -382,6 +382,10 @@ class TestEvolve:
 
 
 class TestVerify:
+    def test_unknown_suite_refused(self):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            checks.run_checks("bogus")
+
     def test_fock_dim_refusal(self, capsys):
         code, _, err = run(capsys, "verify", "fock", "--dim", "4")
         assert code == 2
@@ -403,6 +407,35 @@ class TestVerify:
         assert [line.split(",")[2] for line in lines] == ALL_CHECK_NAMES[20:33]  # the grid suite
         assert "FAIL,grid,box_mode_phase_n2,inf,1.0e-09" in lines
         assert "error:" not in proc.stderr
+
+    @pytest.mark.parametrize("window, suite, refused", [
+        # nothing of the suite's states lies on the window: the even/odd pair cannot be
+        # normalized, no quadrature probe lies near 0, and a closed form vanishes at its
+        # own maximum
+        ("--grid-min 100 --grid-max 200", "grid",
+         ("spectral_d2_vs_quadrature", "time_chain_vs_coherent_evolved", "unitary_norm_drift")),
+        ("--grid-min 100 --grid-max 200", "analytic", ("evenodd_", "psi_ss_vs_grid_chain")),
+        # the suite's shifts of 1 and 1.5 reach half the span
+        ("--grid-min -1 --grid-max 1 --grid-n 16", "grid", ("shift_gaussian", "unitary_norm_drift")),
+        ("--grid-min -1 --grid-max 1 --grid-n 16", "analytic", ("psi_ss_vs_grid_chain",)),
+        # at dx = 125 the odd pair samples to zero, and so do the box modes
+        ("--grid-min -1000 --grid-max 1000 --grid-n 16", "grid",
+         ("unitary_norm_drift", "box_mode_phase_")),
+        ("--grid-min -1000 --grid-max 1000 --grid-n 16", "analytic",
+         tuple(f"evenodd_{kind}_sign-1" for kind in ("psi_vs_rho", "raw_integral", "grid_density"))),
+    ])
+    def test_window_that_refuses_a_state_or_chain_fails_its_checks_only(self, window, suite, refused):
+        # a refused state or chain, or nothing to compare, reads inf on the records that
+        # need it; a fresh interpreter, since these windows also raise SupportOverflowWarning
+        proc = subprocess.run([sys.executable, "-m", "opfactor.cli", "verify", suite,
+                               *window.split()], env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        rows = [line.split(",") for line in proc.stdout.splitlines()]
+        names = ALL_CHECK_NAMES[20:33] if suite == "grid" else ALL_CHECK_NAMES[33:]
+        assert [row[2] for row in rows] == names
+        assert {row[2] for row in rows if row[3] == "inf"} == {n for n in names if n.startswith(refused)}
+        assert "error:" not in proc.stderr and "invalid value" not in proc.stderr
 
     def test_analytic_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "analytic", "--ode-steps", "1000")
@@ -561,6 +594,10 @@ class TestDensity:
     "factorize oscillator --t 1e300",
     "evolve --initial ground --op time:t=1e300",
     "factorize squeeze --r -1",
+    "factorize squeeze --phi nan",
+    # squeeze flags that the oscillator does not read
+    "factorize oscillator --r 1",
+    "factorize oscillator --phi 0",
     "evolve --initial ground --fock-dim 600",
     "factorize squeeze --r 1000",
     "factorize squeeze --r 400 --t 2",
@@ -638,6 +675,12 @@ def test_negative_window_edge_in_exponent_form_is_accepted(capsys):
     code, out, err = run(capsys, "evolve", "--initial", "ground", "--grid-min", "-1e3")
     assert code == 0 and "error" not in err
     assert out.splitlines()[1].startswith("-1000,")
+
+
+def test_run_config_refuses_an_unknown_format():
+    # the parser's choices stop --format xml first; RunConfig checks a direct caller too
+    with pytest.raises(ValueError, match="format must be csv or json, got 'xml'"):
+        RunConfig(fmt="xml")
 
 
 def test_subcommand_option_strings_are_pinned():

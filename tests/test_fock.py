@@ -69,6 +69,10 @@ class TestLadder:
             assert got.flags.c_contiguous
             assert np.array_equal(got.view(np.uint64), squeeze_generator_ladder(z, dim).view(np.uint64))
 
+    def test_ladder_needs_two_levels(self):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            ladder_matrices(1)
+
     def test_squeeze_generator_needs_two_levels(self):
         with pytest.raises(ValueError, match="dim >= 2"):
             squeeze_generator(SqueezeParameter(0.5), 1)
@@ -392,6 +396,12 @@ class TestHermite:
     def test_count_limit(self, grid):
         with pytest.raises(ValueError):
             hermite_functions(513, grid.x)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            hermite_functions(0, grid.x)
+
+    def test_no_coefficients_refused(self, grid):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            fock_to_position([], grid)
 
     def test_roundtrip_of_squeezed_state(self, grid):
         spec = SqueezedStateSpec(0.5, 0.0, SqueezeParameter(0.5, 0.0))

@@ -20,7 +20,6 @@ from opfactor.grid import (
     Grid,
     QuadraticPhase,
     Shift,
-    ShiftRangeError,
     SpectralD2,
     SupportOverflowWarning,
     WaveFunction,
@@ -100,6 +99,10 @@ class TestWaveFunction:
     def test_norm_of_ground_state(self, ground):
         assert ground.norm() == pytest.approx(1.0, abs=1e-10)
 
+    def test_rejects_wrong_shape(self, grid):
+        with pytest.raises(ValueError, match="shape \\(2048,\\)"):
+            WaveFunction(grid, np.zeros(5))
+
     def test_rejects_nonfinite(self, grid):
         samples = np.zeros(grid.n, dtype=complex)
         samples[0] = np.nan
@@ -135,7 +138,7 @@ class TestShift:
         assert abs(out.norm() - ground.norm()) < 1e-10
 
     def test_too_large_shift_refused(self, ground):
-        with pytest.raises(ShiftRangeError):
+        with pytest.raises(ChainRefusedError, match="factor 0 .* half the grid span"):
             apply_shift(ground, 12.0)
 
 
@@ -446,6 +449,21 @@ def _out_of_place(psi, factor):
 
 
 class TestChains:
+    @pytest.mark.parametrize("apply, arg, factor", [
+        (apply_shift, -1.5, Shift(-1.5)),
+        (apply_dilation, 2.0, Dilation(2.0)),
+        (apply_spectral_d2, 0.25, SpectralD2(0.25)),
+        (apply_spectral_d2, 0.5j, SpectralD2(0.5j)),
+        (apply_phase, QuadraticPhase(0.3, -0.5, 0.5j), QuadraticPhase(0.3, -0.5, 0.5j)),
+    ], ids=["shift", "dilation", "heat", "fresnel", "phase"])
+    def test_single_factor_function_is_the_one_factor_chain(self, ground, apply, arg, factor):
+        assert np.array_equal(apply(ground, arg).samples, apply_chain(ground, [factor]).samples)
+
+    def test_single_factor_failure_is_a_chain_error(self, ground):
+        huge = ground.with_samples(1e200 * ground.samples)
+        with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 0 .* failed"):
+            apply_phase(huge, QuadraticPhase(0.0, 0.0, 1e200))
+
     def test_empty_chain_identity(self, ground):
         out = apply_chain(ground, [])
         assert out.samples is ground.samples
