@@ -1,9 +1,18 @@
-"""Command-line surface: factorize, evolve, verify, and density subcommands."""
+"""Command-line surface: factorize, evolve, verify, and density subcommands.
+
+`evolve --initial` and `--op` each read one table, `_STATES` and
+`_OPERATORS`, with one row per name: a builder whose keyword-only parameters
+are the name's keys, with their defaults; a key without one is required.  The
+spec parser and the --help text read the keys from the row.  The parser
+checks only that a value is a finite number; a value's own rule (a whole
+substep count, a sign of +-1) is checked by the function that owns it.
+"""
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
+import inspect
 import json
 import math
 import os
@@ -83,93 +92,73 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
-class _Params(dict):
-    """Parsed key=value pairs; reading a missing required key is a refusal."""
+def _keys(builder) -> dict:
+    """A table row's keys: its builder's keyword-only parameters, in order.
+    A key with a default may be left out; one without is required."""
+    params = inspect.signature(builder).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
-    def __missing__(self, key):
-        raise ValueError(f"missing required parameter {key!r}")
 
-
-def _parse_kv(text: str, what: str, allowed: dict[str, tuple[str, ...]]) -> tuple[str, _Params]:
-    """Parse 'name:key=value,key=value' option strings against allowed key sets.
-
-    Values must be finite; the keys in _WHOLE_KEYS must be whole numbers and
-    come back as int.
-    """
+def _build(text: str, what: str, table: dict, *args):
+    """Parse a 'name:key=value,key=value' string against table[name]'s keys,
+    and call that builder with args and the finite values given."""
     name, _, rest = text.partition(":")
     name = name.strip()
-    if name not in allowed:
-        raise ValueError(f"unknown {what} {name!r} (choose from {'|'.join(allowed)})")
-    params = _Params()
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"bad {what} parameter {item!r} in {text!r} (need key=value)")
-            if key not in allowed[name]:
-                raise ValueError(
-                    f"{what} {name!r} takes keys {allowed[name]}, not {key!r}"
-                )
-            if key in params:
-                raise ValueError(f"{what} {name!r} repeats key {key!r} in {text!r}")
-            try:
-                number = float(value)
-            except ValueError as exc:
-                raise ValueError(f"bad {what} value in {text!r}: {exc}") from exc
-            if not math.isfinite(number):
-                raise ValueError(f"bad {what} value in {text!r}: {key} must be finite")
-            if key in _WHOLE_KEYS:
-                if not number.is_integer():
-                    raise ValueError(
-                        f"bad {what} value in {text!r}: {key} must be a whole number"
-                    )
-                number = int(number)
-            params[key] = number
-    return name, params
+    if name not in table:
+        raise ValueError(f"unknown {what} {name!r} (choose from {'|'.join(table)})")
+    keys = _keys(table[name])
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"bad {what} parameter {item!r} in {text!r} (need key=value)")
+        if key not in keys:
+            raise ValueError(f"{what} {name!r} takes keys {tuple(keys)}, not {key!r}")
+        if key in params:
+            raise ValueError(f"{what} {name!r} repeats key {key!r} in {text!r}")
+        try:
+            number = float(value)
+        except ValueError as exc:
+            raise ValueError(f"bad {what} value in {text!r}: {exc}") from exc
+        if not math.isfinite(number):
+            raise ValueError(f"bad {what} value in {text!r}: {key} must be finite")
+        params[key] = number
+    for key, default in keys.items():
+        if default is inspect.Parameter.empty and key not in params:
+            raise ValueError(f"missing required parameter {key!r}")
+    return table[name](*args, **params)
 
 
-_WHOLE_KEYS = ("substeps", "sign")
+def _squeezed(grid: Grid, tol: float, *, x0=0.0, p0=0.0, r=0.0, phi=0.0) -> WaveFunction:
+    spec = states.SqueezedStateSpec(x0, p0, SqueezeParameter(r, phi))
+    return WaveFunction.from_callable(grid, lambda x: states.psi_ss(x, spec))
 
-_STATE_KEYS = {
-    "ground": (),
-    "coherent": ("x0", "p0"),
-    "squeezed": ("x0", "p0", "r", "phi"),
-    "evenodd": ("x0", "s", "sign"),
+
+# One row per --initial and --op name: the builder of its state, from (grid, tol),
+# or of its factor list.  Its keyword-only parameters are the name's keys.
+_STATES = {
+    "ground": lambda grid, tol: WaveFunction.from_callable(grid, states.psi0),
+    "coherent": lambda grid, tol, *, x0=0.0, p0=0.0: WaveFunction.from_callable(
+        grid, lambda x: states.coherent_state(x, x0, p0)),
+    "squeezed": _squeezed,
+    "evenodd": lambda grid, tol, *, x0, s, sign=1: checks.evenodd_initial(
+        grid, states.EvenOddSpec(x0, s, sign), tol),
+}
+_OPERATORS = {
+    "squeeze": lambda *, r=0.0, phi=0.0: squeeze_factors(SqueezeParameter(r, phi)),
+    "displace": lambda *, x0=0.0, p0=0.0: displacement_factors(x0, p0),
+    "time": lambda *, t, substeps=None: time_displacement_factors(t, substeps),
 }
 
-_OPERATOR_KEYS = {
-    "squeeze": ("r", "phi"),
-    "displace": ("x0", "p0"),
-    "time": ("t", "substeps"),
-}
 
-
-def _initial_state(spec: str, grid: Grid, tol: float) -> WaveFunction:
-    name, p = _parse_kv(spec, "initial state", _STATE_KEYS)
-    if name == "ground":
-        return WaveFunction.from_callable(grid, states.psi0)
-    if name == "coherent":
-        return WaveFunction.from_callable(
-            grid, lambda x: states.coherent_state(x, p.get("x0", 0.0), p.get("p0", 0.0))
-        )
-    if name == "squeezed":
-        sspec = states.SqueezedStateSpec(
-            p.get("x0", 0.0), p.get("p0", 0.0),
-            SqueezeParameter(p.get("r", 0.0), p.get("phi", 0.0)),
-        )
-        return WaveFunction.from_callable(grid, lambda x: states.psi_ss(x, sspec))
-    spec = states.EvenOddSpec(p["x0"], p["s"], p.get("sign", 1))
-    return checks.evenodd_initial(grid, spec, tol)
-
-
-def _operator_factors(spec: str):
-    name, p = _parse_kv(spec, "operator", _OPERATOR_KEYS)
-    if name == "squeeze":
-        return squeeze_factors(SqueezeParameter(p.get("r", 0.0), p.get("phi", 0.0)))
-    if name == "displace":
-        return displacement_factors(p.get("x0", 0.0), p.get("p0", 0.0))
-    return time_displacement_factors(p["t"], p.get("substeps"))
+def _grammar(table: dict) -> str:
+    """A table's --help text: each name, with its keys after a colon."""
+    forms = []
+    for name, builder in table.items():
+        keys = ",".join(f"{key}=.." for key in _keys(builder))
+        forms.append(f"{name}:{keys}" if keys else name)
+    return " | ".join(forms)
 
 
 def _fmt17(value: float) -> str:
@@ -379,14 +368,14 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     config = _config_from(args)
     grid = config.make_grid()
-    psi = _initial_state(args.initial, grid, config.norm_tol)
+    psi = _build(args.initial, "initial state", _STATES, grid, config.norm_tol)
     norm_in = psi.norm()
     if abs(norm_in - 1.0) > config.norm_tol:
         raise ValueError(f"initial state has norm {norm_in:.6g} on the window; "
                          f"it is off 1 by more than --tol {config.norm_tol:.1e}")
     factors = []
     for op in args.op or []:
-        factors += _operator_factors(op)
+        factors += _build(op, "operator", _OPERATORS)
     out = apply_chain(psi, factors)  # ChainRefusedError is a refusal, ChainError a failure
     norm_out = out.norm()
     values = [grid.x, out.samples.real, out.samples.imag, out.density()]
@@ -497,12 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fact.set_defaults(func=cmd_factorize)
 
     p_evolve = sub.add_parser("evolve", help="apply operator chains to an initial state")
-    p_evolve.add_argument("--initial", required=True,
-                          help="ground | coherent:x0=..,p0=.. | squeezed:x0=..,p0=..,r=..,phi=.. "
-                               "| evenodd:x0=..,s=..,sign=..")
+    p_evolve.add_argument("--initial", required=True, help=_grammar(_STATES))
     p_evolve.add_argument("--op", action="append", default=[],
-                          help="squeeze:r=..,phi=.. | displace:x0=..,p0=.. | "
-                               "time:t=..,substeps=.. (repeatable; first listed acts first)")
+                          help=_grammar(_OPERATORS) + " (repeatable; first listed acts first)")
     _add_config_options(p_evolve)
     p_evolve.set_defaults(func=cmd_evolve)
 

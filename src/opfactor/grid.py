@@ -9,6 +9,10 @@ states.  Time chains use only chirps and Fresnel steps; the dilation
 serves the squeeze family.  Every factor is an FFT step or a pointwise
 multiply, and none needs scipy.
 
+Grid refuses a window whose edges' squares overflow, whose spacing dx is 0,
+or whose squared Nyquist wavenumber (pi/dx)^2 overflows (dx below about
+2.34e-154), so the multipliers exp(-c k^2) and exp(i a x^2) see finite squares.
+
 Spectral steps treat the grid as periodic, so a result is only as good as the
 state's decay at the window's edge, after every factor, and as its spectrum's
 decay below the Nyquist wavenumber pi/dx.  Nothing here checks either: on the
@@ -99,6 +103,10 @@ class Grid:
             raise ValueError(f"x^2 overflows on the window [{self.x_min}, {self.x_max}]")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n!r}")
+        # float ** raises OverflowError where * gives inf
+        if not (self.dx > 0 and math.isfinite((math.pi / self.dx) * (math.pi / self.dx))):
+            raise ValueError(f"(pi/dx)^2 overflows on the window [{self.x_min}, {self.x_max}] "
+                             f"with n = {self.n}")
 
     @property
     def span(self) -> float:
@@ -424,8 +432,9 @@ def time_displacement_factors(t: float, substeps: int | None = None) -> list[Ope
     below 1.  Without a count, time_periods(t) = (m, rest) comes first, and
     the chain is that of rest in its fewest admissible substeps, at most 3,
     with (-1)^m in its first chirp's scalar.  An explicit count splits t
-    itself; a smaller one than min_time_substeps(t) is refused with it as a
-    hint, and one above MAX_TIME_SUBSTEPS before any factor list is built.
+    itself.  It must be a whole number, which 2.0 is; a smaller one than
+    min_time_substeps(t) is refused with it as a hint, and one above
+    MAX_TIME_SUBSTEPS before any factor list is built.
     """
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -433,6 +442,9 @@ def time_displacement_factors(t: float, substeps: int | None = None) -> list[Ope
     if substeps is None:
         periods, t = time_periods(t)
         sign, substeps = (-1.0) ** periods, min_time_substeps(t)
+    if substeps % 1 != 0:
+        raise ValueError(f"substeps must be a whole number, got {substeps!r}")
+    substeps = int(substeps)
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps!r}")
     if substeps > MAX_TIME_SUBSTEPS:

@@ -104,7 +104,8 @@ def coherent_evolved(x, t: float, x0: float = 0.0, p0: float = 0.0):
 
 @dataclass(frozen=True)
 class EvenOddSpec:
-    """Two displaced width-s Gaussians at +-x0, combined with the given sign."""
+    """Two displaced width-s Gaussians at +-x0, combined with the given sign,
+    +1 or -1; a whole float such as -1.0 is kept as the int."""
 
     x0: float
     s: float
@@ -116,8 +117,10 @@ class EvenOddSpec:
         # psi_spm divides by s**4 at t = 0
         if not (self.s > 0.0 and 0.0 < (self.s * self.s) * (self.s * self.s) < math.inf):
             raise ValueError(f"width scale s must be > 0 with finite nonzero s**4, got {self.s!r}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        sign = int(self.sign) if self.sign % 1 == 0 else self.sign
+        if sign not in (+1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        object.__setattr__(self, "sign", sign)
 
     def width_sq(self, t: float) -> float:
         """Evolved width parameter d^2 = s^2 cos^2 t + sin^2 t / s^2."""

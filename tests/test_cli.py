@@ -2,6 +2,7 @@
 import argparse
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -588,6 +589,9 @@ class TestDensity:
     "evolve --initial ground --grid-max 1e300",
     "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --grid-max 1e300",
     "verify grid --grid-max 1e300",
+    # windows so narrow that dx is 0, or that (pi/dx)^2 overflows
+    "verify grid --grid-min 0 --grid-max 5e-324 --grid-n 16",
+    "verify grid --grid-min 0 --grid-max 1e-300 --grid-n 16",
     "factorize oscillator --t 1 --ode-check --ode-steps 0",
     "factorize oscillator --t nan",
     # 2^50 oscillator periods or more
@@ -637,6 +641,9 @@ class TestDensity:
     "evolve --initial ground --op time:t=abc",
     "evolve --initial ground --op time:t=1,substeps=0",
     "verify grid --ode-steps 0",
+    # a substep count or an even/odd sign that is not a whole number
+    "evolve --initial ground --op time:t=1,substeps=2.5",
+    "evolve --initial evenodd:x0=2,s=1.5,sign=0.5",
     # a key given twice in --initial or --op
     "evolve --initial coherent:x0=1,x0=2",
     "evolve --initial ground --op squeeze:r=1,r=2",
@@ -701,7 +708,8 @@ def test_subcommand_option_strings_are_pinned():
     assert exit_info.value.code == 0
 
 
-_ARG_VALUES = ("0", "1", "-1", "2.5", "64", "1e300", "-1e3", "nan", "inf", "abc")
+_ARG_VALUES = ("0", "1", "-1", "2.5", "64", "1e300", "-1e3", "5e-324", "1e-300", "nan", "inf",
+               "abc")
 _VALUED_FLAGS = (
     "--t", "--r", "--phi", "--ode-steps", "--grid-min", "--grid-max", "--grid-n", "--format",
     "--tol", "--fock-dim", "--dim", "--x0", "--s", "--sign", "--t-min", "--t-max", "--t-steps",
@@ -1048,6 +1056,25 @@ def _readme_commands():
     with open(os.path.join(REPO, "README.md")) as handle:
         block = handle.read().split("## Command line", 1)[1].split("```")[1]
     return [line for line in block.splitlines() if line.startswith("opfactor ")]
+
+
+def test_readme_lists_the_spec_tables():
+    # each row of README's spec table: option, name, and its keys as `key` (required),
+    # `key=default` or `key` (default: ...)
+    with open(os.path.join(REPO, "README.md")) as handle:
+        section = handle.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    found = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `--") and len(cells) == 3:
+            keys = {}
+            for key, default, note in re.findall(r"`(\w+)(?:=([^`]*))?`( \(required\))?", cells[2]):
+                keys[key] = inspect.Parameter.empty if note else (float(default) if default else None)
+            found[(cells[0].strip("`"), cells[1].strip("`"))] = keys
+    tables = {"--initial": cli._STATES, "--op": cli._OPERATORS}
+    expected = {(option, name): cli._keys(builder)
+                for option, table in tables.items() for name, builder in table.items()}
+    assert found == expected
 
 
 class TestImportCost:

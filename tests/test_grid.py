@@ -94,6 +94,13 @@ class TestGrid:
                 Grid(*edges)
         Grid(-1e150, 1e150)  # x^2 = 1e300 is finite
 
+    def test_rejects_window_whose_wavenumbers_overflow(self):
+        # dx = 0 at 5e-324; below dx of about 2.34e-154, (pi/dx)^2 overflows
+        for x_max in (5e-324, 1e-300, 1e-153):
+            with pytest.raises(ValueError, match="\\(pi/dx\\)\\^2 overflows"):
+                Grid(0.0, x_max, 16)
+        assert math.isfinite(Grid(0.0, 1e-150, 16).k.max() ** 2)
+
 
 class TestWaveFunction:
     def test_norm_of_ground_state(self, ground):
@@ -395,6 +402,15 @@ class TestFactorSequences:
         for t in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 time_displacement_factors(t, 4)
+
+    def test_substep_count_is_a_whole_number(self):
+        assert time_displacement_factors(1.0, 2.0) == time_displacement_factors(1.0, 2)
+        for substeps in (2.5, math.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                time_displacement_factors(1.0, substeps)
+        # a whole count keeps its own text
+        with pytest.raises(ValueError, match="got 0$"):
+            time_displacement_factors(1.0, 0.0)
 
     def test_substep_count_bounded(self):
         # refused before the factor list is built, so a huge count costs nothing

@@ -129,6 +129,13 @@ class TestEvenOdd:
             EvenOddSpec(1.0, 0.0, +1)
         with pytest.raises(ValueError):
             EvenOddSpec(1.0, 1.0, 2)
+        with pytest.raises(ValueError, match="got 0.5$"):
+            EvenOddSpec(1.0, 1.0, 0.5)
+        # a whole float sign is kept as the int, and a refused one reads as it
+        sign = EvenOddSpec(2.0, 1.5, -1.0).sign
+        assert sign == -1 and type(sign) is int
+        with pytest.raises(ValueError, match="got 2$"):
+            EvenOddSpec(1.0, 1.0, 2.0)
         # s**4 must stay finite and nonzero: psi_spm divides by it at t = 0
         for s in (1e200, 1e-200, math.inf, math.nan):
             with pytest.raises(ValueError, match="s\\*\\*4"):
