@@ -35,8 +35,8 @@ from .grid import (
     time_displacement_factors,
 )
 
-__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "evenodd_initial", "ode_deviation",
-           "run_checks"]
+__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "evenodd_grid_sweep", "evenodd_initial",
+           "ode_deviation", "run_checks"]
 
 DEFAULT_SEED = 20260810
 
@@ -197,25 +197,36 @@ def _rho_spm(x: np.ndarray, t: float, spec: states.EvenOddSpec) -> np.ndarray:
     return rho
 
 
-def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, times):
-    """Closed-form and grid-propagated densities of an even/odd pair at each t.
+def evenodd_grid_sweep(initial: WaveFunction, spec: states.EvenOddSpec, times):
+    """The even/odd pair's closed-form and grid densities, one t at a time.
 
-    initial (from evenodd_initial) is advanced by the default time chain.
-    Returns (rho, rho_grid, raw_integral): rho_spm renormalized to unit
-    integral and the grid density, both of shape (len(times), n), and the
-    quadrature of rho_spm as written, one per t.  ValueError for a t at
-    which rho_spm is singular or not finite on the grid.
+    Returns (raw_integral, blocks): the quadrature of rho_spm as written, one
+    per t, and an iterator that yields (rho, rho_grid) per t, rho_spm
+    renormalized to unit integral and the density of initial (from
+    evenodd_initial) advanced by the default time chain.  Every t is checked
+    before this returns, so a ValueError for a t at which rho_spm is singular
+    or not finite on the grid comes before the first block; each block
+    recomputes its rho_spm, so the sweep holds one t's samples at a time.
     """
     x, dx = initial.grid.x, initial.grid.dx
-    rho = np.empty((len(times), x.size))
-    rho_grid = np.empty_like(rho)
-    raw_integral = np.empty(len(times))
-    for i, t in enumerate(map(float, times)):
-        rho_raw = _rho_spm(x, t, spec)
-        raw_integral[i] = np.sum(rho_raw) * dx
-        rho[i] = rho_raw / raw_integral[i]
-        rho_grid[i] = apply_chain(initial, time_displacement_factors(t)).density()
-    return rho, rho_grid, raw_integral
+    times = [float(t) for t in times]
+    raw_integral = np.array([np.sum(_rho_spm(x, t, spec)) * dx for t in times])
+
+    def blocks():
+        for t, raw in zip(times, raw_integral):
+            yield _rho_spm(x, t, spec) / raw, apply_chain(initial, time_displacement_factors(t)).density()
+
+    return raw_integral, blocks()
+
+
+def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, times):
+    """evenodd_grid_sweep, stacked: (rho, rho_grid, raw_integral), with rho
+    and rho_grid of shape (len(times), n)."""
+    raw_integral, blocks = evenodd_grid_sweep(initial, spec, times)
+    stacked = np.empty((2, raw_integral.size, initial.grid.n))
+    for i, pair in enumerate(blocks):
+        stacked[:, i] = pair
+    return stacked[0], stacked[1], raw_integral
 
 
 def check_evenodd(grid: Grid):

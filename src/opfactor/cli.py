@@ -266,59 +266,60 @@ def _fields17(x) -> np.ndarray:
     return out
 
 
-def _write_rows(columns, values, config: RunConfig, stream) -> None:
+def _write_rows(columns, fixed: dict, blocks, config: RunConfig, stream) -> None:
     """Write a table of numbers to `stream` as CSV or JSON.
 
-    The table's rows come in blocks of equal length.  `values` holds one
-    array per column, each broadcasting to (blocks, rows per block): a
-    (blocks, 1) array is constant within each block, a 1-D array is a column
-    that every block shares, and a (blocks, rows) array has a cell per row.
+    The table's rows come in blocks of equal length, and `blocks` yields one
+    block at a time: the values of its cell columns, in column order, one
+    number per row each; a table has at least one cell column.  `fixed` maps
+    the index of each other column to its values, known before the first
+    block: a (blocks, 1) array is constant within each block, and a 1-D
+    array is a column that every block shares.
 
     CSV formats each number once per distinct position, with `_fields17`,
-    whose text is that of `%.17g`.  Block constants are formatted once per
-    table, and so is the shared column (the first 1-D array, when there is
-    more than one block); their fields are copied into every row.  Cells are
-    formatted per chunk of CSV_BLOCK_ROWS rows, all cell columns of a chunk
-    in one call, and each chunk is written once its NUL bytes are deleted.
-    With a single block nothing repeats, so every column but the constants is
-    written as cells.  JSON builds the full rows array.
+    whose text is that of `%.17g`.  The shared columns are formatted once per
+    table, and the block constants CSV_BLOCK_ROWS blocks at a time; their
+    fields are copied into every row.  Cells are formatted per chunk of
+    CSV_BLOCK_ROWS rows, all cell columns of a chunk in one call, into the one
+    chunk buffer, which is written once its NUL bytes are deleted.  So CSV
+    holds one block at a time.  JSON builds the full rows array.
     """
-    shape = np.broadcast_shapes(*(np.shape(v) for v in values))
-    blocks, nrows = shape if len(shape) == 2 else (1, *shape)
-    views = [np.broadcast_to(v, (blocks, nrows)) for v in values]
+    constants = [j for j, v in fixed.items() if np.ndim(v) == 2]
+    shared = [j for j in fixed if j not in constants]
+    cells = [j for j in range(len(columns)) if j not in fixed]
     if config.fmt == "json":
-        payload = {
-            "config": config.summary(),
-            "columns": columns,
-            "rows": np.column_stack([v.ravel() for v in views]).tolist(),
-        }
-        json.dump(payload, stream, indent=1)
+        rows = []
+        for b, block in enumerate(blocks):
+            values = {j: v[b, 0] if j in constants else v for j, v in fixed.items()}
+            values |= zip(cells, block)
+            rows += np.column_stack(np.broadcast_arrays(*(values[j] for j in sorted(values)))).tolist()
+        json.dump({"config": config.summary(), "columns": columns, "rows": rows}, stream, indent=1)
         stream.write("\n")
         return
 
     stream.write(",".join(columns) + "\r\n")
-    constant = [np.shape(v)[1:] == (1,) for v in values]
-    shared = next((j for j, v in enumerate(values) if np.ndim(v) == 1), None) if blocks > 1 else None
-    cells = [j for j, c in enumerate(constant) if not c and j != shared]
-    # a row of each block: every column's field, then "," or "\r\n"
-    line = np.zeros((blocks, len(values), _FIELD + 2), np.uint8)
-    line[:, :, _FIELD] = ord(",")
-    line[:, -1, _FIELD:] = np.frombuffer(b"\r\n", np.uint8)
-    for j in np.flatnonzero(constant):
-        line[:, j, :_FIELD] = _fields17(views[j][:, 0]).T
-    if shared is not None:
-        shared_fields = _fields17(values[shared]).T
-    for b in range(blocks):
+    # CSV_BLOCK_ROWS rows: every column's field, then "," or "\r\n"
+    chunk = np.zeros((CSV_BLOCK_ROWS, len(columns), _FIELD + 2), np.uint8)
+    chunk[:, :, _FIELD] = ord(",")
+    chunk[:, -1, _FIELD:] = np.frombuffer(b"\r\n", np.uint8)
+    if shared:
+        shared_fields = _fields17(np.stack([fixed[j] for j in shared], axis=1))
+        shared_fields = shared_fields.T.reshape(-1, len(shared), _FIELD)
+    for b, block in enumerate(blocks):
+        if constants:
+            if b % CSV_BLOCK_ROWS == 0:
+                group = np.stack([fixed[j][b:b + CSV_BLOCK_ROWS, 0] for j in constants], axis=1)
+                constant_fields = _fields17(group).T.reshape(-1, len(constants), _FIELD)
+            chunk[:, constants, :_FIELD] = constant_fields[b % CSV_BLOCK_ROWS]
+        nrows = len(block[0])
         for start in range(0, nrows, CSV_BLOCK_ROWS):
             stop = min(start + CSV_BLOCK_ROWS, nrows)
-            chunk = np.empty((stop - start, *line.shape[1:]), np.uint8)
-            chunk[:] = line[b]
-            if shared is not None:
-                chunk[:, shared, :_FIELD] = shared_fields[start:stop]
-            if cells:
-                fields = _fields17(np.stack([views[j][b, start:stop] for j in cells], axis=1))
-                chunk[:, cells, :_FIELD] = fields.T.reshape(stop - start, len(cells), _FIELD)
-            stream.write(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+            lines = chunk[:stop - start]
+            if shared:
+                lines[:, shared, :_FIELD] = shared_fields[start:stop]
+            fields = _fields17(np.stack([v[start:stop] for v in block], axis=1))
+            lines[:, cells, :_FIELD] = fields.T.reshape(stop - start, len(cells), _FIELD)
+            stream.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 @contextlib.contextmanager
@@ -378,9 +379,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         factors += _build(op, "operator", _OPERATORS)
     out = apply_chain(psi, factors)  # ChainRefusedError is a refusal, ChainError a failure
     norm_out = out.norm()
-    values = [grid.x, out.samples.real, out.samples.imag, out.density()]
+    block = [grid.x, out.samples.real, out.samples.imag, out.density()]
     with _sink(config) as stream:
-        _write_rows(WAVEFUNCTION_COLUMNS, values, config, stream)
+        _write_rows(WAVEFUNCTION_COLUMNS, {}, [block], config, stream)
 
     norm_stream = sys.stdout if config.out else sys.stderr
     print(f"norm = {_fmt17(norm_out)}", file=norm_stream)
@@ -428,13 +429,14 @@ def cmd_density(args: argparse.Namespace) -> int:
     time_periods(args.t_max)
     initial = checks.evenodd_initial(config.make_grid(), spec, config.norm_tol)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, ts)
+    raw_integral, sweep = checks.evenodd_grid_sweep(initial, spec, ts)  # refuses any t here
 
-    # one block of rows per t: t and raw_integral are block constants, x is shared
+    # one block of rows per t, written as it is computed: t and raw_integral
+    # are block constants, x is shared
+    fixed = {0: ts[:, None], 1: initial.grid.x, 5: raw_integral[:, None]}
+    cells = ((rho, rho_grid, np.abs(rho - rho_grid)) for rho, rho_grid in sweep)
     with _sink(config) as stream:
-        _write_rows(DENSITY_COLUMNS, [
-            ts[:, None], initial.grid.x, rho, rho_grid, np.abs(rho - rho_grid), raw_integral[:, None],
-        ], config, stream)
+        _write_rows(DENSITY_COLUMNS, fixed, cells, config, stream)
     return 0
 
 
@@ -539,6 +541,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:  # a failed write
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # valid input that needs more memory than there is
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = formatwarning

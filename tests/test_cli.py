@@ -628,6 +628,11 @@ class TestDensity:
     # ... and one where it is singular at a later t (d(t) e^{-x0^2/s^2} = 1)
     "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2",
     "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2 --format json",
+    # ... refused before the file is opened
+    "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2 "
+    "--out {folder}/trace.csv",
+    "density --x0 0.1 --s 0.5 --sign -1 --t-min 0 --t-max 0.4908678401214229 --t-steps 2 "
+    "--format json --out {folder}/trace.json",
     # initial states whose norm on the window is not 1 within --tol
     "evolve --initial coherent:x0=1e3",
     "evolve --initial squeezed:r=1.5",
@@ -667,6 +672,7 @@ def test_refused_input_exits_2(capsys, tmp_path, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no --out file
 
 
 @pytest.mark.parametrize("value", ["-1.2e1", "-1.2E+1", "-120e-1", "-.12e2", "-12.", "-12"])
@@ -781,6 +787,27 @@ class TestFailedWrite:
             "error: cannot write output: [Errno 28] No space left on device"]
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                 "and data type float64"),
+     "error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type float64"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_allocation_that_fails_exits_1(monkeypatch, capsys, tmp_path, exc, line):
+    # valid input that needs more memory than there is fails with one error: line
+    def initial(*args):
+        raise exc
+    monkeypatch.setattr(checks, "evenodd_initial", initial)
+    out = tmp_path / "trace.csv"
+    code, stdout, err = run(capsys, "density", "--x0", "2", "--s", "1.5", "--t-min", "0",
+                            "--t-max", "1", "--t-steps", "2", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.splitlines() == [line]
+    assert not out.exists()
+
+
 def test_checks_and_ode_check_build_no_trajectory(monkeypatch, capsys):
     # every caller in the package reads only the final coefficients
     built = []
@@ -855,9 +882,22 @@ def _csv_tables():
     ]
 
 
+def _writer_table(values):
+    """The writer's (fixed, blocks) for a table given as one array per column,
+    each broadcasting to (blocks, rows per block): a (blocks, 1) array is a
+    block constant, a 1-D array a column that every block shares, and a
+    (blocks, rows) array a cell column.  With no 2-D array the table is one
+    block of cells."""
+    if all(np.ndim(v) == 1 for v in values):
+        return {}, [values]
+    fixed = {j: v for j, v in enumerate(values) if np.ndim(v) == 1 or np.shape(v)[1] == 1}
+    cells = [v for j, v in enumerate(values) if j not in fixed]
+    return fixed, ([v[b] for v in cells] for b in range(len(cells[0])))
+
+
 def _csv_text(columns, values, config=None):
     stream = io.StringIO()
-    _write_rows(columns, values, config or RunConfig(), stream)
+    _write_rows(columns, *_writer_table(values), config or RunConfig(), stream)
     return stream.getvalue()
 
 
@@ -1033,7 +1073,7 @@ def _writer_peak_bytes(blocks):
     with open(os.devnull, "w") as sink:
         tracemalloc.start()
         try:
-            _write_rows(DENSITY_COLUMNS, values, RunConfig(), sink)
+            _write_rows(DENSITY_COLUMNS, *_writer_table(values), RunConfig(), sink)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1041,6 +1081,24 @@ def _writer_peak_bytes(blocks):
 
 def test_csv_memory_is_bounded_by_one_chunk():
     assert _writer_peak_bytes(8) < 1.25 * _writer_peak_bytes(2)
+
+
+def _density_peak_bytes(t_steps):
+    """tracemalloc's peak while `density` writes a CSV trace of t_steps times."""
+    argv = ["density", "--x0", "2", "--s", "1.5", "--t-min", "0", "--t-max", "3",
+            "--grid-n", "1024", "--t-steps", str(t_steps), "--out", os.devnull]
+    assert main(argv) == 0  # untraced, so that every cache is built before the peak is read
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_density_memory_does_not_grow_with_t_steps():
+    # each t block is written as it is computed, so the trace is never held whole
+    assert _density_peak_bytes(64) < 1.25 * _density_peak_bytes(8)
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(opfactor.__path__)])
