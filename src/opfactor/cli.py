@@ -170,8 +170,10 @@ def _fmt17(value: float) -> str:
 _FIELD = 29  # bytes per field: sign, "0.000", 17 digits and a dot, "e+123"
 _EXP0 = 400  # the exponent tables' column of decimal exponent 0
 _U = float(np.finfo(np.longdouble).eps) / 2
-# |w - |x| 10^(16-k)| <= (2u + u^2) 10^17 for the longdouble product w in _fields17
-_ERROR_BOUND = (2 * _U + _U * _U) * 1e17
+_BETA = 2 * _U + _U * _U
+# |w - |x| 10^(16-k)| <= beta / (1 - beta) w for the longdouble product w in
+# _fields17; the factor 1 + 2^-48 covers the few double roundings of the bound
+_ERROR_SLOPE = _BETA / (1 - _BETA) * (1 + 2.0**-48)
 
 
 @functools.cache
@@ -209,27 +211,35 @@ def _fields17(x) -> np.ndarray:
 
     With k = floor(log10|x|), the digits are those of N = round(|x| 10^(16-k)).
     The product w = |x| 10^(16-k) is formed in longdouble, from a correctly
-    rounded power, so it is within _ERROR_BOUND of the exact product.  Where
-    w is farther than that from a half-integer and 10^16 < rint(w) < 10^17,
-    the exact product rounds to rint(w), so N = rint(w) and k is the exponent
-    of %.17g.  Every other number, among them zero, NaN, inf, near-ties and
-    powers of ten, is formatted by `_fmt17`.  Where longdouble is a plain
-    double the bound exceeds 1/2, so that is every number.
+    rounded power, so it is within _ERROR_SLOPE w of the exact product.
+    Where w is farther than that from a half-integer and 10^16 < rint(w) <
+    10^17, the exact product rounds to rint(w), so N = rint(w) and k is the
+    exponent of %.17g.  Zero is N = 0 at exponent 0, which is exact.  Every
+    other number, among them NaN, inf, near-ties and powers of ten, is
+    formatted by `_fmt17`.  Where longdouble is a plain double the bound
+    exceeds 1/2, so that is every number but zero.
     """
     powers, dots, whole, form, digits, trailing = _field_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
     n = x.size
     a = np.abs(x)
-    fast = (a > 0) & (a < np.inf)
-    a[~fast] = 1.0
-    k = np.floor(np.log10(a)).astype(np.intp) + _EXP0
-    w = a.astype(np.longdouble) * powers[k]
+    fast = a < np.inf
+    a[~fast] = 0.0
+    k = np.log10(a, out=np.zeros(n), where=a > 0)
+    k = np.floor(k, out=k).astype(np.intp) + _EXP0
+    w = a.astype(np.longdouble)
+    w *= powers[k]
     r = np.rint(w)
-    # w - r is exact, and as w >= 2^10 it is a multiple of 2^-53, so it is
-    # exact as a double too; the step down covers the rounding of the limit
-    fast &= np.abs((w - r).astype(np.float64)) < np.nextafter(0.5 - _ERROR_BOUND, 0.0)
+    # w - r is exact, and as w is 0 or >= 2^10 it is a multiple of 2^-53, so
+    # it is exact as a double too.  a's memory takes the bound plus |w - r| in
+    # doubles: the slope's margin covers the bound's roundings, and the sum,
+    # rounded, is below 1/2 only where the exact one is
+    np.copyto(a, w, casting="same_kind")
+    a *= _ERROR_SLOPE
+    a += np.abs((w - r).astype(np.float64))
+    fast &= a < 0.5
     N = r.astype(np.uint64)
-    fast &= N - np.uint64(10**16 + 1) < np.uint64(9 * 10**16 - 1)
+    fast &= (N - np.uint64(10**16 + 1) < np.uint64(9 * 10**16 - 1)) | (N == 0)
 
     # N as a leading digit and four groups of 4 digits, each group a table row
     hi, lo = (half.astype(np.intp) for half in np.divmod(N, 100000000))

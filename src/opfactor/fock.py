@@ -14,10 +14,12 @@ D = -i F^dag X F with F = diag(i^n); exp(i pi k X D) is the parity (-1)^{n k},
 so beta's turns of i pi past a caustic are a sign.  The squeeze exponential is
 P exp(r K) P^dag, with P = diag(e^{i n phi/2}) and K the squeeze generator at
 z = 1, so one decomposition of K per dimension serves every z.  Real
-eigenvectors act as one real matrix product on the complex array's float
-view.  Other anti-Hermitian exponentials come from an `eigh` of the matrix
-itself.  No route needs scipy; the tests hold scipy's general expm as their
-independent reference.  Truncation noise concentrates in the high-index rows,
+eigenvectors, and the real Hermite basis that carries states between the
+number basis and the grid, act as one real matrix product on the complex
+array's float view, with no complex copy of the real matrix.  Other
+anti-Hermitian exponentials come from an `eigh` of the matrix itself.  No
+route needs scipy; the tests hold scipy's general expm as their independent
+reference.  Truncation noise concentrates in the high-index rows,
 so comparisons restrict to low-index blocks; see the README for a measured
 error-versus-dimension table.
 """
@@ -135,7 +137,8 @@ def _columns(vectors: np.ndarray) -> np.ndarray:
 
 
 def _real_matmul(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m @ y for a real matrix m and a C-ordered complex (dim, k) y, as one real product."""
+    """m @ y for a real matrix m and a complex (dim, k) y whose last axis is
+    contiguous (a C-ordered block, or any column), as one real product."""
     return (m @ y.view(float)).view(complex)
 
 
@@ -298,9 +301,9 @@ def fock_to_position(coefficients: Sequence[complex], grid: Grid) -> WaveFunctio
     coeffs = np.asarray(coefficients, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coefficients must be a non-empty vector")
-    return WaveFunction(grid, _hermite_basis(coeffs.size, grid).T @ coeffs)
+    return WaveFunction(grid, _real_matmul(_hermite_basis(coeffs.size, grid).T, coeffs[:, None])[:, 0])
 
 
 def position_to_fock(psi: WaveFunction, dim: int) -> np.ndarray:
     """Project a sampled state onto the first `dim` number-basis functions."""
-    return (_hermite_basis(dim, psi.grid) @ psi.samples) * psi.grid.dx
+    return _real_matmul(_hermite_basis(dim, psi.grid), psi.samples[:, None])[:, 0] * psi.grid.dx

@@ -1,8 +1,8 @@
 """Independent references that only the tests use: scipy's general matrix
 exponential, a reader for the files `opfactor evolve` writes, the scalar
 RK4 step loop that the vectorized integrator must equal bit for bit, the
-exponent that exp(t b) gives a Gaussian, and the ladder-product form of the
-squeeze generator.
+exponent that exp(t b) gives a Gaussian, the ladder-product form of the
+squeeze generator, and the one tracemalloc measurer of a call's peak.
 
 The package itself needs numpy only; scipy is a test dependency
 (`pip install -e .[test]`).
@@ -11,6 +11,7 @@ import cmath
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -33,6 +34,16 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     from scipy.linalg import expm  # only the tests that compare against expm pay the import
 
     return expm(m)
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc's peak, in bytes, while fn() runs; tracing stops even if fn raises."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_wavefunction(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,6 @@
 """Tests for the factorization coefficients: closed forms, ODE system, integrator."""
 import cmath
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -26,7 +25,7 @@ from opfactor.algebra import (
     wei_norman_final,
     wei_norman_rhs,
 )
-from reference import gaussian_exponent, rk4_samples
+from reference import gaussian_exponent, rk4_samples, traced_peak
 
 
 class TestSqueezeParameter:
@@ -568,12 +567,8 @@ def test_mul_is_python_complex_product(x, y):
 
 
 def _peak_bytes(entry, steps):
-    tracemalloc.start()
-    try:
-        entry(GeneratorCoefficients.squeeze(SqueezeParameter(0.8, 1.0)), 1.0, steps)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    b = GeneratorCoefficients.squeeze(SqueezeParameter(0.8, 1.0))
+    return traced_peak(lambda: entry(b, 1.0, steps))
 
 
 def test_final_memory_is_bounded_by_one_block():

@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +29,7 @@ from opfactor.grid import MAX_TIME_SUBSTEPS, WaveFunction, apply_chain, squeeze_
 from opfactor.states import (
     EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_spm, psi_ss,
 )
-from reference import read_wavefunction
+from reference import read_wavefunction, traced_peak
 
 
 # Every `verify all` check, in report order.
@@ -934,18 +933,19 @@ class TestOutputFormat:
 
     def test_fallback_alone_writes_the_same_bytes(self, monkeypatch):
         # Where longdouble is a plain double, the kernel's error bound is over
-        # 1/2 and every number is formatted by _fmt17.  That one path must
-        # write the same bytes as the kernel.
+        # 1/2 and every number but zero, which is exact, is formatted by
+        # _fmt17.  That one path must write the same bytes as the kernel.
         tables = _csv_tables()
         numbers = sum(np.size(v) for _, values in tables for v in values)
+        zeros = sum(np.count_nonzero(np.asarray(v) == 0) for _, values in tables for v in values)
         formatted = []
         monkeypatch.setattr(cli, "_fmt17", lambda value: formatted.append(value) or f"{value:.17g}")
         kernel = [_csv_text(*table) for table in tables]
         assert 0 < len(formatted) < numbers / 10
         formatted.clear()
-        monkeypatch.setattr(cli, "_ERROR_BOUND", 0.5)
+        monkeypatch.setattr(cli, "_ERROR_SLOPE", 1.0)
         assert [_csv_text(*table) for table in tables] == kernel
-        assert len(formatted) == numbers
+        assert zeros > 0 and len(formatted) == numbers - zeros
 
     @pytest.mark.parametrize("argv, columns, build", [
         ("density --x0 2 --s 1.5 --sign -1 --t-min 0 --t-max 3.14159 --t-steps 3",
@@ -1053,6 +1053,23 @@ class TestFields17:
         x = np.array(x)
         assert _printf_mismatches(np.concatenate([x, -x, np.nextafter(x, 0)])) == []
 
+    def test_zero_is_formatted_by_the_kernel(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError(f"{value!r} reached _fmt17")
+
+        monkeypatch.setattr(cli, "_fmt17", refuse)
+        fields = [col.tobytes().replace(b"\0", b"").decode("ascii") for col in _fields17([0.0, -0.0, 0.0]).T]
+        assert fields == ["0", "-0", "0"]
+
+    def test_seeded_samples_at_every_exponent_and_the_edges(self):
+        rng = np.random.default_rng(31)
+        exponents = np.arange(-323, 308)
+        x = rng.uniform(1.0, 10.0, (8, exponents.size)) * 10.0**exponents
+        edges = [0.0, np.inf, np.nan, 5e-324, 1.5e308, 1e16, 1e17]
+        edges += [float(f"1e{j}") for j in range(-323, 309)]
+        x = np.concatenate([x.ravel(), edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        assert _printf_mismatches(np.concatenate([x, -x])) == []
+
     def test_power_table_is_correctly_rounded(self):
         powers = cli._field_tables()[0]
         for k, power in zip(range(-cli._EXP0, cli._EXP0 + 1), powers):
@@ -1071,12 +1088,7 @@ def _writer_peak_bytes(blocks):
               *rng.standard_normal((3, blocks, nrows)), rng.random((blocks, 1))]
     _fields17(np.zeros(1))  # the kernel's tables are built once per process
     with open(os.devnull, "w") as sink:
-        tracemalloc.start()
-        try:
-            _write_rows(DENSITY_COLUMNS, *_writer_table(values), RunConfig(), sink)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: _write_rows(DENSITY_COLUMNS, *_writer_table(values), RunConfig(), sink))
 
 
 def test_csv_memory_is_bounded_by_one_chunk():
@@ -1088,12 +1100,11 @@ def _density_peak_bytes(t_steps):
     argv = ["density", "--x0", "2", "--s", "1.5", "--t-min", "0", "--t-max", "3",
             "--grid-n", "1024", "--t-steps", str(t_steps), "--out", os.devnull]
     assert main(argv) == 0  # untraced, so that every cache is built before the peak is read
-    tracemalloc.start()
-    try:
+
+    def traced():
         assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return traced_peak(traced)
 
 
 def test_density_memory_does_not_grow_with_t_steps():

@@ -33,7 +33,7 @@ from opfactor.fock import (
 )
 from opfactor.grid import Grid, WaveFunction
 from opfactor.states import SqueezedStateSpec, psi_ss
-from reference import matrix_exponential, squeeze_generator_ladder
+from reference import matrix_exponential, squeeze_generator_ladder, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +402,37 @@ class TestHermite:
     def test_no_coefficients_refused(self, grid):
         with pytest.raises(ValueError, match="non-empty vector"):
             fock_to_position([], grid)
+
+    def test_basis_changes_make_no_complex_copy_of_the_basis(self, grid):
+        basis = fock._hermite_basis(128, grid)  # cached before the peaks are read
+        spec = SqueezedStateSpec(0.5, 0.0, SqueezeParameter(0.5, 0.0))
+        psi = WaveFunction.from_callable(grid, lambda x: psi_ss(x, spec))
+        coeffs = position_to_fock(psi, 128)
+        assert traced_peak(lambda: position_to_fock(psi, 128)) < basis.nbytes / 2
+        assert traced_peak(lambda: fock_to_position(coeffs, grid)) < basis.nbytes / 2
+
+    def test_basis_changes_equal_the_complex_product(self, grid):
+        rng = np.random.default_rng(7)
+        basis = fock._hermite_basis(128, grid).astype(complex)
+        samples = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        coeffs = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        projected = basis @ samples * grid.dx
+        got = position_to_fock(WaveFunction(grid, samples), 128)
+        assert np.abs(got - projected).max() <= 1e-14 * np.abs(projected).max()
+        superposed = basis.T @ coeffs
+        got = fock_to_position(coeffs, grid).samples
+        assert np.abs(got - superposed).max() <= 1e-14 * np.abs(superposed).max()
+
+    def test_strided_inputs_equal_their_contiguous_copies(self, grid):
+        rng = np.random.default_rng(11)
+        coeffs = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        assert not coeffs[::2].flags.c_contiguous
+        strided = fock_to_position(coeffs[::2], grid).samples
+        assert np.array_equal(strided, fock_to_position(coeffs[::2].copy(), grid).samples)
+        psi = WaveFunction(grid, np.repeat(strided, 2)[::2])
+        assert not psi.samples.flags.c_contiguous
+        contiguous = WaveFunction(grid, psi.samples.copy())
+        assert np.array_equal(position_to_fock(psi, 128), position_to_fock(contiguous, 128))
 
     def test_roundtrip_of_squeezed_state(self, grid):
         spec = SqueezedStateSpec(0.5, 0.0, SqueezeParameter(0.5, 0.0))
