@@ -1,13 +1,14 @@
 """Verification suites: every oracle comparison behind `opfactor verify`.
 
-Each check returns a CheckResult with the measured error and its tolerance.
-The checks are grouped into the suites `fock`, `grid`, and `analytic`; the
-acceptance-level comparisons live here so the command line and the test suite
-report identical numbers.
+Each check returns CheckResults with the measured error and its tolerance.
+One table, `_CHECKS`, lists every check once, in report order, with its suite
+(`fock`, `grid` or `analytic`), and `SUITES` and `run_checks` read it; the
+command line and the test suite run these same comparisons.
 """
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ from .grid import (
     time_displacement_factors,
 )
 
-__all__ = ["CheckResult", "SUITES", "evenodd_grid_densities", "evenodd_grid_sweep", "evenodd_initial",
-           "ode_deviation", "run_checks"]
+__all__ = ["CheckResult", "SUITES", "evenodd_grid_sweep", "evenodd_initial", "ode_deviation",
+           "run_checks"]
 
 DEFAULT_SEED = 20260810
 
@@ -219,45 +220,37 @@ def evenodd_grid_sweep(initial: WaveFunction, spec: states.EvenOddSpec, times):
     return raw_integral, blocks()
 
 
-def evenodd_grid_densities(initial: WaveFunction, spec: states.EvenOddSpec, times):
-    """evenodd_grid_sweep, stacked: (rho, rho_grid, raw_integral), with rho
-    and rho_grid of shape (len(times), n)."""
-    raw_integral, blocks = evenodd_grid_sweep(initial, spec, times)
-    stacked = np.empty((2, raw_integral.size, initial.grid.n))
-    for i, pair in enumerate(blocks):
-        stacked[:, i] = pair
-    return stacked[0], stacked[1], raw_integral
-
-
 def check_evenodd(grid: Grid):
-    """The even/odd pair at EVEN_ODD_TIMES, from one evenodd_grid_densities sweep per sign.
+    """The even/odd pair at EVEN_ODD_TIMES, from one evenodd_grid_sweep per sign.
 
     Renormalized |psi_spm|^2 matches the renormalized rho_spm (finite at the
     caustic), the quadrature of rho_spm matches rho_spm_integral, and grid
-    propagation of the t = 0 pair tracks the renormalized rho_spm.  Where the
-    window refuses a sign's pair, each of that sign's records reads inf.
+    propagation of the t = 0 pair tracks the renormalized rho_spm; each t's
+    three errors are taken from its sweep block as it comes.  Where the
+    window refuses a sign's pair or any of its blocks, each of that sign's
+    records reads inf.
     """
     x, dx = grid.x, grid.dx
     tols = {"psi_vs_rho": 1e-9, "raw_integral": 1e-9, "grid_density": 1e-5}
-    found = {kind: [] for kind in tols}  # (tag, measured)
+    rows = []  # (tag, one error per kind), by sign then t
     for sign in (+1, -1):
         spec = states.EvenOddSpec(EVEN_ODD_X0, EVEN_ODD_S, sign)
         tags = [f"sign{sign:+d}_t{t:.4g}" for t in EVEN_ODD_TIMES]
         try:
-            initial = evenodd_initial(grid, spec, math.inf)
-            rho, rho_grid, raw_integral = evenodd_grid_densities(initial, spec, EVEN_ODD_TIMES)
+            raw_integral, blocks = evenodd_grid_sweep(evenodd_initial(grid, spec, math.inf), spec,
+                                                      EVEN_ODD_TIMES)
+            sign_rows = []
+            for tag, t, raw_t, (rho_t, grid_t) in zip(tags, EVEN_ODD_TIMES, raw_integral, blocks):
+                dens = np.abs(states.psi_spm(x, t, spec)) ** 2
+                dens /= np.sum(dens) * dx
+                sign_rows.append((tag, (_max_abs(dens, rho_t),
+                                        abs(raw_t - states.rho_spm_integral(t, spec)),
+                                        _max_abs(grid_t, rho_t))))
         except ValueError:
-            for rows in found.values():
-                rows += [(tag, math.inf) for tag in tags]
-            continue
-        for tag, t, rho_t, grid_t, raw_t in zip(tags, EVEN_ODD_TIMES, rho, rho_grid, raw_integral):
-            dens = np.abs(states.psi_spm(x, t, spec)) ** 2
-            dens /= np.sum(dens) * dx
-            found["psi_vs_rho"].append((tag, _max_abs(dens, rho_t)))
-            found["raw_integral"].append((tag, abs(raw_t - states.rho_spm_integral(t, spec))))
-            found["grid_density"].append((tag, _max_abs(grid_t, rho_t)))
-    return [CheckResult("analytic", f"evenodd_{kind}_{tag}", measured, tols[kind])
-            for kind, rows in found.items() for tag, measured in rows]
+            sign_rows = [(tag, (math.inf,) * len(tols)) for tag in tags]
+        rows += sign_rows
+    return [CheckResult("analytic", f"evenodd_{kind}_{tag}", errors[k], tol)
+            for k, (kind, tol) in enumerate(tols.items()) for tag, errors in rows]
 
 
 def check_oracle_triangle(grid: Grid, fock_dim: int):
@@ -567,7 +560,38 @@ def check_hermite_parseval(grid: Grid):
 
 # --- runner -------------------------------------------------------------------
 
-SUITES = ("fock", "grid", "analytic", "all")
+# One row per check, in report order: (suite, function).  run_checks calls what
+# this module binds to the function's name at that time, so a patched attribute
+# runs, and passes it those of grid, fock_dim and ode_steps its signature names.
+_CHECKS = (
+    ("fock", check_fock_commutators),
+    ("fock", check_fock_oscillator_generator),
+    ("fock", check_unitary_exponential),
+    ("fock", check_fock_time_diagonal),
+    ("fock", check_fock_squeeze_oracle),
+    ("fock", check_fock_truncation_monotonicity),
+    ("fock", check_fock_roundtrip),
+    ("fock", check_hermite_parseval),
+    ("grid", check_shift_gaussian),
+    ("grid", check_dilation_gaussian),
+    ("grid", check_spectral_quadrature),
+    ("grid", check_fresnel_gaussian),
+    ("grid", check_grid_squeeze_cs),
+    ("grid", check_grid_time_coherent),
+    ("grid", check_grid_unitarity),
+    ("grid", check_grid_group_property),
+    ("grid", check_grid_box_phase),
+    ("grid", check_grid_linearity),
+    ("analytic", check_ode_squeeze),
+    ("analytic", check_ode_oscillator),
+    ("analytic", check_unitarity_residue),
+    ("analytic", check_squeeze_scale_forms),
+    ("analytic", check_state_reductions),
+    ("analytic", check_evenodd),
+    ("analytic", check_psi_ss_vs_grid),
+    ("analytic", check_oracle_triangle),
+)
+SUITES = (*dict.fromkeys(suite for suite, _ in _CHECKS), "all")
 
 
 def run_checks(
@@ -580,36 +604,10 @@ def run_checks(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     fock.FockBasis(fock_dim)  # validates the configured dimension
-    grid = grid or Grid()
-
+    given = {"grid": grid or Grid(), "fock_dim": fock_dim, "ode_steps": ode_steps}
     results: list[CheckResult] = []
-    if suite in ("fock", "all"):
-        results += check_fock_commutators(fock_dim)
-        results += check_fock_oscillator_generator(fock_dim)
-        results += check_unitary_exponential()
-        results += check_fock_time_diagonal()
-        results += check_fock_squeeze_oracle()
-        results += check_fock_truncation_monotonicity()
-        results += check_fock_roundtrip(grid, fock_dim)
-        results += check_hermite_parseval(grid)
-    if suite in ("grid", "all"):
-        results += check_shift_gaussian(grid)
-        results += check_dilation_gaussian(grid)
-        results += check_spectral_quadrature(grid)
-        results += check_fresnel_gaussian(grid)
-        results += check_grid_squeeze_cs(grid)
-        results += check_grid_time_coherent(grid)
-        results += check_grid_unitarity(grid)
-        results += check_grid_group_property(grid)
-        results += check_grid_box_phase(grid)
-        results += check_grid_linearity(grid)
-    if suite in ("analytic", "all"):
-        results += check_ode_squeeze(ode_steps)
-        results += check_ode_oscillator(ode_steps)
-        results += check_unitarity_residue()
-        results += check_squeeze_scale_forms()
-        results += check_state_reductions(grid)
-        results += check_evenodd(grid)
-        results += check_psi_ss_vs_grid(grid)
-        results += check_oracle_triangle(grid, fock_dim)
+    for row_suite, row in _CHECKS:
+        if suite in (row_suite, "all"):
+            check = globals()[row.__name__]
+            results += check(**{name: given[name] for name in inspect.signature(check).parameters})
     return results

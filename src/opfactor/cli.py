@@ -416,7 +416,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     with _sink(config) as stream:
         if config.fmt == "json":
-            json.dump([{**asdict(r), "passed": r.passed} for r in results], stream, indent=1)
+            json.dump([{**asdict(r), "measured": r.measured if math.isfinite(r.measured)
+                        else str(r.measured), "passed": r.passed} for r in results], stream, indent=1)
             stream.write("\n")
         else:
             for r in results:

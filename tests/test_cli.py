@@ -25,47 +25,50 @@ from opfactor.algebra import CausticError, CoefficientTrajectory, SqueezeParamet
 from opfactor.cli import (
     CSV_BLOCK_ROWS, DENSITY_COLUMNS, RunConfig, _fields17, _write_rows, build_parser, main,
 )
-from opfactor.grid import MAX_TIME_SUBSTEPS, WaveFunction, apply_chain, squeeze_factors
+from opfactor.grid import MAX_TIME_SUBSTEPS, Grid, WaveFunction, apply_chain, squeeze_factors
 from opfactor.states import (
     EvenOddSpec, SqueezedStateSpec, coherent_evolved, psi0, psi_spm, psi_ss,
 )
 from reference import read_wavefunction, traced_peak
 
 
-# Every `verify all` check, in report order.
-ALL_CHECK_NAMES = [
-    # fock
-    "ladder_commutator_block", "xd_commutator_block", "x_hermitian_d_antihermitian",
-    "oscillator_generator_diagonal", "expm_antihermitian_unitary",
-    "time_diagonal_dim64_t0.3", "time_diagonal_dim64_t1",
-    "squeeze_oracle_r0.25_phi0", "squeeze_oracle_r0.25_phi1.047", "squeeze_oracle_r0.25_phi1.571",
-    "squeeze_oracle_r0.5_phi0", "squeeze_oracle_r0.5_phi1.047", "squeeze_oracle_r0.5_phi1.571",
-    "squeeze_oracle_r1_phi0", "squeeze_oracle_r1_phi1.047", "squeeze_oracle_r1_phi1.571",
-    "truncation_monotonic_r0.5", "truncation_monotonic_r1",
-    "position_roundtrip", "hermite_parseval",
-    # grid
-    "shift_gaussian", "dilation_gaussian", "spectral_d2_vs_quadrature", "fresnel_free_gaussian",
-    "squeeze_chain_vs_cs_r0.5", "squeeze_chain_vs_cs_r1", "time_chain_vs_coherent_evolved",
-    "unitary_norm_drift", "time_group_property",
-    "box_mode_phase_n1", "box_mode_phase_n2", "box_mode_phase_n3", "chain_linearity",
-    # analytic
-    "ode_vs_closed_form_squeeze", "ode_vs_closed_form_oscillator", "unitarity_residue",
-    "squeeze_scale_two_forms", "psi_ss_real_z_reduction", "coherent_evolved_t0_reduction",
-    "psi_spm_parity",
-    "evenodd_psi_vs_rho_sign+1_t0", "evenodd_psi_vs_rho_sign+1_t0.6",
-    "evenodd_psi_vs_rho_sign+1_t1.571", "evenodd_psi_vs_rho_sign+1_t2",
-    "evenodd_psi_vs_rho_sign-1_t0", "evenodd_psi_vs_rho_sign-1_t0.6",
-    "evenodd_psi_vs_rho_sign-1_t1.571", "evenodd_psi_vs_rho_sign-1_t2",
-    "evenodd_raw_integral_sign+1_t0", "evenodd_raw_integral_sign+1_t0.6",
-    "evenodd_raw_integral_sign+1_t1.571", "evenodd_raw_integral_sign+1_t2",
-    "evenodd_raw_integral_sign-1_t0", "evenodd_raw_integral_sign-1_t0.6",
-    "evenodd_raw_integral_sign-1_t1.571", "evenodd_raw_integral_sign-1_t2",
-    "evenodd_grid_density_sign+1_t0", "evenodd_grid_density_sign+1_t0.6",
-    "evenodd_grid_density_sign+1_t1.571", "evenodd_grid_density_sign+1_t2",
-    "evenodd_grid_density_sign-1_t0", "evenodd_grid_density_sign-1_t0.6",
-    "evenodd_grid_density_sign-1_t1.571", "evenodd_grid_density_sign-1_t2",
-    "psi_ss_vs_grid_chain", "triangle_fock_evolved_coherent", "triangle_fock_displaced_squeezed",
-]
+# Every `verify` check, per suite in report order; `verify all` runs them in this order.
+CHECK_NAMES = {
+    "fock": [
+        "ladder_commutator_block", "xd_commutator_block", "x_hermitian_d_antihermitian",
+        "oscillator_generator_diagonal", "expm_antihermitian_unitary",
+        "time_diagonal_dim64_t0.3", "time_diagonal_dim64_t1",
+        "squeeze_oracle_r0.25_phi0", "squeeze_oracle_r0.25_phi1.047", "squeeze_oracle_r0.25_phi1.571",
+        "squeeze_oracle_r0.5_phi0", "squeeze_oracle_r0.5_phi1.047", "squeeze_oracle_r0.5_phi1.571",
+        "squeeze_oracle_r1_phi0", "squeeze_oracle_r1_phi1.047", "squeeze_oracle_r1_phi1.571",
+        "truncation_monotonic_r0.5", "truncation_monotonic_r1",
+        "position_roundtrip", "hermite_parseval",
+    ],
+    "grid": [
+        "shift_gaussian", "dilation_gaussian", "spectral_d2_vs_quadrature", "fresnel_free_gaussian",
+        "squeeze_chain_vs_cs_r0.5", "squeeze_chain_vs_cs_r1", "time_chain_vs_coherent_evolved",
+        "unitary_norm_drift", "time_group_property",
+        "box_mode_phase_n1", "box_mode_phase_n2", "box_mode_phase_n3", "chain_linearity",
+    ],
+    "analytic": [
+        "ode_vs_closed_form_squeeze", "ode_vs_closed_form_oscillator", "unitarity_residue",
+        "squeeze_scale_two_forms", "psi_ss_real_z_reduction", "coherent_evolved_t0_reduction",
+        "psi_spm_parity",
+        "evenodd_psi_vs_rho_sign+1_t0", "evenodd_psi_vs_rho_sign+1_t0.6",
+        "evenodd_psi_vs_rho_sign+1_t1.571", "evenodd_psi_vs_rho_sign+1_t2",
+        "evenodd_psi_vs_rho_sign-1_t0", "evenodd_psi_vs_rho_sign-1_t0.6",
+        "evenodd_psi_vs_rho_sign-1_t1.571", "evenodd_psi_vs_rho_sign-1_t2",
+        "evenodd_raw_integral_sign+1_t0", "evenodd_raw_integral_sign+1_t0.6",
+        "evenodd_raw_integral_sign+1_t1.571", "evenodd_raw_integral_sign+1_t2",
+        "evenodd_raw_integral_sign-1_t0", "evenodd_raw_integral_sign-1_t0.6",
+        "evenodd_raw_integral_sign-1_t1.571", "evenodd_raw_integral_sign-1_t2",
+        "evenodd_grid_density_sign+1_t0", "evenodd_grid_density_sign+1_t0.6",
+        "evenodd_grid_density_sign+1_t1.571", "evenodd_grid_density_sign+1_t2",
+        "evenodd_grid_density_sign-1_t0", "evenodd_grid_density_sign-1_t0.6",
+        "evenodd_grid_density_sign-1_t1.571", "evenodd_grid_density_sign-1_t2",
+        "psi_ss_vs_grid_chain", "triangle_fock_evolved_coherent", "triangle_fock_displaced_squeezed",
+    ],
+}
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -372,7 +375,7 @@ class TestEvolve:
         assert code != 0 or np.abs(psi * (abs(overlap) / overlap) - expected).max() < 1e-8
 
     @pytest.mark.xfail(strict=True, reason="the pair's momentum passes the grid's Nyquist band "
-                       "near t = pi/2 and aliases with exit 0 (ROADMAP items 3, 5)")
+                       "near t = pi/2 and aliases with exit 0 (ROADMAP items 5, 14)")
     def test_density_past_nyquist_is_not_silently_off(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "density", "--x0", "7", "--s", "1.5", "--grid-min", "-100",
@@ -404,7 +407,7 @@ class TestVerify:
                               timeout=120)
         assert proc.returncode == 1
         lines = proc.stdout.splitlines()
-        assert [line.split(",")[2] for line in lines] == ALL_CHECK_NAMES[20:33]  # the grid suite
+        assert [line.split(",")[2] for line in lines] == CHECK_NAMES["grid"]
         assert "FAIL,grid,box_mode_phase_n2,inf,1.0e-09" in lines
         assert "error:" not in proc.stderr
 
@@ -432,7 +435,7 @@ class TestVerify:
                               timeout=120)
         assert proc.returncode == 1
         rows = [line.split(",") for line in proc.stdout.splitlines()]
-        names = ALL_CHECK_NAMES[20:33] if suite == "grid" else ALL_CHECK_NAMES[33:]
+        names = CHECK_NAMES[suite]
         assert [row[2] for row in rows] == names
         assert {row[2] for row in rows if row[3] == "inf"} == {n for n in names if n.startswith(refused)}
         assert "error:" not in proc.stderr and "invalid value" not in proc.stderr
@@ -454,8 +457,51 @@ class TestVerify:
         assert code == 1
 
     def test_all_check_names_are_pinned(self):
-        # perfbench/gate.py and downstream reports key on these names, in this order.
-        assert [r.name for r in checks.run_checks("all")] == ALL_CHECK_NAMES
+        # perfbench/gate.py and downstream reports key on these names, in this order;
+        # each record's suite is its row's
+        assert [(r.suite, r.name) for r in checks.run_checks("all")] == [
+            (suite, name) for suite, names in CHECK_NAMES.items() for name in names]
+
+    def test_every_check_function_is_one_row(self):
+        # a check that is not in the table would never run under verify
+        functions = [name for name, fn in inspect.getmembers(checks, inspect.isfunction)
+                     if name.startswith("check_") and fn.__module__ == checks.__name__]
+        assert sorted(check.__name__ for _, check in checks._CHECKS) == sorted(functions)
+
+    def test_suites_come_from_the_table(self):
+        assert checks.SUITES == ("fock", "grid", "analytic", "all")
+
+    def test_runner_calls_the_module_attribute_with_its_parameters(self, monkeypatch):
+        # a tracer replaces the module's attribute; the replacement is what runs, and
+        # it gets the arguments its own signature names
+        seen = []
+
+        def fake(grid, fock_dim):
+            seen.append((grid, fock_dim))
+            return [checks.CheckResult("fock", "fake", 0.0, 1.0)]
+
+        monkeypatch.setattr(checks, "check_hermite_parseval", fake)
+        grid = Grid()
+        results = checks.run_checks("fock", grid=grid, fock_dim=16)
+        assert [r.name for r in results][-2:] == ["position_roundtrip", "fake"]
+        assert seen == [(grid, 16)]
+
+    def test_json_writes_a_non_finite_measured_as_text(self):
+        # bare Infinity is not JSON; a fresh interpreter, since this window also raises
+        # SupportOverflowWarning
+        proc = subprocess.run([sys.executable, "-m", "opfactor.cli", "verify", "grid",
+                               "--grid-n", "16", "--format", "json"], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        records = json.loads(proc.stdout, parse_constant=refuse)
+        assert [r["name"] for r in records] == CHECK_NAMES["grid"]
+        box = next(r for r in records if r["name"] == "box_mode_phase_n2")
+        assert box["measured"] == "inf" and float(box["measured"]) == math.inf
+        assert not box["passed"]
 
     def test_json_format(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -822,7 +868,8 @@ def _density_rows():
     grid = RunConfig(grid_n=8192).make_grid()
     ts = np.linspace(0.0, 3.14159, 3)
     spec = EvenOddSpec(2.0, 1.5, -1)
-    rho, rho_grid, raw = checks.evenodd_grid_densities(checks.evenodd_initial(grid, spec, RunConfig.norm_tol), spec, ts)
+    raw, blocks = checks.evenodd_grid_sweep(checks.evenodd_initial(grid, spec, RunConfig.norm_tol), spec, ts)
+    rho, rho_grid = map(np.stack, zip(*blocks))
     return np.column_stack([
         np.repeat(ts, grid.n), np.tile(grid.x, len(ts)), rho.ravel(), rho_grid.ravel(),
         np.abs(rho - rho_grid).ravel(), np.repeat(raw, grid.n),

@@ -237,7 +237,7 @@ class TestEvenOdd:
         assert rho_spm_integral(t, spec) == math.inf
         initial = checks.evenodd_initial(Grid(n=256), spec, 1e-8)
         with pytest.raises(ValueError, match=f"singular at t = {t!r}"):
-            checks.evenodd_grid_densities(initial, spec, [0.0, t])
+            checks.evenodd_grid_sweep(initial, spec, [0.0, t])
 
     def test_grid_evolution_tracks_density(self, grid):
         x, dx = grid.x, grid.dx
@@ -262,7 +262,8 @@ def test_evenodd_sweep_is_refused_or_finite(x0, s, sign, t):
     spec = EvenOddSpec(x0, s, sign)
     try:
         initial = checks.evenodd_initial(grid, spec, 1e-8)
-        rho, rho_grid, raw_integral = checks.evenodd_grid_densities(initial, spec, [t])
+        raw_integral, blocks = checks.evenodd_grid_sweep(initial, spec, [t])
+        ((rho, rho_grid),) = blocks
     except ValueError:
         return
     assert np.all(np.isfinite(rho)) and np.all(np.isfinite(rho_grid))
