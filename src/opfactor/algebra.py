@@ -19,9 +19,9 @@ it computes, and numpy forms beta, gamma and delta from them, in a scalar RK4
 loop's operation order, with one exact-product helper and step-by-step sums,
 which gives that loop's results bit for bit.  It runs in blocks of RK4_BLOCK
 steps, so its memory stays bounded for any step count.
-`integrate_wei_norman` returns every step as a CoefficientTrajectory, and
-`wei_norman_final`, which every command uses, keeps only the last; both
-read the same blocks.
+`wei_norman_final`, which every command uses, returns the coefficients
+after the last step, and `integrate_wei_norman` those at t = 0 and after
+every step; both read the same blocks.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ import numpy as np
 __all__ = [
     "BlowUpError",
     "CausticError",
-    "CoefficientTrajectory",
     "FactorizationCoefficients",
     "GeneratorCoefficients",
     "SqueezeParameter",
@@ -129,13 +128,12 @@ class GeneratorCoefficients:
 
 @dataclass(frozen=True)
 class FactorizationCoefficients:
-    """Product coefficients (delta, alpha, beta, gamma) at evolution parameter t."""
+    """Product coefficients (delta, alpha, beta, gamma)."""
 
     delta: complex
     alpha: complex
     beta: complex
     gamma: complex
-    t: float = 0.0
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (self.delta, self.alpha, self.beta, self.gamma)
@@ -145,8 +143,8 @@ class FactorizationCoefficients:
         return abs(cmath.exp(2.0 * self.delta - self.beta) - 1.0)
 
     @classmethod
-    def zero(cls, t: float = 0.0) -> "FactorizationCoefficients":
-        return cls(0j, 0j, 0j, 0j, t)
+    def zero(cls) -> "FactorizationCoefficients":
+        return cls(0j, 0j, 0j, 0j)
 
 
 def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> FactorizationCoefficients:
@@ -201,13 +199,13 @@ def generator_factorization(b: GeneratorCoefficients, t: float = 1.0) -> Factori
     else:
         log_q = cmath.log(q)
     c = FactorizationCoefficients(delta=(b1 - 0.5 * b3) * t - 0.5 * log_q, alpha=-1j * b2 * s / q,
-                                  beta=-log_q, gamma=-1j * b4 * s / q, t=t)
+                                  beta=-log_q, gamma=-1j * b4 * s / q)
     if not all(cmath.isfinite(v) for v in c.as_tuple()):
         raise ValueError(refusal)
     if abs(wt.imag) >= MAX_PERIODS * math.tau:
         raise ValueError(f"t = {t:.6g} spans 2^50 periods of exp(i Im(w) t) or more")
     if _odd_turn(b3, b4, w, wt, q, t):
-        return FactorizationCoefficients(c.delta + 1j * math.pi, *c.as_tuple()[1:], t=t)
+        return FactorizationCoefficients(c.delta + 1j * math.pi, *c.as_tuple()[1:])
     return c
 
 
@@ -295,36 +293,6 @@ def wei_norman_rhs(
     alpha, beta = coefficients.alpha, coefficients.beta
     return (c0 + c1 * alpha + c2 * alpha * alpha, b3 + c2 * alpha,
             cg * cmath.exp(2.0 * beta), b1 + cd * alpha)
-
-
-@dataclass(frozen=True)
-class CoefficientTrajectory:
-    """Integrator samples of the product coefficients, monotonic in t.
-
-    The first sample always carries all-zero coefficients at t = 0.
-    """
-
-    samples: tuple[FactorizationCoefficients, ...]
-
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError("a trajectory needs at least one sample")
-        ts = [s.t for s in self.samples]
-        if len(ts) > 1:
-            direction = 1.0 if ts[-1] > ts[0] else -1.0
-            if any(direction * (b - a) <= 0.0 for a, b in zip(ts, ts[1:])):
-                raise ValueError("sample times must be strictly monotonic")
-        first = self.samples[0]
-        if first.t != 0.0 or any(v != 0 for v in first.as_tuple()):
-            raise ValueError("trajectory must start from vanishing coefficients at t = 0")
-
-    @property
-    def times(self) -> list[float]:
-        return [s.t for s in self.samples]
-
-    @property
-    def final(self) -> FactorizationCoefficients:
-        return self.samples[-1]
 
 
 def _check_span(t_end: float, steps: int) -> None:
@@ -438,8 +406,8 @@ def _check_bound(
 
 def _rk4_blocks(
     b: GeneratorCoefficients, t_end: float, steps: int
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield (delta, alpha, beta, gamma, t) arrays after each step, RK4_BLOCK steps at a time.
+) -> Iterator[list[np.ndarray]]:
+    """Yield [delta, alpha, beta, gamma] arrays after each step, RK4_BLOCK steps at a time.
 
     Classical fixed-step fourth-order Runge-Kutta from all-zero data at
     t = 0, fully deterministic for fixed arguments: _riccati_steps steps
@@ -474,32 +442,34 @@ def _rk4_blocks(
             raise BlowUpError(
                 f"an RK4 stage overflowed in the step from t = {(start + failed) * h:.6g}; "
                 f"the path likely crosses a caustic") from exc
-        yield (*after, np.arange(start + 1, stop + 1) * h)
+        yield after
         delta, beta, gamma = deltas[-1].item(), betas[-1].item(), gammas[-1].item()
 
 
 def integrate_wei_norman(
     b: GeneratorCoefficients, t_end: float, steps: int = ODE_STEPS
-) -> CoefficientTrajectory:
-    """Integrate the coefficient ODEs from all-zero initial data to t_end, keeping every step.
+) -> tuple[FactorizationCoefficients, ...]:
+    """Integrate the coefficient ODEs from all-zero data at t = 0 to t_end.
 
-    See _rk4_blocks for the scheme and its BlowUpError.  Callers that read
-    only the end point should use wei_norman_final, which returns the same
-    final coefficients without building the samples.
+    Returns the coefficients at t = 0 and after each step: steps + 1
+    entries, or the zero entry alone for t_end = 0.  See _rk4_blocks for
+    the scheme and its BlowUpError.  Callers that read only the end point
+    should use wei_norman_final, which returns the last entry without
+    building the others.
     """
     _check_span(t_end, steps)
-    samples = [FactorizationCoefficients.zero(0.0)]
+    path = [FactorizationCoefficients.zero()]
     for block in _rk4_blocks(b, t_end, steps):
-        samples += map(FactorizationCoefficients, *(v.tolist() for v in block))
-    return CoefficientTrajectory(tuple(samples))
+        path += map(FactorizationCoefficients, *(v.tolist() for v in block))
+    return tuple(path)
 
 
 def wei_norman_final(
     b: GeneratorCoefficients, t_end: float, steps: int = ODE_STEPS
 ) -> FactorizationCoefficients:
-    """integrate_wei_norman(b, t_end, steps).final, bit for bit, without the samples."""
+    """integrate_wei_norman(b, t_end, steps)[-1], bit for bit, without the other entries."""
     _check_span(t_end, steps)
-    final = FactorizationCoefficients.zero(0.0)
+    final = FactorizationCoefficients.zero()
     for block in _rk4_blocks(b, t_end, steps):
         final = FactorizationCoefficients(*(v[-1].item() for v in block))
     return final

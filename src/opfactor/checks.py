@@ -202,8 +202,8 @@ def evenodd_grid_sweep(initial: WaveFunction, spec: states.EvenOddSpec, times):
     """The even/odd pair's closed-form and grid densities, one t at a time.
 
     Returns (raw_integral, blocks): the quadrature of rho_spm as written, one
-    per t, and an iterator that yields (rho, rho_grid) per t, rho_spm
-    renormalized to unit integral and the density of initial (from
+    per t, and an iterator that yields (rho, rho_grid, |rho - rho_grid|) per
+    t, rho_spm renormalized to unit integral and the density of initial (from
     evenodd_initial) advanced by the default time chain.  Every t is checked
     before this returns, so a ValueError for a t at which rho_spm is singular
     or not finite on the grid comes before the first block; each block
@@ -215,7 +215,9 @@ def evenodd_grid_sweep(initial: WaveFunction, spec: states.EvenOddSpec, times):
 
     def blocks():
         for t, raw in zip(times, raw_integral):
-            yield _rho_spm(x, t, spec) / raw, apply_chain(initial, time_displacement_factors(t)).density()
+            rho = _rho_spm(x, t, spec) / raw
+            rho_grid = apply_chain(initial, time_displacement_factors(t)).density()
+            yield rho, rho_grid, np.abs(rho - rho_grid)
 
     return raw_integral, blocks()
 
@@ -240,12 +242,13 @@ def check_evenodd(grid: Grid):
             raw_integral, blocks = evenodd_grid_sweep(evenodd_initial(grid, spec, math.inf), spec,
                                                       EVEN_ODD_TIMES)
             sign_rows = []
-            for tag, t, raw_t, (rho_t, grid_t) in zip(tags, EVEN_ODD_TIMES, raw_integral, blocks):
+            for tag, t, raw_t, block in zip(tags, EVEN_ODD_TIMES, raw_integral, blocks):
+                rho_t, _, grid_delta = block
                 dens = np.abs(states.psi_spm(x, t, spec)) ** 2
                 dens /= np.sum(dens) * dx
                 sign_rows.append((tag, (_max_abs(dens, rho_t),
                                         abs(raw_t - states.rho_spm_integral(t, spec)),
-                                        _max_abs(grid_t, rho_t))))
+                                        float(grid_delta.max()))))
         except ValueError:
             sign_rows = [(tag, (math.inf,) * len(tols)) for tag in tags]
         rows += sign_rows

@@ -70,6 +70,8 @@ class RunConfig:
         for field in ("ode_steps", "norm_tol"):
             if not getattr(self, field) > 0:
                 raise ValueError(f"{field} must be positive")
+        if not math.isfinite(self.norm_tol):
+            raise ValueError(f"norm_tol must be finite, got {self.norm_tol!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.out:
@@ -443,11 +445,10 @@ def cmd_density(args: argparse.Namespace) -> int:
     raw_integral, sweep = checks.evenodd_grid_sweep(initial, spec, ts)  # refuses any t here
 
     # one block of rows per t, written as it is computed: t and raw_integral
-    # are block constants, x is shared
+    # are block constants, x is shared, and the sweep's blocks are the cells
     fixed = {0: ts[:, None], 1: initial.grid.x, 5: raw_integral[:, None]}
-    cells = ((rho, rho_grid, np.abs(rho - rho_grid)) for rho, rho_grid in sweep)
     with _sink(config) as stream:
-        _write_rows(DENSITY_COLUMNS, fixed, cells, config, stream)
+        _write_rows(DENSITY_COLUMNS, fixed, sweep, config, stream)
     return 0
 
 

@@ -76,15 +76,15 @@ def _rhs(alpha, beta, terms):
 
 def rk4_samples(b, t_end, steps):
     """The RK4 path from all-zero data at t = 0, one scalar step at a time:
-    FactorizationCoefficients at t = 0 and after each step.
+    a tuple of FactorizationCoefficients at t = 0 and after each step.
 
     Raises BlowUpError where a stage's exp(2 beta) overflows or is not
     finite, or a coefficient magnitude exceeds BLOWUP_BOUND or turns
     non-finite.
     """
-    samples = [FactorizationCoefficients.zero(0.0)]
+    samples = [FactorizationCoefficients.zero()]
     if t_end == 0.0:
-        return samples
+        return tuple(samples)
     h = t_end / steps
     half, sixth = 0.5 * h, h / 6.0
     terms = _terms(*b.as_tuple())
@@ -110,8 +110,8 @@ def rk4_samples(b, t_end, steps):
                 f"coefficient magnitude {worst:.3e} exceeded {BLOWUP_BOUND:.1e} "
                 f"at t = {t0 + h:.6g}; the path likely crosses a caustic"
             )
-        samples.append(FactorizationCoefficients(delta, alpha, beta, gamma, (step + 1) * h))
-    return samples
+        samples.append(FactorizationCoefficients(delta, alpha, beta, gamma))
+    return tuple(samples)
 
 
 def gaussian_exponent(b, t_end, steps=4000):

@@ -13,7 +13,6 @@ from opfactor import algebra, checks
 from opfactor.algebra import (
     BlowUpError,
     CausticError,
-    CoefficientTrajectory,
     FactorizationCoefficients,
     GeneratorCoefficients,
     SqueezeParameter,
@@ -102,7 +101,7 @@ class TestSqueezeFactorization:
         # independent route: RK4 integration of the coefficient system
         final = integrate_wei_norman(
             GeneratorCoefficients.squeeze(SqueezeParameter(1.0, math.pi / 2)), 1.0, steps=1000
-        ).final
+        )[-1]
         assert max(abs(g - e) for g, e in zip(final.as_tuple(), c.as_tuple())) < 1e-9
 
     def test_internal_identities(self):
@@ -387,33 +386,31 @@ class TestWeiNormanRhs:
 
 class TestIntegrator:
     def test_null_generator_stays_zero(self):
-        traj = integrate_wei_norman(GeneratorCoefficients(), 3.0, steps=10)
-        assert all(max(abs(v) for v in s.as_tuple()) == 0.0 for s in traj.samples)
-        assert traj.final.t == pytest.approx(3.0)
+        path = integrate_wei_norman(GeneratorCoefficients(), 3.0, steps=10)
+        assert len(path) == 11
+        assert all(max(abs(v) for v in s.as_tuple()) == 0.0 for s in path)
 
-    def test_trajectory_invariants(self):
-        traj = integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.0, steps=100)
-        times = traj.times
-        assert times[0] == 0.0
-        assert all(b > a for a, b in zip(times, times[1:]))
-        assert len(times) == 101
+    def test_path_starts_at_zero_with_one_entry_per_step(self):
+        path = integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.0, steps=100)
+        assert path[0] == FactorizationCoefficients.zero()
+        assert len(path) == 101
 
     def test_squeeze_matches_closed_form(self):
         z = SqueezeParameter(0.8, math.pi / 3)
         closed = squeeze_factorization(z, 1.0)
-        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, steps=1000).final
+        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, steps=1000)[-1]
         err = max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple()))
         assert err < 1e-8
 
     def test_oscillator_matches_closed_form(self):
         closed = time_displacement_factorization(1.0)
-        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.0, steps=1000).final
+        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.0, steps=1000)[-1]
         err = max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple()))
         assert err < 1e-8
 
     def test_squeeze_identities_on_ode_path(self):
         z = SqueezeParameter(1.2, 2.0)
-        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, steps=1000).final
+        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, steps=1000)[-1]
         assert abs(final.gamma - final.alpha) < 1e-9
         assert abs(final.delta - final.beta / 2) < 1e-9
         assert final.unitarity_residue() < 1e-10
@@ -424,8 +421,8 @@ class TestIntegrator:
             integrate_wei_norman(GeneratorCoefficients.oscillator(), 1.6, steps=20000)
 
     def test_zero_t_end(self):
-        traj = integrate_wei_norman(GeneratorCoefficients.oscillator(), 0.0)
-        assert len(traj.samples) == 1
+        path = integrate_wei_norman(GeneratorCoefficients.oscillator(), 0.0)
+        assert path == (FactorizationCoefficients.zero(),)
 
     def test_bad_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -463,10 +460,6 @@ def _reference_final(b, t_end, steps):
     return rk4_samples(b, t_end, steps)[-1]
 
 
-def _path(b, t_end, steps):
-    return list(integrate_wei_norman(b, t_end, steps).samples)
-
-
 class TestFinalOnly:
     """Both entry points are the scalar RK4 loop of tests/reference.py, bit for bit."""
 
@@ -474,7 +467,7 @@ class TestFinalOnly:
     def test_verify_all_integrations(self, b, t_end, steps):
         expected = rk4_samples(b, t_end, steps)
         assert repr(wei_norman_final(b, t_end, steps)) == repr(expected[-1])
-        assert repr(_path(b, t_end, steps)) == repr(expected)
+        assert repr(integrate_wei_norman(b, t_end, steps)) == repr(expected)
 
     @pytest.mark.parametrize("b, t_end, steps", [
         (GeneratorCoefficients.oscillator(), 0.0, 1000),
@@ -484,10 +477,9 @@ class TestFinalOnly:
     def test_zero_and_negative_spans(self, b, t_end, steps):
         final = wei_norman_final(b, t_end, steps)
         assert repr(final) == repr(_reference_final(b, t_end, steps))
-        assert repr(_path(b, t_end, steps)) == repr(rk4_samples(b, t_end, steps))
-        assert final.t == pytest.approx(t_end, abs=1e-15)
+        assert repr(integrate_wei_norman(b, t_end, steps)) == repr(rk4_samples(b, t_end, steps))
         if t_end == 0.0:
-            assert final == FactorizationCoefficients.zero(0.0)
+            assert final == FactorizationCoefficients.zero()
 
     @pytest.mark.parametrize("steps", [
         algebra.RK4_BLOCK - 1, algebra.RK4_BLOCK, algebra.RK4_BLOCK + 1, 2 * algebra.RK4_BLOCK + 3,
@@ -496,7 +488,7 @@ class TestFinalOnly:
         b = GeneratorCoefficients.squeeze(SqueezeParameter(1.3, 2.0))
         expected = rk4_samples(b, 1.0, steps)
         assert repr(wei_norman_final(b, 1.0, steps)) == repr(expected[-1])
-        assert repr(_path(b, 1.0, steps)) == repr(expected)
+        assert repr(integrate_wei_norman(b, 1.0, steps)) == repr(expected)
 
     @pytest.mark.parametrize("t_end, steps", [(1.0, 0), (1.0, -3), (math.inf, 10), (math.nan, 10)])
     def test_same_refusal_at_call_time(self, t_end, steps):
@@ -553,7 +545,7 @@ def test_rk4_equals_scalar_reference(b, t_end, steps, block):
     path = _outcome(rk4_samples, b, t_end, steps)
     final = _outcome(_reference_final, b, t_end, steps)
     with mock.patch.object(algebra, "RK4_BLOCK", block):
-        assert _outcome(_path, b, t_end, steps) == path
+        assert _outcome(integrate_wei_norman, b, t_end, steps) == path
         assert _outcome(wei_norman_final, b, t_end, steps) == final
 
 
@@ -578,34 +570,15 @@ def test_final_memory_is_bounded_by_one_block():
     assert _peak_bytes(integrate_wei_norman, long) > 1.5 * _peak_bytes(integrate_wei_norman, short)
 
 
-class TestCoefficientTrajectory:
-    def test_requires_a_sample(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            CoefficientTrajectory(())
-
-    def test_requires_zero_start(self):
-        good = FactorizationCoefficients.zero(0.0)
-        bad = FactorizationCoefficients(0.1 + 0j, 0j, 0j, 0j, 0.0)
-        CoefficientTrajectory((good,))
-        with pytest.raises(ValueError):
-            CoefficientTrajectory((bad,))
-
-    def test_requires_monotonic_times(self):
-        a = FactorizationCoefficients.zero(0.0)
-        b = FactorizationCoefficients(0j, 0j, 0j, 0j, 0.5)
-        with pytest.raises(ValueError):
-            CoefficientTrajectory((a, b, b))
-
-
 def test_closed_form_ode_equivalence_sweep():
     """Both families agree with RK4 over the documented parameter region."""
     rng = np.random.default_rng(99)
     for _ in range(5):
         z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
         closed = squeeze_factorization(z, 1.0)
-        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, steps=1000).final
+        final = integrate_wei_norman(GeneratorCoefficients.squeeze(z), 1.0, steps=1000)[-1]
         assert max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple())) < 1e-7
     for t in (0.3, 1.4, -0.7, -1.4):
         closed = time_displacement_factorization(t)
-        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), t, steps=1000).final
+        final = integrate_wei_norman(GeneratorCoefficients.oscillator(), t, steps=1000)[-1]
         assert max(abs(g - e) for g, e in zip(final.as_tuple(), closed.as_tuple())) < 1e-7

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import opfactor
 from opfactor import checks, cli
-from opfactor.algebra import CausticError, CoefficientTrajectory, SqueezeParameter
+from opfactor.algebra import CausticError, SqueezeParameter, integrate_wei_norman
 from opfactor.cli import (
     CSV_BLOCK_ROWS, DENSITY_COLUMNS, RunConfig, _fields17, _write_rows, build_parser, main,
 )
@@ -84,6 +84,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_constant(token):
+    # json.loads's parse_constant: bare Infinity, -Infinity and NaN are not JSON
+    raise ValueError(f"non-JSON constant {token}")
 
 
 class TestFactorize:
@@ -493,11 +498,7 @@ class TestVerify:
                                "--grid-n", "16", "--format", "json"], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1
-
-        def refuse(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        records = json.loads(proc.stdout, parse_constant=refuse)
+        records = json.loads(proc.stdout, parse_constant=_refuse_constant)
         assert [r["name"] for r in records] == CHECK_NAMES["grid"]
         box = next(r for r in records if r["name"] == "box_mode_phase_n2")
         assert box["measured"] == "inf" and float(box["measured"]) == math.inf
@@ -691,6 +692,10 @@ class TestDensity:
     "evolve --initial ground --op time:t=abc",
     "evolve --initial ground --op time:t=1,substeps=0",
     "verify grid --ode-steps 0",
+    # a non-finite --tol, which JSON could not write back
+    "evolve --initial ground --grid-n 64 --tol inf --format json",
+    "evolve --initial ground --grid-n 64 --tol nan",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --grid-n 64 --tol inf --format json",
     # a substep count or an even/odd sign that is not a whole number
     "evolve --initial ground --op time:t=1,substeps=2.5",
     "evolve --initial evenodd:x0=2,s=1.5,sign=0.5",
@@ -718,6 +723,17 @@ def test_refused_input_exits_2(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # no --out file
+
+
+@pytest.mark.parametrize("argv", [
+    "evolve --initial ground --grid-n 64 --tol 1e300 --format json",
+    "density --x0 2 --s 1.5 --t-min 0 --t-max 1 --t-steps 2 --grid-n 64 --tol 1e300 --format json",
+])
+def test_accepted_json_run_is_json(capsys, argv):
+    # every value is a JSON number: no bare Infinity or NaN token
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert json.loads(out, parse_constant=_refuse_constant)["config"]["norm_tol"] == 1e300
 
 
 @pytest.mark.parametrize("value", ["-1.2e1", "-1.2E+1", "-120e-1", "-.12e2", "-12.", "-12"])
@@ -854,13 +870,23 @@ def test_allocation_that_fails_exits_1(monkeypatch, capsys, tmp_path, exc, line)
 
 
 def test_checks_and_ode_check_build_no_trajectory(monkeypatch, capsys):
-    # every caller in the package reads only the final coefficients
-    built = []
-    monkeypatch.setattr(CoefficientTrajectory, "__post_init__", lambda self: built.append(self))
-    assert all(r.passed for r in checks.run_checks("analytic"))
+    # every caller in the package reads only the final coefficients, so none
+    # reaches the whole path, under whichever name a module binds it
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return integrate_wei_norman(*args, **kwargs)
+
+    bound = [(module, name) for key, module in sys.modules.items() if key.startswith("opfactor.")
+             for name, value in vars(module).items() if value is integrate_wei_norman]
+    assert (sys.modules["opfactor.algebra"], "integrate_wei_norman") in bound
+    for module, name in bound:
+        monkeypatch.setattr(module, name, spy)
+    assert len(checks.run_checks("all")) == sum(map(len, CHECK_NAMES.values()))
     code, _, _ = run(capsys, "factorize", "oscillator", "--t", "1", "--ode-check")
     assert code == 0
-    assert len(built) == 0
+    assert calls == []
 
 
 def _density_rows():
@@ -869,7 +895,7 @@ def _density_rows():
     ts = np.linspace(0.0, 3.14159, 3)
     spec = EvenOddSpec(2.0, 1.5, -1)
     raw, blocks = checks.evenodd_grid_sweep(checks.evenodd_initial(grid, spec, RunConfig.norm_tol), spec, ts)
-    rho, rho_grid = map(np.stack, zip(*blocks))
+    rho, rho_grid, _ = map(np.stack, zip(*blocks))
     return np.column_stack([
         np.repeat(ts, grid.n), np.tile(grid.x, len(ts)), rho.ravel(), rho_grid.ravel(),
         np.abs(rho - rho_grid).ravel(), np.repeat(raw, grid.n),

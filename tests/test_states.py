@@ -263,10 +263,12 @@ def test_evenodd_sweep_is_refused_or_finite(x0, s, sign, t):
     try:
         initial = checks.evenodd_initial(grid, spec, 1e-8)
         raw_integral, blocks = checks.evenodd_grid_sweep(initial, spec, [t])
-        ((rho, rho_grid),) = blocks
+        ((rho, rho_grid, abs_delta),) = blocks
     except ValueError:
         return
     assert np.all(np.isfinite(rho)) and np.all(np.isfinite(rho_grid))
+    # the one comparison of the two densities, in either order bit for bit
+    assert np.array_equal(abs_delta, np.abs(rho_grid - rho))
     assert np.all(np.isfinite(raw_integral))
     assert np.sum(rho) * grid.dx == pytest.approx(1.0, abs=1e-12)
 
