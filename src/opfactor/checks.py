@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,14 @@ def _aligned_error(reference: np.ndarray, candidate: np.ndarray) -> float:
     return _max_abs(reference, candidate * (ratio / abs(ratio)))
 
 
+def _seeded(count: int, normal: bool) -> list[complex]:
+    """count draws of random.Random(DEFAULT_SEED), each two numbers as re + i im:
+    standard normals, or uniforms on [0, 1)."""
+    rng = random.Random(DEFAULT_SEED)
+    draw = (lambda: rng.gauss(0.0, 1.0)) if normal else rng.random
+    return [complex(draw(), draw()) for _ in range(count)]
+
+
 def _inf_if_refused(measure) -> float:
     """measure(), or inf where the window refuses a state or a chain it needs
     (a ValueError): the check then reports a FAIL on that window, not a refusal."""
@@ -103,10 +112,9 @@ def _inf_if_refused(measure) -> float:
 
 def check_ode_squeeze(ode_steps: int):
     """RK4 trajectories reproduce the squeeze closed forms at t = 1."""
-    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
-    for _ in range(ODE_SQUEEZE_SAMPLES):
-        z = SqueezeParameter(2.0 * rng.random(), 2.0 * math.pi * rng.random())
+    for w in _seeded(ODE_SQUEEZE_SAMPLES, normal=False):
+        z = SqueezeParameter(2.0 * w.real, 2.0 * math.pi * w.imag)
         worst = max(worst, ode_deviation(GeneratorCoefficients.squeeze(z), 1.0, ode_steps))
     return [CheckResult("analytic", "ode_vs_closed_form_squeeze", worst, 1e-7)]
 
@@ -131,11 +139,9 @@ def check_unitarity_residue():
 
 def check_squeeze_scale_forms():
     """The t = 1 squeeze scale e^{-beta} of the closed form equals its half-angle form."""
-    rng = np.random.default_rng(DEFAULT_SEED)
     worst = 0.0
-    for _ in range(SCALE_FORM_SAMPLES):
-        r = 2.0 * rng.random()
-        phi = 2.0 * math.pi * rng.random()
+    for w in _seeded(SCALE_FORM_SAMPLES, normal=False):
+        r, phi = 2.0 * w.real, 2.0 * math.pi * w.imag
         general = cmath.exp(-squeeze_factorization(SqueezeParameter(r, phi), 1.0).beta)
         half_angle = math.exp(r) * math.cos(phi / 2) ** 2 + math.exp(-r) * math.sin(phi / 2) ** 2
         worst = max(worst, abs(general - half_angle))
@@ -429,11 +435,9 @@ def check_grid_box_phase(grid: Grid):
 
 def check_grid_linearity(grid: Grid):
     """Chains act linearly on superpositions."""
-    rng = np.random.default_rng(DEFAULT_SEED)
     psi1 = WaveFunction.from_callable(grid, lambda x: states.coherent_state(x, 1.0, 0.0))
     psi2 = WaveFunction.from_callable(grid, lambda x: states.coherent_state(x, -1.5, 0.5))
-    a = complex(rng.standard_normal(), rng.standard_normal())
-    b = complex(rng.standard_normal(), rng.standard_normal())
+    a, b = _seeded(2, normal=True)
     chain = time_displacement_factors(0.6, 1)
     combined = apply_chain(psi1.with_samples(a * psi1.samples + b * psi2.samples), chain)
     separate = a * apply_chain(psi1, chain).samples + b * apply_chain(psi2, chain).samples
@@ -474,8 +478,7 @@ def check_fock_oscillator_generator(fock_dim: int):
 def check_unitary_exponential():
     """The oracle's exponential of a random anti-Hermitian matrix is unitary."""
     dim = RANDOM_GENERATOR_DIM
-    rng = np.random.default_rng(DEFAULT_SEED)
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    raw = np.reshape(_seeded(dim * dim, normal=True), (dim, dim))
     anti = 0.5 * (raw - raw.conj().T)
     u = fock.unitary_exponential(anti)
     return [
@@ -552,8 +555,7 @@ def check_fock_roundtrip(grid: Grid, fock_dim: int):
 
 def check_hermite_parseval(grid: Grid):
     """Coefficient-vector norm equals grid norm for a random superposition."""
-    rng = np.random.default_rng(DEFAULT_SEED)
-    coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    coeffs = np.array(_seeded(16, normal=True))
     psi = fock.fock_to_position(coeffs, grid)
     return [
         CheckResult("fock", "hermite_parseval",

@@ -67,11 +67,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.make_grid()
         FockBasis(self.fock_dim)
-        for field in ("ode_steps", "norm_tol"):
-            if not getattr(self, field) > 0:
-                raise ValueError(f"{field} must be positive")
+        for flag, value in (("--ode-steps", self.ode_steps), ("--tol", self.norm_tol)):
+            if not value > 0:
+                raise ValueError(f"{flag} must be positive, got {value!r}")
         if not math.isfinite(self.norm_tol):
-            raise ValueError(f"norm_tol must be finite, got {self.norm_tol!r}")
+            raise ValueError(f"--tol must be finite, got {self.norm_tol!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"format must be csv or json, got {self.fmt!r}")
         if self.out:

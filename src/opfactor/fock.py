@@ -14,9 +14,9 @@ D = -i F^dag X F with F = diag(i^n); exp(i pi k X D) is the parity (-1)^{n k},
 so beta's turns of i pi past a caustic are a sign.  The squeeze exponential is
 P exp(r K) P^dag, with P = diag(e^{i n phi/2}) and K the squeeze generator at
 z = 1, so one decomposition of K per dimension serves every z.  Real
-eigenvectors, and the real Hermite basis that carries states between the
-number basis and the grid, act as one real matrix product on the complex
-array's float view, with no complex copy of the real matrix.  Other
+eigenvectors, and the Hermite basis that carries states between the number
+basis and the grid, made and read HERMITE_BLOCK rows at a time, act as real
+matrix products on the complex array's float view, with no complex copy.  Other
 anti-Hermitian exponentials come from an `eigh` of the matrix itself.  No
 route needs scipy; the tests hold scipy's general expm as their independent
 reference.  Truncation noise concentrates in the high-index rows,
@@ -54,6 +54,7 @@ __all__ = [
 
 MIN_DIM = 8
 MAX_HERMITE = 512
+HERMITE_BLOCK = 32  # rows of the Hermite basis held at once by the basis changes
 _ANTI_HERMITIAN_RTOL = 1e-12
 
 
@@ -123,11 +124,6 @@ def unitary_exponential(g: np.ndarray) -> np.ndarray:
     return _finite_or_raise((vecs * np.exp(-1j * w)) @ vecs.conj().T)
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 def _columns(vectors: np.ndarray) -> np.ndarray:
     """`vectors` as a C-ordered complex (dim, k) array, a 1-D vector as one column."""
     y = np.asarray(vectors, dtype=complex)
@@ -183,7 +179,8 @@ def _spectra(dim: int) -> tuple[_ParityBlock, _ParityBlock]:
         s = _i_powers(len(lam2))
         sigma, w = np.linalg.eigh((1j * s.conj()[:, None] * k[b, b] * s).real)
         blocks.append(_ParityBlock(lam2, u, mu, v, np.linalg.inv(v), f[b], sigma, w, s))
-        _read_only(*blocks[-1])
+        for array in blocks[-1]:
+            array.setflags(write=False)
     return blocks[0], blocks[1]
 
 
@@ -266,34 +263,36 @@ def displacement_generator(x0: float, p0: float, dim: int) -> np.ndarray:
     return alpha * adag - np.conj(alpha) * a
 
 
-def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
-    """First `count` orthonormal oscillator eigenfunctions sampled on x.
+def _hermite_blocks(count: int, x: np.ndarray):
+    """Yield (start, rows): rows start, start + 1, ... of the first `count`
+    oscillator eigenfunctions on x, HERMITE_BLOCK rows at a time, each checked finite.
 
-    Normalized three-term recurrence with the Gaussian weight carried inside
-    each function, which keeps values bounded for indices up to MAX_HERMITE.
+    The normalized three-term recurrence carries the Gaussian weight inside
+    each function, so values stay bounded up to MAX_HERMITE.  Every block is
+    one buffer, refilled in place: row n reads rows n - 1 and n - 2, which its
+    last two rows hold when the next block starts, and row 1 reads row 0 and
+    zeros.  A caller is done with a block when it asks for the next.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     if count > MAX_HERMITE:
         raise ValueError(f"recurrence is validated only up to {MAX_HERMITE} functions")
     x = np.asarray(x, dtype=float)
-    h = np.empty((count, x.size))
+    h = np.zeros((min(count, HERMITE_BLOCK), x.size))
     h[0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    if count > 1:
-        h[1] = math.sqrt(2.0) * x * h[0]
-    for n in range(2, count):
-        h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1) / n) * h[n - 2]
-    if not np.all(np.isfinite(h)):
-        raise ValueError("Hermite recurrence produced non-finite samples")
-    return h
+    for n in range(count):
+        i = n % HERMITE_BLOCK
+        if n:
+            h[i] = math.sqrt(2.0 / n) * x * h[i - 1] - math.sqrt((n - 1) / n) * h[i - 2]
+        if i == len(h) - 1 or n == count - 1:
+            if not np.all(np.isfinite(h[:i + 1])):
+                raise ValueError("Hermite recurrence produced non-finite samples")
+            yield n - i, h[:i + 1]
 
 
-@functools.lru_cache(maxsize=4)
-def _hermite_basis(count: int, grid: Grid) -> np.ndarray:
-    """Read-only hermite_functions(count, grid.x), shared by both basis changes."""
-    basis = hermite_functions(count, grid.x)
-    _read_only(basis)
-    return basis
+def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
+    """First `count` orthonormal oscillator eigenfunctions sampled on x, one row each."""
+    return np.concatenate([rows.copy() for _, rows in _hermite_blocks(count, x)])
 
 
 def fock_to_position(coefficients: Sequence[complex], grid: Grid) -> WaveFunction:
@@ -301,9 +300,15 @@ def fock_to_position(coefficients: Sequence[complex], grid: Grid) -> WaveFunctio
     coeffs = np.asarray(coefficients, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coefficients must be a non-empty vector")
-    return WaveFunction(grid, _real_matmul(_hermite_basis(coeffs.size, grid).T, coeffs[:, None])[:, 0])
+    samples = np.zeros(grid.n, dtype=complex)
+    for start, rows in _hermite_blocks(coeffs.size, grid.x):
+        samples += _real_matmul(rows.T, coeffs[start:start + len(rows), None])[:, 0]
+    return WaveFunction(grid, samples)
 
 
 def position_to_fock(psi: WaveFunction, dim: int) -> np.ndarray:
     """Project a sampled state onto the first `dim` number-basis functions."""
-    return _real_matmul(_hermite_basis(dim, psi.grid), psi.samples[:, None])[:, 0] * psi.grid.dx
+    coeffs = np.empty(dim, dtype=complex)
+    for start, rows in _hermite_blocks(dim, psi.grid.x):
+        coeffs[start:start + len(rows)] = _real_matmul(rows, psi.samples[:, None])[:, 0]
+    return coeffs * psi.grid.dx

@@ -2,7 +2,8 @@
 exponential, a reader for the files `opfactor evolve` writes, the scalar
 RK4 step loop that the vectorized integrator must equal bit for bit, the
 exponent that exp(t b) gives a Gaussian, the ladder-product form of the
-squeeze generator, and the one tracemalloc measurer of a call's peak.
+squeeze generator, the Hermite recurrence filled as one whole matrix, and
+the one tracemalloc measurer of a call's peak.
 
 The package itself needs numpy only; scipy is a test dependency
 (`pip install -e .[test]`).
@@ -143,3 +144,16 @@ def squeeze_generator_ladder(z, dim):
     """(z a^dag a^dag - z* a a) / 2 from dense products of the ladder matrices."""
     a, adag = ladder_matrices(dim)
     return 0.5 * (z.z * (adag @ adag) - np.conj(z.z) * (a @ a))
+
+
+def hermite_recurrence(count, x):
+    """The first `count` oscillator eigenfunctions on x, by the normalized
+    three-term recurrence filled into one (count, x.size) matrix."""
+    x = np.asarray(x, dtype=float)
+    h = np.empty((count, x.size))
+    h[0] = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    if count > 1:
+        h[1] = math.sqrt(2.0) * x * h[0]
+    for n in range(2, count):
+        h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1) / n) * h[n - 2]
+    return h

@@ -751,6 +751,15 @@ def test_negative_window_edge_in_exponent_form_is_accepted(capsys):
     assert out.splitlines()[1].startswith("-1000,")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("evolve --initial ground --tol 0", "error: --tol must be positive, got 0.0"),
+    ("verify grid --ode-steps 0", "error: --ode-steps must be positive, got 0"),
+    ("evolve --initial ground --grid-n 64 --tol inf --format json", "error: --tol must be finite, got inf"),
+])
+def test_run_config_refusal_names_the_flag(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (2, "", message + "\n")
+
+
 def test_run_config_refuses_an_unknown_format():
     # the parser's choices stop --format xml first; RunConfig checks a direct caller too
     with pytest.raises(ValueError, match="format must be csv or json, got 'xml'"):
@@ -1220,57 +1229,98 @@ def test_readme_lists_the_spec_tables():
 
 
 class TestImportCost:
-    @staticmethod
-    def run_scipy_free(body, cwd=None):
+    BLOCKED = ("scipy", "numpy.random")
+
+    @classmethod
+    def run_blocked(cls, body, cwd=None):
         """Run body after `from opfactor.cli import main` in a fresh interpreter
-        in which importing scipy raises ImportError; body calls
-        scipy_modules() to list the scipy modules loaded so far."""
-        script = textwrap.dedent("""
+        in which importing a package of BLOCKED raises ImportError; body calls
+        blocked_modules() to list the modules of BLOCKED loaded so far."""
+        script = textwrap.dedent(f"""
             import sys
 
-            class NoScipy:
+            BLOCKED = {cls.BLOCKED!r}
+
+            def is_blocked(name):
+                return any(name == b or name.startswith(b + ".") for b in BLOCKED)
+
+            class Blocker:
                 def find_spec(self, name, path=None, target=None):
-                    if name == "scipy" or name.startswith("scipy."):
-                        raise ImportError(f"scipy is blocked here: {name}")
+                    if is_blocked(name):
+                        raise ImportError(f"{{name}} is blocked here")
                     return None
 
-            sys.meta_path.insert(0, NoScipy())
+            sys.meta_path.insert(0, Blocker())
             from opfactor.cli import main
 
-            def scipy_modules():
-                return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            def blocked_modules():
+                return sorted(m for m in sys.modules if is_blocked(m))
         """) + textwrap.dedent(body)
         proc = subprocess.run([sys.executable, "-c", script], env=src_env(), cwd=cwd,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_loads_only_stdlib_numpy_and_opfactor(self):
+        # site may have loaded third-party modules already; only what the import adds counts
+        script = textwrap.dedent("""
+            import sys
+
+            before = set(sys.modules)
+            import opfactor.cli
+
+            allowed = set(sys.stdlib_module_names) | {"numpy", "opfactor"}
+            added = sorted(set(sys.modules) - before)
+            print([m for m in added if m.partition(".")[0] not in allowed
+                   or m == "numpy.random" or m.startswith("numpy.random.")])
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_time_chains_do_not_load_scipy(self, tmp_path):
-        self.run_scipy_free(f"""
+        self.run_blocked(f"""
             out = {str(tmp_path / "state.csv")!r}
             assert main(["evolve", "--initial", "coherent:x0=1", "--op", "time:t=2,substeps=2",
                          "--op", "displace:x0=0.5,p0=0.2", "--grid-n", "256", "--out", out]) == 0
-            assert scipy_modules() == [], scipy_modules()
+            assert blocked_modules() == [], blocked_modules()
             assert main(["evolve", "--initial", "ground", "--op", "squeeze:r=0.5,phi=0",
                          "--out", out]) == 0
-            assert scipy_modules() == [], scipy_modules()
+            assert blocked_modules() == [], blocked_modules()
         """)
 
     def test_verify_all_does_not_load_scipy(self, tmp_path):
         # Exit 1 is the known red time_diagonal_dim64_t1 (see tests/test_acceptance.py).
-        self.run_scipy_free(f"""
+        self.run_blocked(f"""
+            import json
             out = {str(tmp_path / "report.json")!r}
-            assert main(["verify", "all", "--format", "json", "--out", out]) in (0, 1)
-            assert scipy_modules() == [], scipy_modules()
+            assert main(["verify", "all", "--format", "json", "--out", out]) == 1
+            assert blocked_modules() == [], blocked_modules()
+            with open(out) as handle:
+                records = json.load(handle)
+            assert len(records) == {sum(map(len, CHECK_NAMES.values()))}
+            assert [r["name"] for r in records if not r["passed"]] == ["time_diagonal_dim64_t1"]
+        """)
+
+    def test_density_trace_does_not_load_numpy_random(self, tmp_path):
+        self.run_blocked(f"""
+            out = {str(tmp_path / "trace.csv")!r}
+            assert main(["density", "--x0", "2", "--s", "1.5", "--t-min", "0", "--t-max", "1",
+                         "--t-steps", "3", "--grid-n", "256", "--out", out]) == 0
+            assert blocked_modules() == [], blocked_modules()
+            with open(out) as handle:
+                assert len(handle.readlines()) == 1 + 3 * 256
         """)
 
     def test_readme_commands_need_numpy_only(self, tmp_path):
         # `verify all` exits 1 for the known red; every other command exits 0
         commands = _readme_commands()
         assert len(commands) == 6
-        self.run_scipy_free(f"""
+        self.run_blocked(f"""
             import shlex
             for line in {commands!r}:
                 argv = shlex.split(line)[1:]
                 expected = 1 if argv[:2] == ["verify", "all"] else 0
                 assert main(argv) == expected, line
+            assert blocked_modules() == [], blocked_modules()
         """, cwd=tmp_path)

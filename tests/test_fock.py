@@ -17,6 +17,7 @@ from opfactor.algebra import (
     time_displacement_factorization,
 )
 from opfactor.fock import (
+    MAX_HERMITE,
     FockBasis,
     apply_factored,
     apply_squeeze,
@@ -33,7 +34,7 @@ from opfactor.fock import (
 )
 from opfactor.grid import Grid, WaveFunction
 from opfactor.states import SqueezedStateSpec, psi_ss
-from reference import matrix_exponential, squeeze_generator_ladder, traced_peak
+from reference import hermite_recurrence, matrix_exponential, squeeze_generator_ladder, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -386,12 +387,13 @@ class TestHermite:
         gram = (h @ h.T) * grid.dx
         assert np.abs(gram - np.eye(24)).max() < 1e-10
 
-    def test_basis_cache_is_shared_and_read_only(self, grid):
-        basis = fock._hermite_basis(24, grid)
-        assert fock._hermite_basis(24, Grid()) is basis
-        assert np.array_equal(basis, hermite_functions(24, grid.x))
-        with pytest.raises(ValueError):
-            basis[0, 0] = 1.0
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 128, 512])
+    def test_stacked_blocks_equal_hermite_functions_bit_for_bit(self, grid, count):
+        blocks = [(start, rows.copy()) for start, rows in fock._hermite_blocks(count, grid.x)]
+        assert [start for start, _ in blocks] == list(range(0, count, fock.HERMITE_BLOCK))
+        stacked = np.concatenate([rows for _, rows in blocks])
+        assert np.array_equal(stacked, hermite_functions(count, grid.x))
+        assert np.array_equal(stacked, hermite_recurrence(count, grid.x))
 
     def test_count_limit(self, grid):
         with pytest.raises(ValueError):
@@ -399,21 +401,27 @@ class TestHermite:
         with pytest.raises(ValueError, match="count must be >= 1"):
             hermite_functions(0, grid.x)
 
+    def test_non_finite_samples_refused(self):
+        with pytest.raises(ValueError, match="non-finite samples"):
+            hermite_functions(40, np.array([0.0, np.nan]))
+
     def test_no_coefficients_refused(self, grid):
         with pytest.raises(ValueError, match="non-empty vector"):
             fock_to_position([], grid)
 
-    def test_basis_changes_make_no_complex_copy_of_the_basis(self, grid):
-        basis = fock._hermite_basis(128, grid)  # cached before the peaks are read
+    def test_basis_changes_hold_one_block_of_the_basis(self):
+        # the whole dim x n basis would be 64 MiB here; one block of rows is 4 MiB
+        big = Grid(n=16384)
+        block_bytes = fock.HERMITE_BLOCK * big.n * 8
         spec = SqueezedStateSpec(0.5, 0.0, SqueezeParameter(0.5, 0.0))
-        psi = WaveFunction.from_callable(grid, lambda x: psi_ss(x, spec))
-        coeffs = position_to_fock(psi, 128)
-        assert traced_peak(lambda: position_to_fock(psi, 128)) < basis.nbytes / 2
-        assert traced_peak(lambda: fock_to_position(coeffs, grid)) < basis.nbytes / 2
+        psi = WaveFunction.from_callable(big, lambda x: psi_ss(x, spec))
+        coeffs = position_to_fock(psi, MAX_HERMITE)
+        assert traced_peak(lambda: position_to_fock(psi, MAX_HERMITE)) < 2 * block_bytes
+        assert traced_peak(lambda: fock_to_position(coeffs, big)) < 2 * block_bytes
 
     def test_basis_changes_equal_the_complex_product(self, grid):
         rng = np.random.default_rng(7)
-        basis = fock._hermite_basis(128, grid).astype(complex)
+        basis = hermite_functions(128, grid.x).astype(complex)
         samples = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         coeffs = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         projected = basis @ samples * grid.dx
