@@ -22,18 +22,20 @@ content that leaves the window re-enters on the other side.  tests/test_cli.py
 pins these silent wrong answers as strict xfails.
 
 Every factor kind but the dilation is one operation: multiply the samples,
-or for Shift and SpectralD2 their spectrum, by a fixed array.  That array is
-computed once per (grid, factor) and reused from a small bounded cache, so a
-time chain of k substeps evaluates its three distinct multipliers (four with
-a period's sign) once, not 2k + 1 times.  The cached arrays are read-only.
+or for Shift and SpectralD2 their spectrum, by a fixed array.  A chain builds
+that array at its factor's first use and drops it after the factor's last
+use, so a time chain of k substeps evaluates its three distinct multipliers
+(four with a period's sign) once, not 2k + 1 times, and holds none of them
+once it returns.  Nothing is kept between chains.
 The chain builders keep factors that are the identity; only the kernel
 lookup skips them.
 
-There are two private kernels, kernel(buf, grid, factor), that may overwrite
-buf and return the result: _multiply returns buf itself (numpy's in-place
-fft/ifft via out=, hence numpy >= 2.0), _dilate a new array.  One runner,
-_run, serves apply_chain and the apply_* functions, which are chains of one
-factor, so a refused factor is a ChainRefusedError in each of them.
+There are two private kernels that may overwrite buf and return the result:
+_multiply(buf, factor, multiplier) returns buf itself (numpy's in-place
+fft/ifft via out=, hence numpy >= 2.0), _dilate(buf, grid, factor) a new
+array.  One runner, _run, serves apply_chain and the apply_* functions,
+which are chains of one factor, so a refused factor is a ChainRefusedError
+in each of them.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -72,7 +74,6 @@ __all__ = [
 
 OVERFLOW_FRAC = 1e-6
 MAX_TIME_SUBSTEPS = 2**16
-_MULTIPLIER_CACHE_SIZE = 8
 
 
 class SupportOverflowWarning(UserWarning):
@@ -175,24 +176,26 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class Shift:
-    """Resample to psi(x + c), c finite."""
+    """Resample to psi(x + c), c real and finite.  A complex c would make
+    exp(i k c) the filter exp(-k Im c), which grows exponentially at one
+    end of the spectrum."""
 
     c: float
 
     def __post_init__(self) -> None:
-        if not cmath.isfinite(self.c):
-            raise ValueError(f"shift must be finite, got {self.c!r}")
+        if np.iscomplexobj(self.c) or not math.isfinite(self.c):
+            raise ValueError(f"shift must be real and finite, got {self.c!r}")
 
 
 @dataclass(frozen=True)
 class Dilation:
-    """Resample to psi(scale * x); scale = e^tau must be finite and positive."""
+    """Resample to psi(scale * x); scale = e^tau must be real, finite and positive."""
 
     scale: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"dilation scale must be finite and > 0, got {self.scale!r}")
+        if np.iscomplexobj(self.scale) or not 0.0 < self.scale < math.inf:
+            raise ValueError(f"dilation scale must be real, finite and > 0, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -225,26 +228,22 @@ OperatorFactor = Union[Shift, Dilation, SpectralD2, QuadraticPhase]
 # --- elementary actions ------------------------------------------------------
 
 
-@lru_cache(maxsize=_MULTIPLIER_CACHE_SIZE)
 def _multiplier(grid: Grid, factor: OperatorFactor) -> np.ndarray:
-    """Read-only array that _multiply applies: on grid's wavenumbers for Shift and
+    """The array that _multiply applies: on grid's wavenumbers for Shift and
     SpectralD2, on its positions for QuadraticPhase."""
     if isinstance(factor, Shift):
-        out = np.exp(1j * grid.k * factor.c)
-    elif isinstance(factor, SpectralD2):
-        out = np.exp(-complex(factor.c) * grid.k**2)
-    else:
-        out = complex(factor.s) * np.exp(1j * (factor.a * grid.x**2 + factor.p * grid.x))
-    out.flags.writeable = False
-    return out
+        return np.exp(1j * grid.k * factor.c)
+    if isinstance(factor, SpectralD2):
+        return np.exp(-complex(factor.c) * grid.k**2)
+    return complex(factor.s) * np.exp(1j * (factor.a * grid.x**2 + factor.p * grid.x))
 
 
-def _multiply(buf: np.ndarray, grid: Grid, factor: OperatorFactor) -> np.ndarray:
+def _multiply(buf: np.ndarray, factor: OperatorFactor, multiplier: np.ndarray) -> np.ndarray:
     if isinstance(factor, (Shift, SpectralD2)):
         np.fft.fft(buf, out=buf)
-        buf *= _multiplier(grid, factor)
+        buf *= multiplier
         return np.fft.ifft(buf, out=buf)
-    buf *= _multiplier(grid, factor)
+    buf *= multiplier
     return buf
 
 
@@ -319,12 +318,22 @@ def _run(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFunction:
             kernels.append(_kernel(grid, factor))
         except (ValueError, TypeError) as exc:
             raise ChainRefusedError(f"factor {index} ({type(factor).__name__}) refused: {exc}") from exc
+    # each multiplier lives from its factor's first use to its last
+    last = {factor: index for index, (factor, kernel) in enumerate(zip(factors, kernels))
+            if kernel is _multiply}
+    held: dict[OperatorFactor, np.ndarray] = {}
     buf = None
     for index, (factor, kernel) in enumerate(zip(factors, kernels)):
         if kernel is None:
             continue
         try:
-            buf = kernel(psi.samples.copy() if buf is None else buf, grid, factor)
+            buf = psi.samples.copy() if buf is None else buf
+            if kernel is _dilate:
+                buf = _dilate(buf, grid, factor)
+            else:
+                if factor not in held:
+                    held[factor] = _multiplier(grid, factor)
+                buf = _multiply(buf, factor, held.pop(factor) if last[factor] == index else held[factor])
             _require_finite(buf)
         except (ValueError, TypeError) as exc:
             raise ChainError(f"factor {index} ({type(factor).__name__}) failed: {exc}") from exc
@@ -380,8 +389,10 @@ def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFun
     the product's rightmost factor sits at index 0.  The samples are copied
     once, at the first factor that is not the identity, and every factor then
     runs in place on that one buffer, so psi is never written and a chain of
-    identities returns psi itself.  The buffer is checked to be finite after
-    every factor.  Every factor's kernel is resolved before the first runs,
+    identities returns psi itself.  The array a factor multiplies by is
+    built at the factor's first use and dropped after its last, so the
+    chain holds none of them once it returns.  The buffer is checked to be
+    finite after every factor.  Every factor's kernel is resolved before the first runs,
     so a refused factor raises ChainRefusedError and a failure while running
     raises ChainError, each with the offending index in the message.
     """

@@ -3,7 +3,7 @@ exponential, a reader for the files `opfactor evolve` writes, the scalar
 RK4 step loop that the vectorized integrator must equal bit for bit, the
 exponent that exp(t b) gives a Gaussian, the ladder-product form of the
 squeeze generator, the Hermite recurrence filled as one whole matrix, and
-the one tracemalloc measurer of a call's peak.
+the tracemalloc measurers of a call's peak and of what it leaves held.
 
 The package itself needs numpy only; scipy is a test dependency
 (`pip install -e .[test]`).
@@ -43,6 +43,18 @@ def traced_peak(fn) -> int:
     try:
         fn()
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_held(fn):
+    """(bytes still allocated after fn() returns minus before it ran, fn's result),
+    by tracemalloc; tracing stops even if fn raises."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return tracemalloc.get_traced_memory()[0] - before, out
     finally:
         tracemalloc.stop()
 

@@ -33,8 +33,10 @@ from opfactor.grid import (
     squeeze_factors,
     time_displacement_factors,
 )
+from opfactor import grid as grid_module
 from opfactor.grid import _multiplier
 from opfactor.states import coherent_evolved, coherent_state, psi0
+from reference import traced_held, traced_peak
 
 
 # the dilation in the chain of squeeze:r=1.5,phi=2
@@ -148,6 +150,13 @@ class TestShift:
         with pytest.raises(ChainRefusedError, match="factor 0 .* half the grid span"):
             apply_shift(ground, 12.0)
 
+    def test_complex_shift_refused(self, ground):
+        # exp(i k c) with Im c = 0.5 is the filter exp(-0.5 k), which would return norm 8.6e41
+        with pytest.raises(ValueError, match="real"):
+            apply_shift(ground, 0.5j)
+        with pytest.raises(ValueError, match="real"):
+            Shift(np.complex128(1.0))
+
 
 class TestDilation:
     def test_unit_scale_identity(self, ground):
@@ -217,6 +226,11 @@ class TestDilation:
             apply_dilation(ground, 0.0)
         with pytest.raises(ValueError):
             Dilation(-1.0)
+        # a complex scale is refused as a ValueError, not a TypeError from its comparison
+        with pytest.raises(ValueError, match="real"):
+            Dilation(1j)
+        with pytest.raises(ValueError, match="real"):
+            apply_dilation(ground, 1.0 + 0j)
 
 
 class TestSpectralD2:
@@ -304,29 +318,43 @@ def test_phase_is_chirp_ramp_and_constant_one_at_a_time(a, p, re, im):
     assert np.abs(out.samples - expected).max() <= 1e-13 * abs(s)
 
 
-class TestMultiplierCache:
+def _count_builds(monkeypatch):
+    """Record every array grid._multiplier builds from here on."""
+    built = []
+
+    def counting(grid, factor):
+        built.append(_multiplier(grid, factor))
+        return built[-1]
+
+    monkeypatch.setattr(grid_module, "_multiplier", counting)
+    return built
+
+
+class TestMultipliers:
     FACTORS = (
         Shift(0.4), SpectralD2(0.25j), QuadraticPhase(0.3), QuadraticPhase(0.0, 0.5),
         QuadraticPhase(0.3, 0.5, 0.5j), QuadraticPhase(0.0, 0.0, 0.5j),
     )
 
-    def test_cached_multipliers_are_read_only(self, grid, ground):
-        # every kind's multiplier, the shift's and the phase ramp's too, is built once
+    def test_each_kind_builds_its_array_once_per_chain(self, ground, monkeypatch):
+        # every kind's multiplier, the shift's and the phase ramp's too, is built once per
+        # chain however often the chain reads it, and a second chain builds it again
+        built = _count_builds(monkeypatch)
         for factor in self.FACTORS:
-            _multiplier.cache_clear()
-            first = _one_factor(ground, factor)
-            assert np.array_equal(_one_factor(ground, factor).samples, first.samples)
-            info = _multiplier.cache_info()
-            assert (info.misses, info.hits) == (1, 1)
-            with pytest.raises(ValueError):
-                _multiplier(grid, factor)[...] = 0.0
+            built.clear()
+            chain = [factor, QuadraticPhase(0.0, 0.0, -1.0), factor]
+            first = apply_chain(ground, chain)
+            assert len(built) == 2
+            assert np.array_equal(apply_chain(ground, chain).samples, first.samples)
+            assert len(built) == 4
+            assert np.array_equal(built[2], built[0])
 
     def test_windows_get_their_own_multipliers(self):
         wide, narrow = Grid(-12.0, 12.0, 256), Grid(-6.0, 6.0, 256)
         for factor in self.FACTORS[:-1]:
             assert not np.allclose(_multiplier(wide, factor), _multiplier(narrow, factor))
 
-    def test_long_time_chain_matches_uncached_reference(self, grid):
+    def test_long_time_chain_matches_uncached_reference(self, grid, monkeypatch):
         psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 2.0, 0.5))
         factors = time_displacement_factors(32 * math.pi, 128)
         expected = psi.samples
@@ -335,21 +363,30 @@ class TestMultiplierCache:
                 expected = expected * np.exp(1j * f.a * grid.x**2)
             else:
                 expected = np.fft.ifft(np.fft.fft(expected) * np.exp(-f.c * grid.k**2))
-        _multiplier.cache_clear()
+        built = _count_builds(monkeypatch)
         out = apply_chain(psi, factors)
         assert np.abs(out.samples - expected).max() < 1e-13
         # one Fresnel multiplier and two chirps (edge and fused), each computed once
-        assert _multiplier.cache_info().misses == 3
+        assert len(built) == 3
 
-    def test_cache_stays_bounded(self, ground):
-        info = _multiplier.cache_info()
-        assert info.maxsize is not None
-        for i in range(1, 3 * info.maxsize):
-            apply_spectral_d2(ground, 1e-3j * i)
-            apply_phase(ground, QuadraticPhase(1e-3 * i))
-            apply_shift(ground, 1e-3 * i)
-            info = _multiplier.cache_info()
-            assert info.currsize <= info.maxsize
+    def test_time_chain_holds_no_array_after_it_returns(self):
+        # evolve-period's chain: at n = 16384 each multiplier is 256 KiB, and a chain that
+        # kept its three would hold 768 KiB more than the samples it returns
+        grid = Grid(n=2**14)
+        psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 3.0, 1.0))
+        factors = time_displacement_factors(32 * math.pi, 128)
+        grid.k  # the grid's own wavenumbers, built once and kept with the grid
+        held, out = traced_held(lambda: apply_chain(psi, factors))
+        assert abs(held - out.samples.nbytes) < 64 * 1024
+
+    def test_distinct_factors_are_not_held_past_their_use(self):
+        # 80 distinct factors, each read once, so a chain needs one multiplier at a time:
+        # the peak reads 774 KiB, where keeping the last eight would take 2 MiB on their own
+        grid = Grid(n=2**14)
+        psi = WaveFunction.from_callable(grid, lambda x: coherent_state(x, 1.0, 0.5))
+        factors = [f for i in range(1, 41) for f in displacement_factors(0.01 * i, 0.02 * i)]
+        grid.k
+        assert traced_peak(lambda: apply_chain(psi, factors)) < 4 * psi.samples.nbytes
 
 
 class TestFactorSequences:
