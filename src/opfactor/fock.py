@@ -6,21 +6,25 @@ matrix only to slice it.  X^2, X D and the squeeze generator couple level n
 only to n and n +- 2, so each is decomposed as its even and odd parity
 blocks, half the size, and every operator acts on one block of rows at a
 time.  One cache keyed by the dimension holds, per parity block, the
-decompositions of all three, which both the factored product and the
-squeeze exponential read.  The factored product is applied from `eigh` of the
+decompositions of all three, which the factored product, the squeeze and
+the displacement read.  The factored product is applied from `eigh` of the
 real blocks of X^2 and `eig` of the blocks of X D, which the truncation
 corner makes non-normal; D^2 reuses X^2's decomposition through
 D = -i F^dag X F with F = diag(i^n); exp(i pi k X D) is the parity (-1)^{n k},
 so beta's turns of i pi past a caustic are a sign.  The squeeze exponential is
 P exp(r K) P^dag, with P = diag(e^{i n phi/2}) and K the squeeze generator at
-z = 1, so one decomposition of K per dimension serves every z.  Real
-eigenvectors, and the Hermite basis that carries states between the number
-basis and the grid, made and read HERMITE_BLOCK rows at a time, act as real
-matrix products on the complex array's float view, with no complex copy.  Other
-anti-Hermitian exponentials come from an `eigh` of the matrix itself.  No
-route needs scipy; the tests hold scipy's general expm as their independent
-reference.  Truncation noise concentrates in the high-index rows,
-so comparisons restrict to low-index blocks; see the README for a measured
+z = 1, so one decomposition of K per dimension serves every z.  The
+displacement is P F^dag exp(i s X) F P^dag, with P = diag(e^{i n theta}),
+and X commutes with X^2, so exp(i s X) is cos(s|X|) + i X sin(s|X|)/|X|
+from X^2's decomposition and X's two bands.  Real eigenvectors, and the
+Hermite basis that carries states between the number basis and the grid,
+made and read HERMITE_BLOCK rows at a time, act as real matrix products on
+the complex array's float view, with no complex copy.  Only a general
+anti-Hermitian matrix, the random one of the unitarity check, is
+exponentiated from an `eigh` of the matrix itself.  No route needs scipy;
+the tests hold scipy's general expm as their independent reference.
+Truncation noise concentrates in the high-index rows, so comparisons
+restrict to low-index blocks; see the README for a measured
 error-versus-dimension table.
 """
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .grid import Grid, WaveFunction
 
 __all__ = [
     "FockBasis",
+    "apply_displacement",
     "apply_factored",
     "apply_squeeze",
-    "displacement_generator",
     "factored_matrix",
     "fock_to_position",
     "generator_matrix",
@@ -256,11 +260,36 @@ def apply_squeeze(z: SqueezeParameter, vectors: np.ndarray) -> np.ndarray:
     return _finite_or_raise(out.reshape(np.shape(vectors)))
 
 
-def displacement_generator(x0: float, p0: float, dim: int) -> np.ndarray:
-    """alpha a^dag - alpha* a with alpha = (x0 + i p0) / sqrt(2)."""
-    a, adag = ladder_matrices(dim)
-    alpha = complex(x0, p0) / math.sqrt(2.0)
-    return alpha * adag - np.conj(alpha) * a
+def apply_displacement(x0: float, p0: float, vectors: np.ndarray) -> np.ndarray:
+    """exp(alpha a^dag - alpha* a), alpha = (x0 + i p0)/sqrt(2), applied to a (dim,)
+    vector or (dim, k) block.
+
+    With theta the angle of alpha and s = sqrt(2)|alpha|, the operator is
+    P F^dag exp(i s X) F P^dag, P = diag(e^{i n theta}), since
+    a^dag - a = i sqrt(2) F^dag X F.  X commutes with X^2, so
+    exp(i s X) = cos(s|X|) + i X sin(s|X|)/|X|, both functions of X^2 taken
+    from its parity-block decomposition, and X itself acts from its two bands.
+    sin(s|X|)/|X| is written s sinc(s|X|/pi), whose limit at the zero
+    eigenvalue X has at odd dims is s.
+    """
+    if not (math.isfinite(x0) and math.isfinite(p0)):
+        raise ValueError(f"displacement must be finite, got ({x0!r}, {p0!r})")
+    s, theta = math.hypot(x0, p0), math.atan2(p0, x0)
+    y = _columns(vectors)
+    dim = y.shape[0]
+    q = (np.exp(1j * theta * np.arange(dim)) * _i_powers(dim).conj())[:, None]
+    y = q.conj() * y
+    out, sine = np.empty_like(y), np.empty_like(y)
+    for start, b in enumerate(_spectra(dim)):
+        # X^2 is positive semidefinite; rounding can leave its zero eigenvalue below 0
+        r = np.sqrt(np.maximum(b.lam2, 0.0))[:, None]
+        part = _real_matmul(b.u.T, y[start::2])
+        out[start::2] = _real_matmul(b.u, np.cos(s * r) * part)
+        sine[start::2] = _real_matmul(b.u, s * np.sinc(s * r / math.pi) * part)
+    band = np.sqrt(np.arange(1, dim) / 2.0)[:, None]
+    out[1:] += 1j * band * sine[:-1]
+    out[:-1] += 1j * band * sine[1:]
+    return _finite_or_raise((q * out).reshape(np.shape(vectors)))
 
 
 def _hermite_blocks(count: int, x: np.ndarray):

@@ -1,9 +1,10 @@
 """Independent references that only the tests use: scipy's general matrix
 exponential, a reader for the files `opfactor evolve` writes, the scalar
 RK4 step loop that the vectorized integrator must equal bit for bit, the
-exponent that exp(t b) gives a Gaussian, the ladder-product form of the
-squeeze generator, the Hermite recurrence filled as one whole matrix, and
-the tracemalloc measurers of a call's peak and of what it leaves held.
+exponent that exp(t b) gives a Gaussian, the ladder forms of the
+displacement and squeeze generators, the Hermite recurrence filled as one
+whole matrix, and the tracemalloc measurers of a call's peak and of what it
+leaves held.
 
 The package itself needs numpy only; scipy is a test dependency
 (`pip install -e .[test]`).
@@ -150,6 +151,13 @@ def gaussian_exponent(b, t_end, steps=4000):
         c += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         n += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     return c, n
+
+
+def displacement_generator(x0, p0, dim):
+    """alpha a^dag - alpha* a with alpha = (x0 + i p0) / sqrt(2)."""
+    a, adag = ladder_matrices(dim)
+    alpha = complex(x0, p0) / math.sqrt(2.0)
+    return alpha * adag - np.conj(alpha) * a
 
 
 def squeeze_generator_ladder(z, dim):

@@ -19,9 +19,9 @@ from opfactor.algebra import (
 from opfactor.fock import (
     MAX_HERMITE,
     FockBasis,
+    apply_displacement,
     apply_factored,
     apply_squeeze,
-    displacement_generator,
     factored_matrix,
     fock_to_position,
     generator_matrix,
@@ -34,7 +34,13 @@ from opfactor.fock import (
 )
 from opfactor.grid import Grid, WaveFunction
 from opfactor.states import SqueezedStateSpec, psi_ss
-from reference import hermite_recurrence, matrix_exponential, squeeze_generator_ladder, traced_peak
+from reference import (
+    displacement_generator,
+    hermite_recurrence,
+    matrix_exponential,
+    squeeze_generator_ladder,
+    traced_peak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +310,8 @@ class TestSpectralRoutes:
     @pytest.mark.parametrize("apply", [
         lambda v: apply_factored(time_displacement_factorization(0.3), v),
         lambda v: apply_squeeze(SqueezeParameter(0.5), v),
-    ], ids=["factored", "squeeze"])
+        lambda v: apply_displacement(1.0, 0.5, v),
+    ], ids=["factored", "squeeze", "displacement"])
     def test_apply_refuses_other_shapes(self, apply):
         with pytest.raises(ValueError, match="vector or a"):
             apply(np.zeros((16, 2, 2)))
@@ -325,6 +332,47 @@ class TestSpectralRoutes:
         checks.check_fock_squeeze_oracle()
         checks.check_fock_truncation_monotonicity()
         assert counts == {"eig": 4, "eigh": 8}
+
+
+DISPLACEMENTS = [(1.0, 0.5), (-2.0, 1.5), (0.0, -0.7), (0.3, 0.0), (0.0, 0.0)]
+
+
+class TestDisplacement:
+    @pytest.mark.parametrize("dim", [16, 33, 128, 129, 256])
+    def test_matches_expm(self, dim):
+        # a vector and a (dim, 5) block; at 129 an eigenvalue of X^2 rounds below 0 and
+        # is clipped, so sin(s|X|)/|X| there is the sinc's limit s
+        rng = np.random.default_rng(dim)
+        block = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        for x0, p0 in DISPLACEMENTS:
+            ref = matrix_exponential(displacement_generator(x0, p0, dim))
+            for vectors in (block, block[:, 2]):
+                got = apply_displacement(x0, p0, vectors)
+                assert got.shape == vectors.shape
+                assert np.abs(got - ref @ vectors).max() <= 1e-12, (x0, p0)
+
+    @pytest.mark.parametrize("dim", [32, 33, 128])
+    def test_opposite_displacements_cancel(self, dim):
+        quarter = dim // 4
+        for x0, p0 in DISPLACEMENTS:
+            there = apply_displacement(x0, p0, np.eye(dim, quarter))
+            back = apply_displacement(-x0, -p0, there)
+            assert np.abs(back[:quarter] - np.eye(quarter)).max() <= 1e-13, (x0, p0)
+
+    def test_needs_two_levels(self):
+        with pytest.raises(ValueError, match="dim >= 2"):
+            apply_displacement(1.0, 0.5, np.ones(1))
+
+    @pytest.mark.parametrize("x0, p0", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_non_finite_displacement_refused(self, x0, p0):
+        with pytest.raises(ValueError, match="finite"):
+            apply_displacement(x0, p0, np.eye(16)[0])
+
+    def test_holds_less_than_one_dense_matrix(self):
+        dim = 512
+        fock._spectra(dim)
+        vector = np.eye(dim)[0].astype(complex)
+        assert traced_peak(lambda: apply_displacement(1.0, 0.5, vector)) < 16 * dim * dim
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -466,6 +514,31 @@ class TestOracleTriangle:
         psi = fock_to_position(d_mat @ (s_mat @ vacuum), grid)
         expected = psi_ss(grid.x, SqueezedStateSpec(1.0, 0.5, z))
         assert np.abs(psi.samples - expected).max() < 1e-6
+
+    def test_check_exponentiates_no_dense_matrix(self, grid, monkeypatch):
+        def refuse(g):
+            raise AssertionError("the triangle built a dense exponential")
+        monkeypatch.setattr(fock, "unitary_exponential", refuse)
+        results = checks.check_oracle_triangle(grid, 128)
+        assert [r.passed for r in results] == [True, True]
+
+    @pytest.mark.parametrize("fock_dim, failing", [
+        (8, 0.2089844), (9, 0.1199864), (128, None), (129, None), (512, None)])
+    def test_displaced_squeezed_matches_the_dense_route(self, grid, fock_dim, failing):
+        # same pass/fail as exponentiating the dense generator; at dims 8 and 9 both
+        # routes fail on the truncation wall, and at 129 X has a zero eigenvalue
+        spec = SqueezedStateSpec(1.0, 0.5, SqueezeParameter(0.8, math.pi / 3))
+        vacuum = np.zeros(fock_dim, dtype=complex)
+        vacuum[0] = 1.0
+        d_mat = unitary_exponential(displacement_generator(spec.x0, spec.p0, fock_dim))
+        dense = fock_to_position(d_mat @ apply_squeeze(spec.z, vacuum), grid)
+        dense_err = np.abs(dense.samples - psi_ss(grid.x, spec)).max()
+        result = checks.check_oracle_triangle(grid, fock_dim)[1]
+        assert result.name == "triangle_fock_displaced_squeezed"
+        assert abs(result.measured - dense_err) <= 1e-12
+        assert result.passed == (dense_err <= result.tol) == (failing is None)
+        if failing is not None:
+            assert result.measured == pytest.approx(failing, abs=1e-7)
 
     def test_factored_route_evolves_coherent_state(self, grid):
         from opfactor.states import coherent_evolved, coherent_state
