@@ -51,7 +51,6 @@ ODE_SQUEEZE_SAMPLES = 20
 SCALE_FORM_SAMPLES = 200
 RESIDUE_ODE_STEPS = 400
 QUADRATURE_PROBES = 32
-RANDOM_GENERATOR_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -477,18 +476,6 @@ def check_fock_oscillator_generator(fock_dim: int):
     ]
 
 
-def check_unitary_exponential():
-    """The oracle's exponential of a random anti-Hermitian matrix is unitary."""
-    dim = RANDOM_GENERATOR_DIM
-    raw = np.reshape(_seeded(dim * dim, normal=True), (dim, dim))
-    anti = 0.5 * (raw - raw.conj().T)
-    u = fock.unitary_exponential(anti)
-    return [
-        CheckResult("fock", "expm_antihermitian_unitary",
-                    _max_abs(u @ u.conj().T, np.eye(dim)), 1e-11)
-    ]
-
-
 def check_fock_time_diagonal():
     """Factored time-displacement matrices against the exact diagonal phases.
 
@@ -573,7 +560,6 @@ def check_hermite_parseval(grid: Grid):
 _CHECKS = (
     ("fock", check_fock_commutators),
     ("fock", check_fock_oscillator_generator),
-    ("fock", check_unitary_exponential),
     ("fock", check_fock_time_diagonal),
     ("fock", check_fock_squeeze_oracle),
     ("fock", check_fock_truncation_monotonicity),

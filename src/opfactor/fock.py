@@ -13,15 +13,14 @@ corner makes non-normal; D^2 reuses X^2's decomposition through
 D = -i F^dag X F with F = diag(i^n); exp(i pi k X D) is the parity (-1)^{n k},
 so beta's turns of i pi past a caustic are a sign.  The squeeze exponential is
 P exp(r K) P^dag, with P = diag(e^{i n phi/2}) and K the squeeze generator at
-z = 1, so one decomposition of K per dimension serves every z.  The
+z = 1, so one decomposition of K per dimension serves every z; each parity
+block of K is built from its one band, never as a dense matrix.  The
 displacement is P F^dag exp(i s X) F P^dag, with P = diag(e^{i n theta}),
 and X commutes with X^2, so exp(i s X) is cos(s|X|) + i X sin(s|X|)/|X|
 from X^2's decomposition and X's two bands.  Real eigenvectors, and the
 Hermite basis that carries states between the number basis and the grid,
 made and read HERMITE_BLOCK rows at a time, act as real matrix products on
-the complex array's float view, with no complex copy.  Only a general
-anti-Hermitian matrix, the random one of the unitarity check, is
-exponentiated from an `eigh` of the matrix itself.  No route needs scipy;
+the complex array's float view, with no complex copy.  No route needs scipy;
 the tests hold scipy's general expm as their independent reference.
 Truncation noise concentrates in the high-index rows, so comparisons
 restrict to low-index blocks; see the README for a measured
@@ -48,18 +47,14 @@ __all__ = [
     "factored_matrix",
     "fock_to_position",
     "generator_matrix",
-    "hermite_functions",
     "ladder_matrices",
     "position_to_fock",
-    "squeeze_generator",
-    "unitary_exponential",
     "xp_matrices",
 ]
 
 MIN_DIM = 8
 MAX_HERMITE = 512
 HERMITE_BLOCK = 32  # rows of the Hermite basis held at once by the basis changes
-_ANTI_HERMITIAN_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,20 +109,6 @@ def _finite_or_raise(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def unitary_exponential(g: np.ndarray) -> np.ndarray:
-    """exp(g) of an anti-Hermitian g, as W e^{-i w} W^dag from eigh(i g)."""
-    g = np.asarray(g, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] == 0:
-        raise ValueError(f"need a non-empty square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("matrix entries must be finite")
-    residue = float(np.abs(g + g.conj().T).max())
-    if residue > _ANTI_HERMITIAN_RTOL * max(1.0, float(np.abs(g).max())):
-        raise ValueError(f"matrix is not anti-Hermitian: max |g + g^dag| = {residue:.3e}")
-    w, vecs = np.linalg.eigh(1j * g)
-    return _finite_or_raise((vecs * np.exp(-1j * w)) @ vecs.conj().T)
-
-
 def _columns(vectors: np.ndarray) -> np.ndarray:
     """`vectors` as a C-ordered complex (dim, k) array, a 1-D vector as one column."""
     y = np.asarray(vectors, dtype=complex)
@@ -170,8 +151,6 @@ class _ParityBlock(NamedTuple):
 @functools.lru_cache(maxsize=4)
 def _spectra(dim: int) -> tuple[_ParityBlock, _ParityBlock]:
     """Read-only decompositions of the even (first) and odd (second) parity blocks."""
-    # K (real) first, so its temporaries are freed before those of X and D
-    k = squeeze_generator(SqueezeParameter(1.0), dim).real.copy()
     x, d = xp_matrices(dim)
     x, d = x.real, d.real
     x2, xd, f = x @ x, x @ d, _i_powers(dim)
@@ -181,7 +160,10 @@ def _spectra(dim: int) -> tuple[_ParityBlock, _ParityBlock]:
         lam2, u = np.linalg.eigh(x2[b, b])
         mu, v = np.linalg.eig(xd[b, b])
         s = _i_powers(len(lam2))
-        sigma, w = np.linalg.eigh((1j * s.conj()[:, None] * k[b, b] * s).real)
+        # i S^dag K S: sqrt(n + 1) sqrt(n + 2)/2 beside a zero diagonal, n = start, start + 2, ...
+        n = np.arange(start, dim - 2, 2)
+        band = 0.5 * (np.sqrt(n + 1) * np.sqrt(n + 2))
+        sigma, w = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
         blocks.append(_ParityBlock(lam2, u, mu, v, np.linalg.inv(v), f[b], sigma, w, s))
         for array in blocks[-1]:
             array.setflags(write=False)
@@ -223,24 +205,6 @@ def apply_factored(c: FactorizationCoefficients, vectors: np.ndarray) -> np.ndar
 def factored_matrix(c: FactorizationCoefficients, dim: int) -> np.ndarray:
     """exp(delta) exp(i alpha X^2) exp(beta X D) exp(i gamma D^2) as one dim x dim matrix."""
     return apply_factored(c, np.eye(dim))
-
-
-def squeeze_generator(z: SqueezeParameter, dim: int) -> np.ndarray:
-    """(z a^dag a^dag - z* a a) / 2, the ladder form of the squeeze generator.
-
-    a a holds sqrt(k) sqrt(k + 1) at (k - 1, k + 1) and a^dag a^dag its
-    transpose.  Both bands are set directly, each entry the one product that
-    the dense ladder product sums with zeros, so the matrix is that
-    product's bit for bit.
-    """
-    if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim!r}")
-    k = np.arange(1, dim - 1)
-    band = np.sqrt(k) * np.sqrt(k + 1)
-    aa, adag_adag = np.zeros((2, dim, dim), dtype=complex)
-    aa[k - 1, k + 1] = band
-    adag_adag[k + 1, k - 1] = band
-    return 0.5 * (z.z * adag_adag - np.conj(z.z) * aa)
 
 
 def apply_squeeze(z: SqueezeParameter, vectors: np.ndarray) -> np.ndarray:
@@ -317,11 +281,6 @@ def _hermite_blocks(count: int, x: np.ndarray):
             if not np.all(np.isfinite(h[:i + 1])):
                 raise ValueError("Hermite recurrence produced non-finite samples")
             yield n - i, h[:i + 1]
-
-
-def hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
-    """First `count` orthonormal oscillator eigenfunctions sampled on x, one row each."""
-    return np.concatenate([rows.copy() for _, rows in _hermite_blocks(count, x)])
 
 
 def fock_to_position(coefficients: Sequence[complex], grid: Grid) -> WaveFunction:

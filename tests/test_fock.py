@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,11 +26,8 @@ from opfactor.fock import (
     factored_matrix,
     fock_to_position,
     generator_matrix,
-    hermite_functions,
     ladder_matrices,
     position_to_fock,
-    squeeze_generator,
-    unitary_exponential,
     xp_matrices,
 )
 from opfactor.grid import Grid, WaveFunction
@@ -67,22 +65,13 @@ class TestLadder:
         vacuum[0] = 1.0
         assert np.abs(a @ vacuum).max() == 0.0
 
-    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 64, 128, 257, 512])
-    def test_squeeze_generator_is_the_ladder_product(self, dim):
-        # every bit, signed zeros included, of 0.5 (z a^dag a^dag - z* a a) from dense products
-        for z in (SqueezeParameter(0.8, math.pi / 3), SqueezeParameter(2.0, 5.0),
-                  SqueezeParameter(1.0, math.pi), SqueezeParameter(0.0)):
-            got = squeeze_generator(z, dim)
-            assert got.flags.c_contiguous
-            assert np.array_equal(got.view(np.uint64), squeeze_generator_ladder(z, dim).view(np.uint64))
-
     def test_ladder_needs_two_levels(self):
         with pytest.raises(ValueError, match="dim >= 2"):
             ladder_matrices(1)
 
-    def test_squeeze_generator_needs_two_levels(self):
+    def test_squeeze_needs_two_levels(self):
         with pytest.raises(ValueError, match="dim >= 2"):
-            squeeze_generator(SqueezeParameter(0.5), 1)
+            apply_squeeze(SqueezeParameter(0.5), np.ones(1, dtype=complex))
 
 
 class TestXP:
@@ -173,14 +162,14 @@ class TestFactoredMatrix:
         n, block = 128, 32
         z = SqueezeParameter(0.5, 1.0)
         m = factored_matrix(squeeze_factorization(z, 1.0), n)
-        direct = matrix_exponential(squeeze_generator(z, n))
+        direct = matrix_exponential(squeeze_generator_ladder(z, n))
         assert np.abs(m[:block, :block] - direct[:block, :block]).max() < 1e-6
 
     def test_generator_forms_agree(self):
         # ladder-form squeeze generator equals its x/d-form counterpart
         n = 64
         z = SqueezeParameter(0.9, 2.2)
-        from_ladder = squeeze_generator(z, n)
+        from_ladder = squeeze_generator_ladder(z, n)
         from_xd = generator_matrix(GeneratorCoefficients.squeeze(z), n)
         assert np.abs(from_ladder[: n - 1, : n - 1] - from_xd[: n - 1, : n - 1]).max() < 1e-12
 
@@ -228,21 +217,10 @@ class TestSpectralRoutes:
         # P exp(rK) P^dag with phi read as the angle of z, so phi past pi too
         for r in (0.8, 2.0):
             z = SqueezeParameter(r, phi)
-            ref = matrix_exponential(squeeze_generator(z, dim))
+            ref = matrix_exponential(squeeze_generator_ladder(z, dim))
             assert np.abs(apply_squeeze(z, np.eye(dim)) - ref).max() <= 1e-12
             vector = ref[:, 3].conj()
             assert np.abs(apply_squeeze(z, vector) - ref @ vector).max() <= 1e-12
-
-    @pytest.mark.parametrize("dim", [64, 256])
-    def test_unitary_exponential_matches_expm(self, dim):
-        generators = [
-            squeeze_generator(SqueezeParameter(0.8, math.pi / 3), dim),
-            squeeze_generator(SqueezeParameter(2.0, 1.0), dim),
-            displacement_generator(1.0, 0.5, dim),
-            displacement_generator(-2.0, 1.5, dim),
-        ]
-        for g in generators:
-            assert np.abs(unitary_exponential(g) - matrix_exponential(g)).max() <= 1e-12
 
     def test_decomposition_cache_is_read_only_and_bounded(self):
         for dim in (8, 9, 16, 24, 32, 40, 48):
@@ -257,31 +235,34 @@ class TestSpectralRoutes:
         info = fock._spectra.cache_info()
         assert info.maxsize == 4 and info.currsize <= info.maxsize
 
-    @pytest.mark.parametrize("dim", [32, 33])
+    @pytest.mark.parametrize("dim", [8, 9, 32, 33, 128, 129])
     def test_decompositions_reconstruct_x_and_xd(self, dim):
-        # each parity block rebuilds X^2, X D and K; every product is zero across the blocks
+        # each parity block rebuilds X^2 and X D; every product is zero across the blocks
         x, d = xp_matrices(dim)
-        k = squeeze_generator(SqueezeParameter(1.0), dim)
         assert np.abs(-1j * (fock._i_powers(dim).conj()[:, None] * x * fock._i_powers(dim))
                       - d).max() == 0.0
-        for m in (x @ x, x @ d, k):
+        for m in (x @ x, x @ d):
             assert np.all(m[0::2, 1::2] == 0) and np.all(m[1::2, 0::2] == 0)
         for start, b in enumerate(fock._spectra(dim)):
             blk = slice(start, None, 2)
             assert np.abs((b.u * b.lam2) @ b.u.T - (x @ x)[blk, blk]).max() < 1e-12
             assert np.abs((b.v * b.mu) @ b.v_inv - (x @ d)[blk, blk]).max() < 1e-12
             assert np.array_equal(b.f, fock._i_powers(dim)[blk])
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 32, 33, 64, 128, 129, 257, 512])
+    def test_squeeze_blocks_are_the_ladder_band(self, dim):
+        # each parity block of the dense ladder K is K's band, and its decomposition rebuilds it
+        k = squeeze_generator_ladder(SqueezeParameter(1.0), dim)
+        assert np.all(k[0::2, 1::2] == 0) and np.all(k[1::2, 0::2] == 0)
+        for start, b in enumerate(fock._spectra(dim)):
+            blk = slice(start, None, 2)
+            # i S^dag K S, signed zeros cleared, is exactly the band matrix eigh decomposes
+            n = np.arange(start, dim - 2, 2)
+            band = 0.5 * (np.sqrt(n + 1) * np.sqrt(n + 2))
+            conjugated = (1j * b.s.conj()[:, None] * k[blk, blk] * b.s).real + 0.0
+            assert np.array_equal(conjugated, np.diag(band, 1) + np.diag(band, -1))
             rebuilt = b.s[:, None] * (-1j * (b.w * b.sigma) @ b.w.T) * b.s.conj()
             assert np.abs(rebuilt - k[blk, blk]).max() < 1e-12
-
-    @pytest.mark.parametrize(
-        "g",
-        [np.zeros((3, 4)), np.diag([1j, np.inf, 0.0]), np.eye(3), np.zeros((0, 0))],
-        ids=["non_square", "non_finite", "hermitian", "empty"],
-    )
-    def test_unitary_exponential_rejects(self, g):
-        with pytest.raises(ValueError):
-            unitary_exponential(g)
 
     @pytest.mark.parametrize("dim", [256, 512])
     @pytest.mark.parametrize("t", [2.0, 2.5, -2.0])
@@ -395,7 +376,7 @@ def test_closed_form_matches_dense_exponential_on_unitary_generators(a, t):
     b = GeneratorCoefficients(0.5 * a[0] + 1j * a[1], 1j * a[2], a[0], 1j * a[3])
     g = generator_matrix(b, 128)
     # (g - g^dag)/2 takes the exact compression {X, D}/2 in place of the truncated X D
-    oracle = unitary_exponential(0.5 * t * (g - g.conj().T))[:16, :16]
+    oracle = matrix_exponential(0.5 * t * (g - g.conj().T))[:16, :16]
     factored = apply_factored(generator_factorization(b, t), np.eye(128, 16))[:16]
     assert np.abs(factored - oracle).max() < 1e-12
 
@@ -431,27 +412,26 @@ class TestHermite:
         assert abs(psi.norm() - np.linalg.norm(coeffs)) < 1e-8
 
     def test_orthonormality_by_quadrature(self, grid):
-        h = hermite_functions(24, grid.x)
+        h = hermite_recurrence(24, grid.x)
         gram = (h @ h.T) * grid.dx
         assert np.abs(gram - np.eye(24)).max() < 1e-10
 
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 128, 512])
-    def test_stacked_blocks_equal_hermite_functions_bit_for_bit(self, grid, count):
+    def test_stacked_blocks_equal_the_recurrence_bit_for_bit(self, grid, count):
         blocks = [(start, rows.copy()) for start, rows in fock._hermite_blocks(count, grid.x)]
         assert [start for start, _ in blocks] == list(range(0, count, fock.HERMITE_BLOCK))
         stacked = np.concatenate([rows for _, rows in blocks])
-        assert np.array_equal(stacked, hermite_functions(count, grid.x))
         assert np.array_equal(stacked, hermite_recurrence(count, grid.x))
 
     def test_count_limit(self, grid):
         with pytest.raises(ValueError):
-            hermite_functions(513, grid.x)
+            next(fock._hermite_blocks(513, grid.x))
         with pytest.raises(ValueError, match="count must be >= 1"):
-            hermite_functions(0, grid.x)
+            next(fock._hermite_blocks(0, grid.x))
 
     def test_non_finite_samples_refused(self):
         with pytest.raises(ValueError, match="non-finite samples"):
-            hermite_functions(40, np.array([0.0, np.nan]))
+            list(fock._hermite_blocks(40, np.array([0.0, np.nan])))
 
     def test_no_coefficients_refused(self, grid):
         with pytest.raises(ValueError, match="non-empty vector"):
@@ -469,7 +449,7 @@ class TestHermite:
 
     def test_basis_changes_equal_the_complex_product(self, grid):
         rng = np.random.default_rng(7)
-        basis = hermite_functions(128, grid.x).astype(complex)
+        basis = hermite_recurrence(128, grid.x).astype(complex)
         samples = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
         coeffs = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         projected = basis @ samples * grid.dx
@@ -508,7 +488,7 @@ class TestOracleTriangle:
         n = 128
         z = SqueezeParameter(0.8, math.pi / 3)
         d_mat = matrix_exponential(displacement_generator(1.0, 0.5, n))
-        s_mat = matrix_exponential(squeeze_generator(z, n))
+        s_mat = matrix_exponential(squeeze_generator_ladder(z, n))
         vacuum = np.zeros(n, dtype=complex)
         vacuum[0] = 1.0
         psi = fock_to_position(d_mat @ (s_mat @ vacuum), grid)
@@ -516,9 +496,12 @@ class TestOracleTriangle:
         assert np.abs(psi.samples - expected).max() < 1e-6
 
     def test_check_exponentiates_no_dense_matrix(self, grid, monkeypatch):
-        def refuse(g):
-            raise AssertionError("the triangle built a dense exponential")
-        monkeypatch.setattr(fock, "unitary_exponential", refuse)
+        # the triangle's Fock routes act from the cached spectra: no dense operator or expm
+        def refuse(*args):
+            raise AssertionError("the triangle built a dense operator")
+        for name in ("factored_matrix", "generator_matrix"):
+            monkeypatch.setattr(fock, name, refuse)
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
         results = checks.check_oracle_triangle(grid, 128)
         assert [r.passed for r in results] == [True, True]
 
@@ -530,7 +513,7 @@ class TestOracleTriangle:
         spec = SqueezedStateSpec(1.0, 0.5, SqueezeParameter(0.8, math.pi / 3))
         vacuum = np.zeros(fock_dim, dtype=complex)
         vacuum[0] = 1.0
-        d_mat = unitary_exponential(displacement_generator(spec.x0, spec.p0, fock_dim))
+        d_mat = matrix_exponential(displacement_generator(spec.x0, spec.p0, fock_dim))
         dense = fock_to_position(d_mat @ apply_squeeze(spec.z, vacuum), grid)
         dense_err = np.abs(dense.samples - psi_ss(grid.x, spec)).max()
         result = checks.check_oracle_triangle(grid, fock_dim)[1]
