@@ -71,6 +71,10 @@ CHECK_NAMES = {
     ],
 }
 
+# The band of tests/golden/verify_all.json: roundoff below GOLDEN_ROUNDOFF, else relative.
+GOLDEN_ROUNDOFF = 1e-13
+GOLDEN_RTOL = 1e-10
+
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -467,6 +471,21 @@ class TestVerify:
         # each record's suite is its row's
         assert [(r.suite, r.name) for r in checks.run_checks("all")] == [
             (suite, name) for suite, names in CHECK_NAMES.items() for name in names]
+
+    def test_every_record_matches_the_golden_file(self):
+        # characterization: `verify all --format json` at the default config, checked in.
+        # Two values both below GOLDEN_ROUNDOFF match, since roundoff reorders with any
+        # arithmetic change; every other value matches to GOLDEN_RTOL.  A record that
+        # moves fails here until the same change rewrites the file.
+        with open(os.path.join(REPO, "tests", "golden", "verify_all.json")) as handle:
+            golden = json.load(handle)
+        results = checks.run_checks("all")
+        assert [(r.suite, r.name, r.tol, r.passed) for r in results] == [
+            (g["suite"], g["name"], g["tol"], g["passed"]) for g in golden]
+        moved = [(r.name, g["measured"], r.measured) for r, g in zip(results, golden)
+                 if not (max(r.measured, float(g["measured"])) < GOLDEN_ROUNDOFF
+                         or math.isclose(r.measured, float(g["measured"]), rel_tol=GOLDEN_RTOL))]
+        assert moved == []
 
     def test_every_check_function_is_one_row(self):
         # a check that is not in the table would never run under verify
