@@ -449,31 +449,53 @@ def check_grid_linearity(grid: Grid):
 
 
 def check_fock_commutators(fock_dim: int):
-    """Ladder and x/d matrices satisfy their commutators on the retained block."""
-    a, adag = fock.ladder_matrices(fock_dim)
-    comm = a @ adag - adag @ a
-    block = slice(0, fock_dim - 1)
-    err_ladder = _max_abs(comm[block, block], np.eye(fock_dim - 1))
-    x, d = fock.xp_matrices(fock_dim)
-    xd = x @ d - d @ x
-    err_xd = _max_abs(xd[block, block], -np.eye(fock_dim - 1))
-    err_herm = float(np.abs(x - x.conj().T).max() + np.abs(d + d.conj().T).max())
+    """The bands `fock` builds its parity blocks from obey the ladder algebra.
+
+    [a, a^dag] = 1 from a's band sqrt(n) on the retained levels.  X = (a + a^dag)/sqrt(2)
+    is that band over sqrt(2) on both sides, and D = (a - a^dag)/sqrt(2) the same band
+    with its negative below: X is symmetric and D antisymmetric, so [X, D] is
+    X D + (X D)^T, whose bands cancel and whose diagonal must be -1.  X^2's diagonal
+    and band, which X D shares, must be the products of X's neighbouring bands,
+    measured relative to them.  Every array has O(dim) entries.
+    """
+    a = np.sqrt(np.arange(1, fock_dim))
+    # a a^dag is a^2 on the diagonal, a^dag a the same one level down
+    err_ladder = _max_abs(a * a - np.concatenate(([0.0], a[:-1] * a[:-1])), 1.0)
+    x = np.concatenate(([0.0], a / math.sqrt(2.0), [0.0]))  # X[n - 1, n] = x[n], zero past the ends
+    err_xd = err_products = 0.0
+    for start in (0, 1):
+        x2, xd, band = fock._parity_bands(fock_dim, start)
+        n = np.arange(start, fock_dim, 2)
+        err_xd = max(err_xd, _max_abs(2.0 * xd[n < fock_dim - 1], -1.0))
+        products = (x[n] ** 2 + x[n + 1] ** 2, x[n[:-1] + 1] * x[n[:-1] + 2])
+        for got, want in zip((x2, band), products):
+            err_products = max(err_products, float(np.abs(got / want - 1.0).max()))
     return [
         CheckResult("fock", "ladder_commutator_block", err_ladder, 1e-12),
         CheckResult("fock", "xd_commutator_block", err_xd, 1e-12),
-        CheckResult("fock", "x_hermitian_d_antihermitian", err_herm, 1e-14),
+        CheckResult("fock", "x_hermitian_d_antihermitian", err_products, 1e-14),
     ]
 
 
 def check_fock_oscillator_generator(fock_dim: int):
-    """The oscillator generator matrix is -i diag(n + 1/2) away from the edge."""
-    g = fock.generator_matrix(GeneratorCoefficients.oscillator(), fock_dim)
-    block = slice(0, fock_dim - 2)
-    expected = -1j * np.diag(np.arange(fock_dim) + 0.5)
-    return [
-        CheckResult("fock", "oscillator_generator_diagonal",
-                    _max_abs(g[block, block], expected[block, block]), 1e-12)
-    ]
+    """The oscillator generator b2 X^2 + b4 D^2 is -i diag(n + 1/2) away from the edge.
+
+    D = -i F^dag X F with F = diag(i^n), so D^2 = -F^dag X^2 F.  On each parity
+    block F^dag X^2 F keeps X^2's diagonal and takes its band times
+    i^n* i^(n+2) = -1; both are read from the bands `fock` decomposes.
+    """
+    b = GeneratorCoefficients.oscillator()
+    worst = 0.0
+    for start in (0, 1):
+        x2, _, band = fock._parity_bands(fock_dim, start)
+        f = fock._i_powers(fock_dim)[start::2]
+        n = np.arange(start, fock_dim, 2)
+        inner = n < fock_dim - 2
+        diagonal = (b.b2 - b.b4) * x2
+        off = (b.b2 - b.b4 * f[:-1].conj() * f[1:]) * band
+        worst = max(worst, _max_abs(diagonal[inner], -1j * (n[inner] + 0.5)),
+                    float(np.abs(off[inner[1:]]).max()))
+    return [CheckResult("fock", "oscillator_generator_diagonal", worst, 1e-12)]
 
 
 def check_fock_time_diagonal():

@@ -5,16 +5,17 @@ The oracle applies each operator to the vectors a comparison reads, a
 matrix only to slice it.  X^2, X D and the squeeze generator couple level n
 only to n and n +- 2, so each is decomposed as its even and odd parity
 blocks, half the size, and every operator acts on one block of rows at a
-time.  One cache keyed by the dimension holds, per parity block, the
-decompositions of all three, which the factored product, the squeeze and
-the displacement read.  The factored product is applied from `eigh` of the
+time.  Each parity block of all three is tridiagonal, and `_parity_bands`
+gives its diagonals and its one band, so no dense ladder, X, D or generator
+matrix is built.  One cache keyed by the dimension holds, per parity block,
+the decompositions of all three, which the factored product, the squeeze
+and the displacement read.  The factored product is applied from `eigh` of the
 real blocks of X^2 and `eig` of the blocks of X D, which the truncation
 corner makes non-normal; D^2 reuses X^2's decomposition through
 D = -i F^dag X F with F = diag(i^n); exp(i pi k X D) is the parity (-1)^{n k},
 so beta's turns of i pi past a caustic are a sign.  The squeeze exponential is
 P exp(r K) P^dag, with P = diag(e^{i n phi/2}) and K the squeeze generator at
-z = 1, so one decomposition of K per dimension serves every z; each parity
-block of K is built from its one band, never as a dense matrix.  The
+z = 1, so one decomposition of K per dimension serves every z.  The
 displacement is P F^dag exp(i s X) F P^dag, with P = diag(e^{i n theta}),
 and X commutes with X^2, so exp(i s X) is cos(s|X|) + i X sin(s|X|)/|X|
 from X^2's decomposition and X's two bands.  Real eigenvectors, and the
@@ -36,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import FactorizationCoefficients, GeneratorCoefficients, SqueezeParameter
+from .algebra import FactorizationCoefficients, SqueezeParameter
 from .grid import Grid, WaveFunction
 
 __all__ = [
@@ -46,10 +47,7 @@ __all__ = [
     "apply_squeeze",
     "factored_matrix",
     "fock_to_position",
-    "generator_matrix",
-    "ladder_matrices",
     "position_to_fock",
-    "xp_matrices",
 ]
 
 MIN_DIM = 8
@@ -69,43 +67,9 @@ class FockBasis:
                              f"got {self.dim!r}")
 
 
-def ladder_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering matrix a with a[n-1, n] = sqrt(n), and its conjugate transpose."""
-    if dim < 2:
-        raise ValueError(f"need dim >= 2, got {dim!r}")
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a, a.conj().T
-
-
-def xp_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position X = (a + a^dag)/sqrt(2) and derivative D = (a - a^dag)/sqrt(2).
-
-    X is Hermitian and D anti-Hermitian by construction; [X, D] = -1 holds on
-    the top-left (dim-1) block, truncation breaking only the last diagonal
-    entry.
-    """
-    a, adag = ladder_matrices(dim)
-    inv_rt2 = 1.0 / math.sqrt(2.0)
-    return inv_rt2 * (a + adag), inv_rt2 * (a - adag)
-
-
-def generator_matrix(b: GeneratorCoefficients, dim: int) -> np.ndarray:
-    """b1 I + b2 X^2 + b3 X D + b4 D^2 on the truncated basis."""
-    b1, b2, b3, b4 = b.as_tuple()
-    x, d = xp_matrices(dim)
-    return (
-        b1 * np.eye(dim, dtype=complex)
-        + b2 * (x @ x)
-        + b3 * (x @ d)
-        + b4 * (d @ d)
-    )
-
-
 def _finite_or_raise(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
-        raise OverflowError("matrix exponential overflowed to non-finite entries")
+        raise OverflowError("applying the operator overflowed to non-finite entries")
     return m
 
 
@@ -148,21 +112,34 @@ class _ParityBlock(NamedTuple):
     s: np.ndarray
 
 
+def _parity_bands(dim: int, start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x2, xd, band): the diagonals of X^2 and X D on the levels n = start, start + 2, ...
+    below dim, and the one band beside them, between n and n + 2.
+
+    X^2 is n + 1/2 on its diagonal and X D is -1/2, except that both read
+    (dim - 1)/2 in level dim - 1, whose a^dag the truncation drops.  X^2 has
+    the band sqrt(n + 1) sqrt(n + 2)/2 on both sides; X D has it above and its
+    negative below; i S^dag K S has it beside a zero diagonal.
+    """
+    n = np.arange(start, dim, 2)
+    up = np.where(n + 1 < dim, (n + 1) / 2, 0.0)
+    band = 0.5 * (np.sqrt(n[:-1] + 1) * np.sqrt(n[:-1] + 2))
+    return n / 2 + up, n / 2 - up, band
+
+
 @functools.lru_cache(maxsize=4)
 def _spectra(dim: int) -> tuple[_ParityBlock, _ParityBlock]:
     """Read-only decompositions of the even (first) and odd (second) parity blocks."""
-    x, d = xp_matrices(dim)
-    x, d = x.real, d.real
-    x2, xd, f = x @ x, x @ d, _i_powers(dim)
+    if dim < 2:
+        raise ValueError(f"need dim >= 2, got {dim!r}")
+    f = _i_powers(dim)
     blocks = []
     for start in (0, 1):
         b = slice(start, None, 2)
-        lam2, u = np.linalg.eigh(x2[b, b])
-        mu, v = np.linalg.eig(xd[b, b])
+        x2, xd, band = _parity_bands(dim, start)
+        lam2, u = np.linalg.eigh(np.diag(x2) + np.diag(band, 1) + np.diag(band, -1))
+        mu, v = np.linalg.eig(np.diag(xd) + np.diag(band, 1) - np.diag(band, -1))
         s = _i_powers(len(lam2))
-        # i S^dag K S: sqrt(n + 1) sqrt(n + 2)/2 beside a zero diagonal, n = start, start + 2, ...
-        n = np.arange(start, dim - 2, 2)
-        band = 0.5 * (np.sqrt(n + 1) * np.sqrt(n + 2))
         sigma, w = np.linalg.eigh(np.diag(band, 1) + np.diag(band, -1))
         blocks.append(_ParityBlock(lam2, u, mu, v, np.linalg.inv(v), f[b], sigma, w, s))
         for array in blocks[-1]:

@@ -1,10 +1,10 @@
 """Independent references that only the tests use: scipy's general matrix
 exponential, a reader for the files `opfactor evolve` writes, the scalar
 RK4 step loop that the vectorized integrator must equal bit for bit, the
-exponent that exp(t b) gives a Gaussian, the ladder forms of the
-displacement and squeeze generators, the Hermite recurrence filled as one
-whole matrix, and the tracemalloc measurers of a call's peak and of what it
-leaves held.
+exponent that exp(t b) gives a Gaussian, the dense ladder, X and D matrices
+and the generator built from them, the ladder forms of the displacement and
+squeeze generators, the Hermite recurrence filled as one whole matrix, and
+the tracemalloc measurers of a call's peak and of what it leaves held.
 
 The package itself needs numpy only; scipy is a test dependency
 (`pip install -e .[test]`).
@@ -18,7 +18,6 @@ import tracemalloc
 import numpy as np
 
 from opfactor.algebra import BLOWUP_BOUND, BlowUpError, FactorizationCoefficients
-from opfactor.fock import ladder_matrices
 
 EXPM_NORM_BOUND = 1e6
 
@@ -151,6 +150,40 @@ def gaussian_exponent(b, t_end, steps=4000):
         c += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         n += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
     return c, n
+
+
+def ladder_matrices(dim):
+    """Lowering matrix a with a[n-1, n] = sqrt(n), and its conjugate transpose."""
+    if dim < 2:
+        raise ValueError(f"need dim >= 2, got {dim!r}")
+    a = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    return a, a.conj().T
+
+
+def xp_matrices(dim):
+    """Position X = (a + a^dag)/sqrt(2) and derivative D = (a - a^dag)/sqrt(2).
+
+    X is Hermitian and D anti-Hermitian by construction; [X, D] = -1 holds on
+    the top-left (dim-1) block, truncation breaking only the last diagonal
+    entry.
+    """
+    a, adag = ladder_matrices(dim)
+    inv_rt2 = 1.0 / math.sqrt(2.0)
+    return inv_rt2 * (a + adag), inv_rt2 * (a - adag)
+
+
+def generator_matrix(b, dim):
+    """b1 I + b2 X^2 + b3 X D + b4 D^2 on the truncated basis, as one dense matrix."""
+    b1, b2, b3, b4 = b.as_tuple()
+    x, d = xp_matrices(dim)
+    return (
+        b1 * np.eye(dim, dtype=complex)
+        + b2 * (x @ x)
+        + b3 * (x @ d)
+        + b4 * (d @ d)
+    )
 
 
 def displacement_generator(x0, p0, dim):

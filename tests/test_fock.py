@@ -1,4 +1,4 @@
-"""Tests for the truncated number-basis matrices and the direct-exponential oracle."""
+"""Tests for the truncated number-basis operators and the direct-exponential oracle."""
 import cmath
 import math
 
@@ -25,19 +25,19 @@ from opfactor.fock import (
     apply_squeeze,
     factored_matrix,
     fock_to_position,
-    generator_matrix,
-    ladder_matrices,
     position_to_fock,
-    xp_matrices,
 )
 from opfactor.grid import Grid, WaveFunction
 from opfactor.states import SqueezedStateSpec, psi_ss
 from reference import (
     displacement_generator,
+    generator_matrix,
     hermite_recurrence,
+    ladder_matrices,
     matrix_exponential,
     squeeze_generator_ladder,
     traced_peak,
+    xp_matrices,
 )
 
 
@@ -235,9 +235,10 @@ class TestSpectralRoutes:
         info = fock._spectra.cache_info()
         assert info.maxsize == 4 and info.currsize <= info.maxsize
 
-    @pytest.mark.parametrize("dim", [8, 9, 32, 33, 128, 129])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 9, 32, 33, 128, 129])
     def test_decompositions_reconstruct_x_and_xd(self, dim):
-        # each parity block rebuilds X^2 and X D; every product is zero across the blocks
+        # each parity block of the dense X^2 and X D is its bands, and each
+        # decomposition rebuilds it; every product is zero across the blocks
         x, d = xp_matrices(dim)
         assert np.abs(-1j * (fock._i_powers(dim).conj()[:, None] * x * fock._i_powers(dim))
                       - d).max() == 0.0
@@ -245,9 +246,40 @@ class TestSpectralRoutes:
             assert np.all(m[0::2, 1::2] == 0) and np.all(m[1::2, 0::2] == 0)
         for start, b in enumerate(fock._spectra(dim)):
             blk = slice(start, None, 2)
+            x2, xd, band = fock._parity_bands(dim, start)
+            x2_block = np.diag(x2) + np.diag(band, 1) + np.diag(band, -1)
+            xd_block = np.diag(xd) + np.diag(band, 1) - np.diag(band, -1)
+            assert np.abs(x2_block - (x @ x)[blk, blk]).max() < 1e-12
+            assert np.abs(xd_block - (x @ d)[blk, blk]).max() < 1e-12
             assert np.abs((b.u * b.lam2) @ b.u.T - (x @ x)[blk, blk]).max() < 1e-12
             assert np.abs((b.v * b.mu) @ b.v_inv - (x @ d)[blk, blk]).max() < 1e-12
             assert np.array_equal(b.f, fock._i_powers(dim)[blk])
+
+    # hermgauss's weights overflow with a RuntimeWarning from dim 371 up, which tier-1
+    # turns into an error, so the pin stops at 256
+    @pytest.mark.parametrize("dim", [8, 9, 64, 128, 129, 256])
+    def test_x2_spectrum_is_the_squared_gauss_hermite_nodes(self, dim):
+        # the truncated X is the Jacobi matrix of the Hermite polynomials, so its
+        # eigenvalues are the Gauss-Hermite nodes (Golub & Welsch, Math. Comp. 23, 1969)
+        nodes, _ = np.polynomial.hermite.hermgauss(dim)
+        lam2 = np.sort(np.concatenate([b.lam2 for b in fock._spectra(dim)]))
+        assert np.abs(lam2 - np.sort(nodes**2)).max() <= 1e-15 * lam2[-1]
+
+    def test_decomposing_holds_little_beyond_what_it_keeps(self):
+        # the blocks come from their bands, so building them needs at most one complex
+        # half-dim block beyond the decompositions the cache keeps
+        dim = 512
+        kept = []
+        peak = traced_peak(lambda: kept.append(fock._spectra.__wrapped__(dim)))
+        held = sum(a.nbytes for b in kept[0] for a in b)
+        assert peak < held + 16 * (dim // 2) ** 2
+
+    @pytest.mark.parametrize("check", [checks.check_fock_commutators,
+                                       checks.check_fock_oscillator_generator])
+    def test_band_checks_hold_less_than_one_dense_matrix(self, check):
+        # the checks read O(dim) bands, never one dense complex dim x dim operator
+        dim = 512
+        assert traced_peak(lambda: check(dim)) < 16 * dim * dim
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 9, 32, 33, 64, 128, 129, 257, 512])
     def test_squeeze_blocks_are_the_ladder_band(self, dim):
@@ -257,8 +289,7 @@ class TestSpectralRoutes:
         for start, b in enumerate(fock._spectra(dim)):
             blk = slice(start, None, 2)
             # i S^dag K S, signed zeros cleared, is exactly the band matrix eigh decomposes
-            n = np.arange(start, dim - 2, 2)
-            band = 0.5 * (np.sqrt(n + 1) * np.sqrt(n + 2))
+            band = fock._parity_bands(dim, start)[2]
             conjugated = (1j * b.s.conj()[:, None] * k[blk, blk] * b.s).real + 0.0
             assert np.array_equal(conjugated, np.diag(band, 1) + np.diag(band, -1))
             rebuilt = b.s[:, None] * (-1j * (b.w * b.sigma) @ b.w.T) * b.s.conj()
@@ -496,11 +527,13 @@ class TestOracleTriangle:
         assert np.abs(psi.samples - expected).max() < 1e-6
 
     def test_check_exponentiates_no_dense_matrix(self, grid, monkeypatch):
-        # the triangle's Fock routes act from the cached spectra: no dense operator or expm
+        # the triangle's Fock routes act from the cached spectra: no dense operator or expm,
+        # and fock has no dense ladder, X, D or generator builder left to call
         def refuse(*args):
             raise AssertionError("the triangle built a dense operator")
-        for name in ("factored_matrix", "generator_matrix"):
-            monkeypatch.setattr(fock, name, refuse)
+        for name in ("ladder_matrices", "xp_matrices", "generator_matrix"):
+            assert not hasattr(fock, name)
+        monkeypatch.setattr(fock, "factored_matrix", refuse)
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
         results = checks.check_oracle_triangle(grid, 128)
         assert [r.passed for r in results] == [True, True]
