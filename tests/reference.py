@@ -1,6 +1,7 @@
 """Independent references that only the tests use: scipy's general matrix
 exponential, a reader for the files `opfactor evolve` writes, the scalar
-RK4 step loop that the vectorized integrator must equal bit for bit, the
+RK4 step loop that the vectorized integrator must follow to 1e-12 of
+max(1, |value|) at every step and in the step where it fails, the
 exponent that exp(t b) gives a Gaussian, the dense ladder, X and D matrices
 and the generator built from them, the ladder forms of the displacement and
 squeeze generators, the Hermite recurrence filled as one whole matrix, and

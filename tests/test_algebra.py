@@ -1,6 +1,8 @@
 """Tests for the factorization coefficients: closed forms, ODE system, integrator."""
 import cmath
+import functools
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -444,30 +446,58 @@ def _verify_all_integrations():
     return calls
 
 
-def _outcome(entry, b, t_end, steps):
-    """What an integration returns, or the exception it raises with its message and cause.
+AGREEMENT = 1e-12  # per coefficient and step, of max(1, |reference|)
 
-    Results compare by repr, which tells every float apart bit for bit,
-    signed zeros included (NaN payloads aside).
-    """
+
+def _assert_agrees(path, expected):
+    """path is within AGREEMENT of expected, a path of rk4_samples, at every
+    step; a failure names the first step and coefficient off, without
+    printing either path."""
+    assert len(path) == len(expected), f"{len(path)} entries, reference {len(expected)}"
+    for step, (got, ref) in enumerate(zip(path, expected)):
+        for name, g, r in zip(("delta", "alpha", "beta", "gamma"), got.as_tuple(), ref.as_tuple()):
+            if not abs(g - r) <= AGREEMENT * max(1.0, abs(r)):
+                pytest.fail(f"step {step}: {name} = {g!r}, reference {r!r}", pytrace=False)
+
+
+def _reference_step(exc, t_end, steps):
+    """The step at which rk4_samples raised exc, read off its message, which
+    names the step's start for a stage overflow and its end for the bound."""
+    start, end = re.search(r"in the step from t = (\S+);|at t = (\S+);", str(exc)).groups()
+    h = t_end / steps
+    return round(float(start) / h) if start else round(float(end) / h) - 1
+
+
+def _assert_blows_up_at(b, t_end, steps, step):
+    """Both entry points raise BlowUpError naming the step, by both its ends."""
+    h = t_end / steps
+    named = f"the RK4 step from t = {step * h:.6g} to {step * h + h:.6g} "
+    for entry in (integrate_wei_norman, wei_norman_final):
+        with pytest.raises(BlowUpError, match="caustic") as info:
+            entry(b, t_end, steps)
+        assert str(info.value).startswith(named)
+
+
+def _assert_follows_reference(b, t_end, steps):
+    """Both entry points follow rk4_samples: within AGREEMENT at every step,
+    the end point equal to the path's last entry bit for bit, or BlowUpError
+    at the reference's step."""
     try:
-        return repr(entry(b, t_end, steps))
-    except (ArithmeticError, ValueError, RuntimeError) as exc:
-        return type(exc), str(exc), type(exc.__cause__)
-
-
-def _reference_final(b, t_end, steps):
-    return rk4_samples(b, t_end, steps)[-1]
+        expected = rk4_samples(b, t_end, steps)
+    except BlowUpError as exc:
+        _assert_blows_up_at(b, t_end, steps, _reference_step(exc, t_end, steps))
+        return
+    path = integrate_wei_norman(b, t_end, steps)
+    _assert_agrees(path, expected)
+    assert repr(wei_norman_final(b, t_end, steps)) == repr(path[-1])
 
 
 class TestFinalOnly:
-    """Both entry points are the scalar RK4 loop of tests/reference.py, bit for bit."""
+    """Both entry points follow the scalar RK4 loop of tests/reference.py."""
 
     @pytest.mark.parametrize("b, t_end, steps", _verify_all_integrations())
     def test_verify_all_integrations(self, b, t_end, steps):
-        expected = rk4_samples(b, t_end, steps)
-        assert repr(wei_norman_final(b, t_end, steps)) == repr(expected[-1])
-        assert repr(integrate_wei_norman(b, t_end, steps)) == repr(expected)
+        _assert_follows_reference(b, t_end, steps)
 
     @pytest.mark.parametrize("b, t_end, steps", [
         (GeneratorCoefficients.oscillator(), 0.0, 1000),
@@ -475,20 +505,16 @@ class TestFinalOnly:
         (GeneratorCoefficients.squeeze(SqueezeParameter(0.8, 1.0)), -1.0, 1),
     ])
     def test_zero_and_negative_spans(self, b, t_end, steps):
-        final = wei_norman_final(b, t_end, steps)
-        assert repr(final) == repr(_reference_final(b, t_end, steps))
-        assert repr(integrate_wei_norman(b, t_end, steps)) == repr(rk4_samples(b, t_end, steps))
+        _assert_follows_reference(b, t_end, steps)
         if t_end == 0.0:
-            assert final == FactorizationCoefficients.zero()
+            assert wei_norman_final(b, t_end, steps) == FactorizationCoefficients.zero()
 
     @pytest.mark.parametrize("steps", [
         algebra.RK4_BLOCK - 1, algebra.RK4_BLOCK, algebra.RK4_BLOCK + 1, 2 * algebra.RK4_BLOCK + 3,
     ])
     def test_block_boundaries(self, steps):
         b = GeneratorCoefficients.squeeze(SqueezeParameter(1.3, 2.0))
-        expected = rk4_samples(b, 1.0, steps)
-        assert repr(wei_norman_final(b, 1.0, steps)) == repr(expected[-1])
-        assert repr(integrate_wei_norman(b, 1.0, steps)) == repr(expected)
+        _assert_follows_reference(b, 1.0, steps)
 
     @pytest.mark.parametrize("t_end, steps", [(1.0, 0), (1.0, -3), (math.inf, 10), (math.nan, 10)])
     def test_same_refusal_at_call_time(self, t_end, steps):
@@ -511,24 +537,27 @@ class TestFinalOnly:
         (GeneratorCoefficients(b1=complex(0.8e12, 0.8e12)), 1.0, 10, type(None)),
     ])
     def test_same_blowup_at_the_same_step(self, b, t_end, steps, kind):
-        expected = _outcome(_reference_final, b, t_end, steps)
-        assert expected[0] is BlowUpError and expected[2] is kind
-        assert "caustic" in expected[1]
-        for entry in (integrate_wei_norman, wei_norman_final):
-            assert _outcome(entry, b, t_end, steps) == expected
-            with mock.patch.object(algebra, "RK4_BLOCK", 7):  # the failing step inside a block
-                assert _outcome(entry, b, t_end, steps) == expected
+        with pytest.raises(BlowUpError, match="caustic") as info:
+            rk4_samples(b, t_end, steps)
+        assert type(info.value.__cause__) is kind
+        step = _reference_step(info.value, t_end, steps)
+        _assert_blows_up_at(b, t_end, steps, step)
+        with mock.patch.object(algebra, "RK4_BLOCK", 7):  # the failing step inside a block
+            _assert_blows_up_at(b, t_end, steps, step)
+        if kind is OverflowError:  # the overflowed stage leaves gamma not finite
+            with pytest.raises(BlowUpError, match="left a coefficient not finite"):
+                wei_norman_final(b, t_end, steps)
 
     def test_nonfinite_stage_raises_as_the_scalar_loop_does(self):
         # 2 beta reaches an infinite imaginary part at the last stage, where
         # cmath.exp raises ValueError rather than overflowing; that is a
         # blow-up in the step too
         b = GeneratorCoefficients(b3=1e308j)
-        expected = _outcome(_reference_final, b, 2.0, 1)
-        assert expected == (BlowUpError, "an RK4 stage overflowed in the step from t = 0; "
-                            "the path likely crosses a caustic", ValueError)
-        for entry in (integrate_wei_norman, wei_norman_final):
-            assert _outcome(entry, b, 2.0, 1) == expected
+        with pytest.raises(BlowUpError) as info:
+            rk4_samples(b, 2.0, 1)
+        assert type(info.value.__cause__) is ValueError
+        assert _reference_step(info.value, 2.0, 1) == 0
+        _assert_blows_up_at(b, 2.0, 1, 0)
 
 
 _coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -542,20 +571,34 @@ _coefficient = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infi
     block=st.sampled_from((1, 2, 3, 7, algebra.RK4_BLOCK)),
 )
 def test_rk4_equals_scalar_reference(b, t_end, steps, block):
-    path = _outcome(rk4_samples, b, t_end, steps)
-    final = _outcome(_reference_final, b, t_end, steps)
     with mock.patch.object(algebra, "RK4_BLOCK", block):
-        assert _outcome(integrate_wei_norman, b, t_end, steps) == path
-        assert _outcome(wei_norman_final, b, t_end, steps) == final
+        _assert_follows_reference(b, t_end, steps)
 
 
-@settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(x=st.complex_numbers(), y=st.complex_numbers())
-def test_mul_is_python_complex_product(x, y):
-    # NaN, infinities and signed zeros included: every bit of the product, zero signs too
-    with np.errstate(all="ignore"):
-        got = algebra._mul(x, np.array([y]))[0].item()
-    assert repr(got) == repr(x * y)
+@functools.lru_cache(maxsize=None)
+def _blowup_sweep():
+    """24 seeded (generator, t_end, steps, block) cases, with coefficients of
+    real and imaginary parts in [-2, 2) and |t_end| below 4, on which
+    rk4_samples raises BlowUpError: about half at a stage overflow, half at
+    the bound."""
+    rng = np.random.default_rng(42)
+    cases = []
+    while len(cases) < 24:
+        b = GeneratorCoefficients(*(complex(x, y) for x, y in rng.uniform(-2.0, 2.0, (4, 2))))
+        t_end, steps = float(rng.uniform(-4.0, 4.0)), int(rng.integers(1, 200))
+        try:
+            rk4_samples(b, t_end, steps)
+        except BlowUpError as exc:
+            block = (1, 2, 3, 7, algebra.RK4_BLOCK)[len(cases) % 5]
+            cases.append((b, t_end, steps, block, _reference_step(exc, t_end, steps)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(24))
+def test_random_blowups_at_the_reference_step(case):
+    b, t_end, steps, block, step = _blowup_sweep()[case]
+    with mock.patch.object(algebra, "RK4_BLOCK", block):
+        _assert_blows_up_at(b, t_end, steps, step)
 
 
 def _peak_bytes(entry, steps):

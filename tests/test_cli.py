@@ -184,11 +184,16 @@ class TestFactorize:
         code, out, err = run(capsys, "factorize", "squeeze", *argv)
         assert (code, out, err) == (0, expected, "")
 
-    def test_ode_check_across_caustic_fails(self, capsys):
-        # an RK4 stage overflows on the way across pi/2
-        code, _, err = run(capsys, "factorize", "oscillator", "--t", "1.6", "--ode-check")
+    @pytest.mark.parametrize("steps, named", [
+        ((), "from t = 1.5712 to 1.5728 "),
+        (("--ode-steps", "52"), "from t = 1.56923 to 1.6 "),
+    ])
+    def test_ode_check_across_caustic_fails(self, capsys, steps, named):
+        # an RK4 stage overflows in the step across pi/2
+        code, _, err = run(capsys, "factorize", "oscillator", "--t", "1.6", "--ode-check", *steps)
         assert code == 1
-        assert err.startswith("error: ode check failed") and "caustic" in err
+        assert err.startswith("error: ode check failed: the RK4 step " + named)
+        assert err.count("\n") == 1 and "caustic" in err
 
 
 class TestEvolve:
