@@ -33,9 +33,12 @@ lookup skips them.
 There are two private kernels that may overwrite buf and return the result:
 _multiply(buf, factor, multiplier) returns buf itself (numpy's in-place
 fft/ifft via out=, hence numpy >= 2.0), _dilate(buf, grid, factor) a new
-array.  One runner, _run, serves apply_chain and the apply_* functions,
-which are chains of one factor, so a refused factor is a ChainRefusedError
-in each of them.
+array and does nothing but resample.  One runner, _run, serves apply_chain
+and the apply_* functions, which are chains of one factor, so a refused
+factor is a ChainRefusedError in each of them.  _run owns the state's health:
+it reads sum |psi|^2 of the input once and again after every factor that
+runs, raises ChainError at the first factor where it is not finite, and
+compares a dilation's two readings to find lost support.
 """
 from __future__ import annotations
 
@@ -127,15 +130,6 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
-def _require_finite(samples: np.ndarray) -> None:
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
-
-
-def _norm(samples: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(np.sum(np.abs(samples) ** 2) * dx))
-
-
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex samples of a state on a Grid.  Treated as an immutable value."""
@@ -147,7 +141,8 @@ class WaveFunction:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.shape != (self.grid.n,):
             raise ValueError(f"samples must have shape ({self.grid.n},), got {arr.shape}")
-        _require_finite(arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite")
         object.__setattr__(self, "samples", arr)
 
     @classmethod
@@ -156,7 +151,7 @@ class WaveFunction:
 
     def norm(self) -> float:
         """L2 norm by the rectangle rule (spectrally accurate for decaying states)."""
-        return _norm(self.samples, self.grid.dx)
+        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dx))
 
     def density(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
@@ -274,19 +269,7 @@ def _dilate(buf: np.ndarray, grid: Grid, factor: Dilation) -> np.ndarray:
     kernel = np.fft.fft(np.concatenate([half[:n], half[n:0:-1]]))
     values = chirp * np.fft.ifft(chirped * kernel)[:n]
     values += nyquist * np.cos(0.5 * n * theta + math.pi * scale * centred)
-    out = np.where(inside, values / n, 0.0)
-
-    expected = _norm(buf, grid.dx) ** 2 / scale
-    if expected > 0.0:
-        lost = expected - _norm(out, grid.dx) ** 2
-        if lost > OVERFLOW_FRAC * expected:
-            warnings.warn(
-                SupportOverflowWarning(
-                    f"dilation by {scale:.6g} lost a fraction {lost / expected:.3e} "
-                    f"of the expected norm to points outside the grid"
-                )
-            )
-    return out
+    return np.where(inside, values / n, 0.0)
 
 
 def _kernel(grid: Grid, factor: OperatorFactor) -> Callable | None:
@@ -326,17 +309,28 @@ def _run(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFunction:
     for index, (factor, kernel) in enumerate(zip(factors, kernels)):
         if kernel is None:
             continue
-        try:
-            buf = psi.samples.copy() if buf is None else buf
-            if kernel is _dilate:
-                buf = _dilate(buf, grid, factor)
-            else:
-                if factor not in held:
-                    held[factor] = _multiplier(grid, factor)
-                buf = _multiply(buf, factor, held.pop(factor) if last[factor] == index else held[factor])
-            _require_finite(buf)
-        except (ValueError, TypeError) as exc:
-            raise ChainError(f"factor {index} ({type(factor).__name__}) failed: {exc}") from exc
+        if buf is None:
+            buf = psi.samples.copy()
+            total = np.vdot(buf, buf).real
+        if kernel is _dilate:
+            buf = _dilate(buf, grid, factor)
+        else:
+            if factor not in held:
+                held[factor] = _multiplier(grid, factor)
+            buf = _multiply(buf, factor, held.pop(factor) if last[factor] == index else held[factor])
+        # sum |psi|^2 has no negative term, so it is not finite once any sample is not
+        before, total = total, np.vdot(buf, buf).real
+        if not math.isfinite(total):
+            raise ChainError(f"factor {index} ({type(factor).__name__}) failed: "
+                             f"sum |psi|^2 is not finite")
+        if kernel is _dilate:
+            # ||psi(scale x)||^2 = ||psi||^2 / scale; what is missing left the window
+            expected = before / factor.scale
+            if expected - total > OVERFLOW_FRAC * expected:
+                warnings.warn(SupportOverflowWarning(
+                    f"dilation by {factor.scale:.6g} lost a fraction "
+                    f"{(expected - total) / expected:.3e} "
+                    f"of the expected norm to points outside the grid"))
     return psi if buf is None else psi.with_samples(buf)
 
 
@@ -357,9 +351,10 @@ def apply_dilation(psi: WaveFunction, scale: float) -> WaveFunction:
     one chirp-z (Bluestein) convolution.  Points mapped outside
     [x_0, x_{n-1}] read as zero, which is exact for states that decay inside
     the window, and no point is read across the periodic boundary.
-    The continuum identity ||psi(scale x)||^2 = ||psi||^2 / scale is used for
-    norm accounting: if more than OVERFLOW_FRAC of the expected output norm is
-    missing, the dilated support crossed the window edge and a
+    The chain runner does the norm accounting with the continuum identity
+    ||psi(scale x)||^2 = ||psi||^2 / scale, from the sum |psi|^2 it reads
+    before and after every factor: if more than OVERFLOW_FRAC of the expected
+    output norm is missing, the dilated support crossed the window edge and a
     SupportOverflowWarning is issued.
     """
     return _run(psi, [Dilation(scale)])
@@ -391,8 +386,10 @@ def apply_chain(psi: WaveFunction, factors: Sequence[OperatorFactor]) -> WaveFun
     runs in place on that one buffer, so psi is never written and a chain of
     identities returns psi itself.  The array a factor multiplies by is
     built at the factor's first use and dropped after its last, so the
-    chain holds none of them once it returns.  The buffer is checked to be
-    finite after every factor.  Every factor's kernel is resolved before the first runs,
+    chain holds none of them once it returns.  After every factor that runs,
+    sum |psi|^2 is read once, in one pass; where it is not finite (a sample
+    that is not, or samples past about 1e154 whose squares overflow the sum)
+    the chain fails.  Every factor's kernel is resolved before the first runs,
     so a refused factor raises ChainRefusedError and a failure while running
     raises ChainError, each with the offending index in the message.
     """

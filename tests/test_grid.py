@@ -3,6 +3,7 @@ import cmath
 import contextlib
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from opfactor.grid import (
 )
 from opfactor import grid as grid_module
 from opfactor.grid import _multiplier
-from opfactor.states import coherent_evolved, coherent_state, psi0
+from opfactor.states import SqueezedStateSpec, coherent_evolved, coherent_state, psi0, psi_ss
 from reference import traced_held, traced_peak
 
 
@@ -565,7 +566,7 @@ class TestChains:
             apply_chain(ground, [QuadraticPhase(0.0, 0.0, 1.0), Shift(20.0)])
 
     def test_refused_factor_is_raised_before_any_runs(self, ground):
-        # the overflow at factor 1 would fail the chain if factor 2 were not refused first
+        # the overflow at factor 0 would fail the chain if factor 2 were not refused first
         with np.errstate(over="ignore"), pytest.raises(ChainRefusedError, match="factor 2"):
             apply_chain(ground, [QuadraticPhase(0.0, 0.0, 1e200)] * 2 + [Shift(20.0)])
         assert issubclass(ChainRefusedError, ChainError) and issubclass(ChainRefusedError, ValueError)
@@ -575,8 +576,37 @@ class TestChains:
             apply_chain(ground, [object()])
 
     def test_nonfinite_mid_chain_names_its_factor(self, ground):
-        with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 2"):
+        # every sample of factor 1's output is finite, but sum |psi|^2 overflows there
+        with np.errstate(over="ignore"), pytest.raises(ChainError, match="factor 1 .* not finite"):
             apply_chain(ground, [QuadraticPhase(0.0, 0.0, s) for s in (1.0, 1e200, 1e200)])
+
+    @pytest.mark.parametrize("chain, index", [
+        # a x^2 overflows, so the chirp and the samples turn NaN
+        ([QuadraticPhase(0.3), QuadraticPhase(1e308)], 1),
+        # every sample stays finite; their squares overflow the sum
+        ([QuadraticPhase(0.0, 0.0, 1e200)], 0),
+    ], ids=["nan_samples", "finite_samples"])
+    def test_nonfinite_sum_names_its_factor(self, ground, chain, index):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ChainError, match=f"factor {index} .* not finite"):
+            apply_chain(ground, chain)
+
+    def test_lossy_dilation_inside_a_chain_warns_once(self, grid):
+        # the evolve case of tests/test_cli.py's lost-support line, then a time chain
+        spec = SqueezedStateSpec(1.0, 0.5, SqueezeParameter(0.8, 1.0))
+        psi = WaveFunction.from_callable(grid, lambda x: psi_ss(x, spec))
+        chain = squeeze_factors(SqueezeParameter(0.5, 0.3)) + time_displacement_factors(1.0)
+        with pytest.warns(SupportOverflowWarning) as record:
+            apply_chain(psi, chain)
+        assert [str(w.message) for w in record] == [
+            "dilation by 0.615215 lost a fraction 7.039e-06 of the expected norm "
+            "to points outside the grid"]
+
+    def test_identity_and_lossless_dilations_do_not_warn(self, ground):
+        chain = [QuadraticPhase(0.2), Dilation(1.0), SpectralD2(0.3j), Dilation(2.0), Shift(0.5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SupportOverflowWarning)
+            apply_chain(ground, chain)
 
     @pytest.mark.parametrize("n, x0, p0, chain", [
         # the evolve-period chain: 16 periods in 128 substeps
