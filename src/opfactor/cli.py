@@ -20,6 +20,7 @@ import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,112 +171,245 @@ def _fmt17(value: float) -> str:
 # --- exact %.17g fields ------------------------------------------------------------
 
 _FIELD = 29  # bytes per field: sign, "0.000", 17 digits and a dot, "e+123"
-_EXP0 = 400  # the exponent tables' column of decimal exponent 0
-_U = float(np.finfo(np.longdouble).eps) / 2
-_BETA = 2 * _U + _U * _U
-# |w - |x| 10^(16-k)| <= beta / (1 - beta) w for the longdouble product w in
-# _fields17; the factor 1 + 2^-48 covers the few double roundings of the bound
-_ERROR_SLOPE = _BETA / (1 - _BETA) * (1 + 2.0**-48)
+_EXP0 = 400  # the exponent tables' row of decimal exponent 0
+_FAST_K = (-292, 299)  # the exponents whose power 10^(16-k) the tables hold
+_CLAMP_BITS = int(np.float64(1e300).view(np.int64))  # 1e300, outside _FAST_K
+# numpy scalars, which a ufunc reads without converting a Python float per call
+_TINY, _ZERO, _EXP0_FLOAT = np.float64(5e-324), np.float64(0.0), np.float64(_EXP0)
+_LOW26 = (1 << 26) - 1  # the low mantissa bits that split a double into 27 + 26 bits
+# a bound on the rounding error of t in _fields17, which is below 4e-15 there
+_ERROR_BOUND = 2.0**-46
+
+
+def _powers_of_ten(lowest: int, highest: int) -> np.ndarray:
+    """(hi, lo) for j from lowest < 0 to highest, with 10^j = hi + lo: hi is
+    10^j correctly rounded and lo the rest, rounded, from plain ints.
+
+    Each 10^j is f 2^-s for an int f of 320 to 420 bits, stepped from 10^0 =
+    2^320 2^-320 by one factor of 10 at a time.  Up to 10^160 that is exact;
+    each other step truncates below f's last bit, so 10^j is f 2^-s to a
+    relative 2^-300, far below lo's last bit.
+    """
+    steps = []
+    f, s = 1 << 320, 320
+    for _ in range(-lowest):
+        f, s = (f << 4) // 10, s + 4
+        if f >> 330:
+            f, s = f >> 8, s - 8
+        steps.append((f, s))
+    steps.reverse()
+    f, s = 1 << 320, 320
+    for _ in range(highest + 1):
+        steps.append((f, s))
+        f, s = f * 10 >> 3, s - 3
+    his = [float(f) for f, _ in steps]
+    ldexp = math.ldexp
+    return np.array([[ldexp(hi, -s) for hi, (_, s) in zip(his, steps)],
+                     [ldexp(float(f - int(hi)), -s) for hi, (f, s) in zip(his, steps)]])
 
 
 @functools.cache
 def _field_tables():
     """The kernel's lookup tables, built on its first call.
 
-    Per decimal exponent k in [-400, 400]: the correctly rounded longdouble
-    10^(16-k), the body slot of the dot, the count of leading digits that
-    are always written, and the bytes of the "0.000" prefix and the "e+123"
-    suffix, NUL where %g writes none.  Per group of 4 digits: their ASCII
-    bytes and the count of trailing zeros (4 for 0000).
+    A field is bytes 1-29 of 4 little-endian words of 8 bytes: the sign, the
+    "0.000" prefix and the lead digit D0 in word 0 (bytes 1, 2-6 and 7), the
+    digits D1..D16 in words 1 and 2 (bytes 8-23), and the "e+123" suffix in
+    bytes 25-29.  A dot before digit D_p goes to byte 7 + p, and D_p..D16
+    move up one byte.
+
+    Per decimal exponent k in [-400, 400]: 10^(16-k) as the two-double
+    hi + lo, within 2^-106 10^(16-k), and -hi, for k in _FAST_K and 0
+    elsewhere; and a field's words of the form of k, with '0' for D0, but the
+    masks of the bytes that move in words 1 and 2.  Outside _FAST_K, where
+    the kernel writes only zero, the form is that of k = 0.
+    Per k and dot (row k + 801 if there is one): words 1 and 2 with '0' in
+    every integer digit, which a stripped one reads, and the dot.  Per group
+    g of 4 digits: its ASCII bytes as a uint32, with its trailing zeros NUL,
+    for the last nonzero group and the zero ones after it, and at g + 10^4
+    whole.
     """
     k = np.arange(-_EXP0, _EXP0 + 1)
-    powers = np.array([f"1e{16 - e}" for e in k.tolist()]).astype(np.longdouble)
-    fixed = (k >= -4) & (k < 17)
-    dots = np.where(fixed, np.where(k < 0, 17, k + 1), 1).astype(np.uint8)
-    whole = np.where(fixed & (k >= 0), k + 1, 1).astype(np.uint8)
-    form = np.zeros((10, k.size), np.uint8)
-    prefix = fixed & (k < np.array([[0], [0], [-1], [-2], [-3]]))
-    form[:5] = np.frombuffer(b"0.000", np.uint8)[:, None] * prefix
-    e = np.abs(k)
-    form[5:] = ~fixed * np.array([
-        np.full_like(k, ord("e")), np.where(k < 0, ord("-"), ord("+")),
-        np.where(e >= 100, e // 100 + ord("0"), 0), e // 10 % 10 + ord("0"), e % 10 + ord("0"),
-    ])
-    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1)
-    zeros = np.logical_and.accumulate(digits[::-1] == 0).sum(axis=0, dtype=np.uint8)
-    return powers, dots, whole, form, digits + np.uint8(ord("0")), zeros
+    powers = np.zeros((3, k.size))
+    fast = slice(_FAST_K[0] + _EXP0, _FAST_K[1] + _EXP0 + 1)
+    powers[:2, fast] = _powers_of_ten(16 - _FAST_K[1], 16 - _FAST_K[0])[:, ::-1]
+    powers[2] = -powers[0]
+    e = np.where((k >= _FAST_K[0]) & (k <= _FAST_K[1]), k, 0)[:, None]
+    fixed = (e >= -4) & (e < 17)
+    dot = np.where(fixed, np.where(e < 0, 17, e + 1), 1)
+    whole = np.where(fixed & (e >= 0), e + 1, 1)
+    slot = np.arange(32)
+    forms = np.zeros((k.size, 32), np.uint8)
+    prefix = fixed & (e < 0) & (slot[:5] < 1 - e)
+    forms[:, 2:7] = np.where(prefix, np.frombuffer(b"0.000", np.uint8), 0)
+    forms[:, 7] = ord("0")
+    forms[:, 8:24] = np.where(slot[8:24] >= 7 + dot, 255, 0)
+    a = np.abs(e)
+    suffix = np.hstack([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                        np.where(a >= 100, a // 100 + ord("0"), 0),
+                        a // 10 % 10 + ord("0"), a % 10 + ord("0")])
+    forms[:, 25:30] = np.where(fixed, 0, suffix)
+    has_dot = np.arange(2, dtype=bool)[:, None, None]
+    marks = np.where(slot[8:24] < 7 + whole, np.uint8(ord("0")), np.uint8(0))
+    marks = marks | np.where(has_dot & (slot[8:24] == 7 + dot), np.uint8(ord(".")), np.uint8(0))
+    marks = np.ascontiguousarray(marks.reshape(-1, 16).view(np.uint64).T)
+    # group g = 1000 a + 100 b + 10 c + d: bytes a, b, c, d, and its trailing zeros
+    chars = np.arange(ord("0"), ord("0") + 10, dtype=np.uint32)
+    zero = np.arange(10) == 0
+    shape = [(10, 1, 1, 1), (1, 10, 1, 1), (1, 1, 10, 1), (1, 1, 1, 10)]
+    chars = sum(chars.reshape(dims) << np.uint32(8 * i) for i, dims in enumerate(shape)).ravel()
+    zeros, run = np.uint32(0), True
+    for dims in shape[::-1]:
+        run = run & zero.reshape(dims)
+        zeros = zeros + run.astype(np.uint32)
+    # a shift by 32 bits is undefined on uint32, so NUL all of 0000 by hand
+    zeros = zeros.ravel()
+    stripped = np.where(zeros < 4, chars & np.uint32(2**32 - 1) >> np.uint32(8) * zeros % 32, 0)
+    return powers, forms.view(np.uint64), marks, np.concatenate([stripped.astype(np.uint32), chars])
 
 
-def _fields17(x) -> np.ndarray:
+class _Scratch:
+    """The kernel's work arrays for up to `size` numbers, which each call of
+    `_fields17` on at most that many numbers reuses: rows of 8-byte numbers,
+    read as float64, int64 or uint64, and rows of flags."""
+
+    def __init__(self, size: int):
+        self.rows = np.empty((14, size), np.uint64)
+        self.flags = np.empty((3, size), bool)
+        self._views = {}
+
+    def views(self, n: int) -> SimpleNamespace:
+        """The kernel's named views of its first n numbers, made once per n.
+
+        Rows are reused once their value is read for the last time, so the
+        names below share rows; `_fields17` uses each in its turn.
+        """
+        if n not in self._views:
+            words = self.rows[:, :n]
+            f, i = words.view(np.float64), words.view(np.int64)
+            # two pairs of digit groups, each pair side by side in two rows,
+            # and later the fields, 4 words each, in the same four rows
+            pairs = [self.rows[j:j + 2].view(np.int64).reshape(-1, 2)[:n] for j in (4, 6)]
+            fields = self.rows[4:8].reshape(-1)[:4 * n].reshape(n, 4)
+            flags = self.flags[:, :n]
+            self._views[n] = SimpleNamespace(
+                ints=i, fast=flags[0], zero=flags[1], flag=flags[2],
+                # the product: |x|, then y, y's lo and -y, then (hi, yh) over (lo, yl)
+                a=f[0], power=f[1:4], tail=f[2], minus_y=f[3], pair=f[0:2],
+                halves=f[3:7:2], y_halves=f[4:7:2], heads=f[3:5], tails=f[5:7],
+                terms=f[7:13], k=i[13], log=f[12], t=f[3],
+                bits=i[0], hi_bits=i[3], y_bits=i[1], yh_bits=i[4], N=i[0], R=i[1], range=words[1],
+                # the digits
+                eights=i[10:12], fours=i[8:10], spare_ints=i[2:4], lead=i[12],
+                pairs=[pair.reshape(-1) for pair in pairs], indexes=[pair.T for pair in pairs],
+                later=i[:3], sign=i[0],
+                # the fields
+                fields=fields, digits=words[10:12], middle=fields[:, 1:3].T, moved=words[1:3],
+                spare=words[8:10], tmp=words[0], dotted=i[0], index=i[3],
+                text=fields.view(np.uint8)[:, 1:_FIELD + 1])
+        return self._views[n]
+
+
+def _fields17(x, scratch: _Scratch | None = None) -> np.ndarray:
     """The `%.17g` text of each number of the 1-D array `x`, as a
-    (_FIELD, len(x)) uint8 array: column i holds the text of x[i] with NUL
-    bytes among it, which the caller deletes.
+    (len(x), _FIELD) uint8 array: row i holds the text of x[i] with NUL bytes
+    among it, which the caller deletes.  With `scratch`, the kernel allocates
+    no array of x's size, and the result is a view of scratch.rows.
 
-    With k = floor(log10|x|), the digits are those of N = round(|x| 10^(16-k)).
-    The product w = |x| 10^(16-k) is formed in longdouble, from a correctly
-    rounded power, so it is within _ERROR_SLOPE w of the exact product.
-    Where w is farther than that from a half-integer and 10^16 < rint(w) <
-    10^17, the exact product rounds to rint(w), so N = rint(w) and k is the
-    exponent of %.17g.  Zero is N = 0 at exponent 0, which is exact.  Every
-    other number, among them NaN, inf, near-ties and powers of ten, is
-    formatted by `_fmt17`.  Where longdouble is a plain double the bound
-    exceeds 1/2, so that is every number but zero.
+    With k = floor(log10|x|), the digits are those of N = round(W), W =
+    |x| 10^(16-k).  For k in _FAST_K the table holds 10^(16-k) as y + lo,
+    within 2^-106 10^(16-k).  Dekker's exact product gives |x| y = p + e
+    with p and e doubles; as p >= 10^16 > 2^53 is an integer, N = p +
+    round(W - p), and W - p is e + |x| lo within 2^-106 W + 2^-53 |x lo| +
+    2^-53 |e + x lo|, below 4e-15 for W < 10^17.  So where t = e + |x| lo, as
+    computed, is farther than _ERROR_BOUND from a half-integer and 10^16 < N <
+    10^17, N is exact and k is the exponent of %.17g.  Zero is N = 0.  Every
+    other number, among them NaN, inf, near-ties, powers of ten and numbers
+    outside _FAST_K, is formatted by `_fmt17`.
     """
-    powers, dots, whole, form, digits, trailing = _field_tables()
+    powers, forms, marks, groups = _field_tables()
     x = np.asarray(x, dtype=np.float64).ravel()
     n = x.size
-    a = np.abs(x)
-    fast = a < np.inf
-    a[~fast] = 0.0
-    k = np.log10(a, out=np.zeros(n), where=a > 0)
-    k = np.floor(k, out=k).astype(np.intp) + _EXP0
-    w = a.astype(np.longdouble)
-    w *= powers[k]
-    r = np.rint(w)
-    # w - r is exact, and as w is 0 or >= 2^10 it is a multiple of 2^-53, so
-    # it is exact as a double too.  a's memory takes the bound plus |w - r| in
-    # doubles: the slope's margin covers the bound's roundings, and the sum,
-    # rounded, is below 1/2 only where the exact one is
-    np.copyto(a, w, casting="same_kind")
-    a *= _ERROR_SLOPE
-    a += np.abs((w - r).astype(np.float64))
-    fast &= a < 0.5
-    N = r.astype(np.uint64)
-    fast &= (N - np.uint64(10**16 + 1) < np.uint64(9 * 10**16 - 1)) | (N == 0)
+    v = (scratch or _Scratch(n)).views(n)
 
-    # N as a leading digit and four groups of 4 digits, each group a table row
-    hi, lo = (half.astype(np.intp) for half in np.divmod(N, 100000000))
-    h1 = hi // 10000
-    lead = h1 // 10000
-    g = np.array([h1 - lead * 10000, hi - h1 * 10000, lo // 10000, lo % 10000])
-    slot = np.arange(18, dtype=np.uint8)[:, None]
-    body = np.zeros((18, n), np.uint8)
-    body[0] = lead + np.uint8(ord("0"))
-    for i in range(4):
-        np.take(digits[i], g, out=body[1 + i:17:4])
-    # the significant digits are those up to the last nonzero one
-    t = trailing[g]
-    places = 17 - (t[3] + (g[3] == 0) * (t[2] + (g[2] == 0) * (t[1] + (g[1] == 0) * t[0])))
-    body[:17] *= (slot[:17] < np.maximum(places, whole[k])).view(np.uint8)
+    # |x|, and 1e300, outside _FAST_K, for anything larger: positive doubles,
+    # inf and NaN among them, order as their bits do
+    np.bitwise_and(x.view(np.int64), 2**63 - 1, out=v.bits)
+    np.minimum(v.bits, _CLAMP_BITS, out=v.bits)
+    np.log10(np.maximum(v.a, _TINY, out=v.log), out=v.log)
+    v.log += _EXP0_FLOAT
+    np.copyto(v.k, v.log, casting="unsafe")  # log > 0, so truncation is floor
+    powers.take(v.k, axis=1, out=v.power, mode="clip")
+    terms = v.terms
+    np.multiply(v.a, v.minus_y, out=terms[0])  # -p, exactly the negated product
+    # |x| = hi + lo in 27 + 26 bits, and y = yh + yl in 26 + 26 bits, yh
+    # rounded to its upper 26 bits, where a carry into the exponent is exact
+    np.bitwise_and(v.bits, ~_LOW26, out=v.hi_bits)
+    np.bitwise_and(np.add(v.y_bits, 2**26, out=v.yh_bits), ~(2**27 - 1), out=v.yh_bits)
+    np.subtract(v.pair, v.heads, out=v.tails)
+    # -p, the four exact products in Dekker's order, whose sum with -p is
+    # the exact |x| y - p, and |x| lo: the six rows sum in this order
+    np.multiply(v.halves[None], v.y_halves[:, None], out=terms[1:5].reshape(2, 2, n))
+    np.multiply(v.a, v.tail, out=terms[5])
+    np.add.reduce(terms, axis=0, out=v.t)
+    r = np.rint(v.t, out=terms[1])
+    np.abs(np.subtract(v.t, r, out=v.t), out=v.t)
+    np.less(v.t, np.float64(0.5 - _ERROR_BOUND), out=v.fast)
+    np.copyto(v.ints[:2], terms[:2], casting="unsafe")  # -p and r
+    np.subtract(v.R, v.N, out=v.N)
+    np.subtract(v.N, 10**16 + 1, out=v.R)
+    v.fast &= np.less(v.range, 9 * 10**16 - 1, out=v.flag)
+    v.fast |= np.equal(x, _ZERO, out=v.zero)
 
-    # insert the dot at its slot p: digits before p stay, the rest move up one
-    p = dots[k]
-    shifted = np.empty_like(body)
-    shifted[0] = 0
-    shifted[1:] = body[:17]
-    body = shifted + (slot < p).view(np.uint8) * (body - shifted)
-    body.reshape(-1)[p.astype(np.intp) * n + np.arange(n)] = (places > p) * np.uint8(ord("."))
+    # N as a lead digit and four groups of 4 digits: N's upper and lower 8
+    # digits split into 4 and 4 side by side
+    halves, quarters = v.eights, v.fours
+    np.floor_divide(v.N, 10**8, out=halves[0])
+    np.subtract(v.N, np.multiply(halves[0], 10**8, out=halves[1]), out=halves[1])
+    np.floor_divide(halves, 10**4, out=quarters)  # upper's lead digit and g0, and g2
+    halves -= np.multiply(quarters, 10**4, out=v.spare_ints)  # g1 and g3
+    np.floor_divide(quarters[0], 10**4, out=v.lead)
+    quarters[0] -= np.multiply(v.lead, 10**4, out=v.spare_ints[0])  # g0
+    g0, g2 = quarters
+    g1, g3 = halves
+    # each pair of groups side by side, as the indexes of their chars: a
+    # group followed by a nonzero one reads them whole, at g + 10^4; the last
+    # nonzero group, and the zero ones after it, read them stripped
+    (i0, i1), (i2, i3) = v.indexes
+    later = v.later  # g1 | g2 | g3, g2 | g3 and g3
+    np.bitwise_or(g2, g3, out=later[1])
+    np.bitwise_or(g1, later[1], out=later[0])
+    np.minimum(later[:2], 1, out=later[:2])
+    np.minimum(g3, 1, out=later[2])
+    np.multiply(later, 10**4, out=later)
+    np.add(g0, later[0], out=i0)
+    np.add(g1, later[1], out=i1)
+    np.add(g2, later[2], out=i2)
+    np.copyto(i3, g3)
+    for word, pair in zip(v.digits, v.pairs):
+        groups.take(pair, out=word.view(np.uint32), mode="clip")
 
-    out = np.empty((_FIELD, n), np.uint8)
-    out[0] = np.signbit(x) * np.uint8(ord("-"))
-    np.take(form[:5], k, axis=1, out=out[1:6])
-    out[6:24] = body
-    np.take(form[5:], k, axis=1, out=out[24:])
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = "".join(_fmt17(v).ljust(_FIELD, "\0") for v in x[slow].tolist())
-        out[:, slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _FIELD).T
-    return out
+    fields, digits, moved, spare = v.fields, v.digits, v.moved, v.spare
+    forms.take(v.k, axis=0, out=fields, mode="clip")
+    # the digits from the dot's slot on move up one byte: adding 255 m is
+    # adding m << 8 less m, and the top byte carries to the next word.  A dot
+    # goes before them if any is left after stripping
+    np.bitwise_and(v.middle, digits, out=moved)
+    np.minimum(np.bitwise_or(moved[0], moved[1], out=v.tmp), 1, out=v.tmp)
+    np.add(v.k, np.multiply(v.dotted, forms.shape[0], out=v.dotted), out=v.index)
+    digits += np.multiply(moved, 255, out=spare)
+    carry = np.right_shift(moved, 56, out=spare)
+    digits[1] += carry[0]
+    fields[:, 3] |= carry[1]
+    np.bitwise_or(digits, marks.take(v.index, axis=1, out=spare, mode="clip"), out=v.middle)
+    np.left_shift(v.lead, 56, out=v.lead)
+    v.lead |= np.bitwise_and(np.right_shift(x.view(np.int64), 63, out=v.sign), ord("-") << 8, out=v.sign)
+    fields[:, 0] |= v.lead.view(np.uint64)
+    if np.count_nonzero(v.fast) < n:
+        slow = np.flatnonzero(np.logical_not(v.fast, out=v.flag))
+        fallback = "".join(_fmt17(value).ljust(_FIELD, "\0") for value in x[slow].tolist())
+        v.text[slow] = np.frombuffer(fallback.encode("ascii"), np.uint8).reshape(-1, _FIELD)
+    return v.text
 
 
 def _write_rows(columns, fixed: dict, blocks, config: RunConfig, stream) -> None:
@@ -292,36 +426,48 @@ def _write_rows(columns, fixed: dict, blocks, config: RunConfig, stream) -> None
     whose text is that of `%.17g`.  The shared columns are formatted once per
     table, and the block constants CSV_BLOCK_ROWS blocks at a time; their
     fields are copied into every row.  Cells are formatted per chunk of
-    CSV_BLOCK_ROWS rows, all cell columns of a chunk in one call, into the one
-    chunk buffer, which is written once its NUL bytes are deleted.  So CSV
-    holds one block at a time.  JSON builds the full rows array.
+    CSV_BLOCK_ROWS rows, all cell columns of a chunk in one call, in scratch
+    arrays made once per table, into the one chunk buffer, which is written
+    once its NUL bytes are deleted.  JSON writes the text of `json.dump(...,
+    indent=1)` CSV_BLOCK_ROWS rows at a time.  So either holds one block at a
+    time.
     """
     constants = [j for j, v in fixed.items() if np.ndim(v) == 2]
     shared = [j for j in fixed if j not in constants]
     cells = [j for j in range(len(columns)) if j not in fixed]
     if config.fmt == "json":
-        rows = []
+        head = json.dumps({"config": config.summary(), "columns": columns, "rows": []}, indent=1)
+        stream.write(head[:-len("]\n}")])
+        sep = "\n  "
         for b, block in enumerate(blocks):
             values = {j: v[b, 0] if j in constants else v for j, v in fixed.items()}
             values |= zip(cells, block)
-            rows += np.column_stack(np.broadcast_arrays(*(values[j] for j in sorted(values)))).tolist()
-        json.dump({"config": config.summary(), "columns": columns, "rows": rows}, stream, indent=1)
-        stream.write("\n")
+            table = np.column_stack(np.broadcast_arrays(*(values[j] for j in sorted(values))))
+            for start in range(0, len(table), CSV_BLOCK_ROWS):
+                text = ",\n  ".join("[\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]"
+                                    for row in table[start:start + CSV_BLOCK_ROWS].tolist())
+                # json.dump's tokens for non-finite numbers; no finite repr holds "nan" or "inf"
+                stream.write(sep + text.replace("nan", "NaN").replace("inf", "Infinity"))
+                sep = ",\n  "
+        stream.write("]\n}\n" if sep == "\n  " else "\n ]\n}\n")
         return
 
     stream.write(",".join(columns) + "\r\n")
     # CSV_BLOCK_ROWS rows: every column's field, then "," or "\r\n"
-    chunk = np.zeros((CSV_BLOCK_ROWS, len(columns), _FIELD + 2), np.uint8)
+    buffer = bytearray(CSV_BLOCK_ROWS * len(columns) * (_FIELD + 2))
+    chunk = np.frombuffer(buffer, np.uint8).reshape(CSV_BLOCK_ROWS, len(columns), _FIELD + 2)
     chunk[:, :, _FIELD] = ord(",")
     chunk[:, -1, _FIELD:] = np.frombuffer(b"\r\n", np.uint8)
     if shared:
-        shared_fields = _fields17(np.stack([fixed[j] for j in shared], axis=1))
-        shared_fields = shared_fields.T.reshape(-1, len(shared), _FIELD)
+        shared_fields = _fields17(np.stack([fixed[j] for j in shared], axis=1)).copy()
+        shared_fields = shared_fields.reshape(-1, len(shared), _FIELD)
+    values = np.empty((CSV_BLOCK_ROWS, len(cells)))
+    scratch = _Scratch(values.size)
     for b, block in enumerate(blocks):
         if constants:
             if b % CSV_BLOCK_ROWS == 0:
                 group = np.stack([fixed[j][b:b + CSV_BLOCK_ROWS, 0] for j in constants], axis=1)
-                constant_fields = _fields17(group).T.reshape(-1, len(constants), _FIELD)
+                constant_fields = _fields17(group).copy().reshape(-1, len(constants), _FIELD)
             chunk[:, constants, :_FIELD] = constant_fields[b % CSV_BLOCK_ROWS]
         nrows = len(block[0])
         for start in range(0, nrows, CSV_BLOCK_ROWS):
@@ -329,9 +475,11 @@ def _write_rows(columns, fixed: dict, blocks, config: RunConfig, stream) -> None
             lines = chunk[:stop - start]
             if shared:
                 lines[:, shared, :_FIELD] = shared_fields[start:stop]
-            fields = _fields17(np.stack([v[start:stop] for v in block], axis=1))
-            lines[:, cells, :_FIELD] = fields.T.reshape(stop - start, len(cells), _FIELD)
-            stream.write(lines.tobytes().translate(None, b"\0").decode("ascii"))
+            cell_values = np.stack([v[start:stop] for v in block], axis=1, out=values[:stop - start])
+            fields = _fields17(cell_values, scratch)
+            lines[:, cells, :_FIELD] = fields.reshape(stop - start, len(cells), _FIELD)
+            text = buffer if stop - start == CSV_BLOCK_ROWS else buffer[:lines.nbytes]
+            stream.write(text.translate(None, b"\0").decode("ascii"))
 
 
 @contextlib.contextmanager

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1039,8 +1040,8 @@ class TestOutputFormat:
         assert rows.tobytes() == np.column_stack([full[j] for j in order]).tobytes()
 
     def test_fallback_alone_writes_the_same_bytes(self, monkeypatch):
-        # Where longdouble is a plain double, the kernel's error bound is over
-        # 1/2 and every number but zero, which is exact, is formatted by
+        # With an error bound of 1/2, no distance from a half-integer is far
+        # enough, and every number but zero, which is exact, is formatted by
         # _fmt17.  That one path must write the same bytes as the kernel.
         tables = _csv_tables()
         numbers = sum(np.size(v) for _, values in tables for v in values)
@@ -1050,7 +1051,7 @@ class TestOutputFormat:
         kernel = [_csv_text(*table) for table in tables]
         assert 0 < len(formatted) < numbers / 10
         formatted.clear()
-        monkeypatch.setattr(cli, "_ERROR_SLOPE", 1.0)
+        monkeypatch.setattr(cli, "_ERROR_BOUND", 0.5)
         assert [_csv_text(*table) for table in tables] == kernel
         assert zeros > 0 and len(formatted) == numbers - zeros
 
@@ -1084,8 +1085,12 @@ class TestOutputFormat:
 def _printf_mismatches(x):
     """(value, field, %.17g) for each value of x whose kernel field differs."""
     x = np.asarray(x, dtype=np.float64)
-    fields = [col.tobytes().replace(b"\0", b"").decode("ascii") for col in _fields17(x).T]
-    return [(v, f, "%.17g" % v) for v, f in zip(x.tolist(), fields) if f != "%.17g" % v]
+    return [(v, f, "%.17g" % v) for v, f in zip(x.tolist(), _field_texts(x)) if f != "%.17g" % v]
+
+
+def _field_texts(x):
+    """The text of each kernel field of x, its NUL bytes deleted."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _fields17(x)]
 
 
 # NaN payloads of both signs, +-0, +-inf, subnormals and the largest finite double
@@ -1165,8 +1170,7 @@ class TestFields17:
             raise AssertionError(f"{value!r} reached _fmt17")
 
         monkeypatch.setattr(cli, "_fmt17", refuse)
-        fields = [col.tobytes().replace(b"\0", b"").decode("ascii") for col in _fields17([0.0, -0.0, 0.0]).T]
-        assert fields == ["0", "-0", "0"]
+        assert _field_texts([0.0, -0.0, 0.0]) == ["0", "-0", "0"]
 
     def test_seeded_samples_at_every_exponent_and_the_edges(self):
         rng = np.random.default_rng(31)
@@ -1177,14 +1181,54 @@ class TestFields17:
         x = np.concatenate([x.ravel(), edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
         assert _printf_mismatches(np.concatenate([x, -x])) == []
 
-    def test_power_table_is_correctly_rounded(self):
+    def test_power_table_is_within_its_bound(self):
+        # hi is 10^(16-k) correctly rounded, hi + lo is within 2^-106 of it,
+        # and the third row is -hi; outside _FAST_K every row is 0
         powers = cli._field_tables()[0]
-        for k, power in zip(range(-cli._EXP0, cli._EXP0 + 1), powers):
+        low, high = cli._FAST_K
+        for k in range(-cli._EXP0, cli._EXP0 + 1):
+            hi, lo, minus_hi = powers[:, k + cli._EXP0].tolist()
+            if not low <= k <= high:
+                assert hi == lo == minus_hi == 0, k
+                continue
             exact = Fraction(10) ** (16 - k)
-            error = abs(Fraction(*power.as_integer_ratio()) - exact)
-            for neighbour in (np.nextafter(power, power.dtype.type(np.inf)),
-                              np.nextafter(power, power.dtype.type(-np.inf))):
-                assert error <= abs(Fraction(*neighbour.as_integer_ratio()) - exact), k
+            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
+            assert abs(Fraction(hi) - exact) <= abs(Fraction(float(np.nextafter(hi, 0))) - exact), k
+            assert abs(Fraction(hi) - exact) <= abs(Fraction(float(np.nextafter(hi, np.inf))) - exact), k
+            assert minus_hi == -hi, k
+
+    def test_fast_path_exponent_edges(self, monkeypatch):
+        # the kernel writes every number with k in _FAST_K but near-ties and
+        # powers of ten; below and above it, _fmt17 writes them
+        formatted = []
+        monkeypatch.setattr(cli, "_fmt17", lambda value: formatted.append(value) or f"{value:.17g}")
+        low, high = (10.0**k for k in (cli._FAST_K[0], cli._FAST_K[1] + 1))
+        inside = [2 * low, 3 * low, high / 2, 0.9 * high]
+        outside = [float(np.nextafter(low, 0)), low / 2, high, 2 * high]
+        x = np.array(inside + outside)
+        x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf), [low, high]])
+        assert _printf_mismatches(np.concatenate([x, -x])) == []
+        assert not set(inside) & set(map(abs, formatted))
+        assert set(outside) <= set(map(abs, formatted))
+
+    def test_fast_path_digits_are_the_exactly_rounded_product(self, monkeypatch):
+        # each number the kernel writes is round(x 10^(16-k)) 10^(k-16), with
+        # k = floor(log10|x|), exactly: the text's own value is the exact rounding
+        formatted = []
+        monkeypatch.setattr(cli, "_fmt17", lambda value: formatted.append(value) or f"{value:.17g}")
+        rng = np.random.default_rng(44)
+        exponents = rng.integers(cli._FAST_K[0], cli._FAST_K[1] + 1, 3000)
+        x = rng.uniform(1.0, 10.0, exponents.size) * 10.0**exponents
+        x = np.concatenate([x, -rng.random(1000)])
+        texts = _field_texts(x)
+        fast = [(v, text) for v, text in zip(x.tolist(), texts) if v not in formatted]
+        assert len(fast) > 0.99 * x.size
+        for v, text in fast:
+            exact = abs(Fraction(v))
+            k = math.floor(math.log10(exact))
+            k += (Fraction(10) ** (k + 1) <= exact) - (Fraction(10) ** k > exact)
+            scaled = exact * Fraction(10) ** (16 - k)
+            assert abs(Fraction(text)) * Fraction(10) ** (16 - k) == round(scaled), (v, text)
 
 
 def _writer_peak_bytes(blocks):
@@ -1200,6 +1244,61 @@ def _writer_peak_bytes(blocks):
 
 def test_csv_memory_is_bounded_by_one_chunk():
     assert _writer_peak_bytes(8) < 1.25 * _writer_peak_bytes(2)
+
+
+class _ChunkPeaks:
+    """A stream that records, at each write after the first, tracemalloc's
+    peak since the previous write less the memory in use after it and twice
+    the text: the writer holds a chunk's text as NUL-free bytes and as str."""
+
+    def __init__(self):
+        self.extra = []
+        self.base = None
+
+    def write(self, text):
+        current, peak = tracemalloc.get_traced_memory()
+        if self.base is not None:
+            self.extra.append(peak - self.base - 2 * len(text))
+        self.base = current - len(text)
+        tracemalloc.reset_peak()
+
+
+def test_csv_chunks_after_the_first_allocate_no_array():
+    # An evolve-shaped table, one block of 4 cell columns, 16 chunks long.
+    # The first chunk allocates the table's scratch arrays; every later one
+    # reuses them, so no chunk churns the heap with arrays of its own.
+    rng = np.random.default_rng(5)
+    values = list(rng.standard_normal((4, 16 * CSV_BLOCK_ROWS)))
+    _fields17(np.zeros(1))  # the kernel's tables are built once per process
+    sink = _ChunkPeaks()
+    tracemalloc.start()
+    try:
+        _write_rows(["x", "re", "im", "density"], {}, [values], RunConfig(), sink)
+    finally:
+        tracemalloc.stop()
+    assert len(sink.extra) == 16
+    assert max(sink.extra[1:]) < 64 * 1024, sink.extra
+
+
+def test_json_writes_non_finite_cells_as_json_dump_does():
+    columns = ["t", "x", "a", "b"]
+    cells = [np.array([np.nan, -0.0, 1e-320]), np.array([np.inf, -np.inf, 0.1])]
+    fixed = {0: np.array([[2.5]]), 1: np.array([-1.0, 0.0, 1.0])}
+    config = RunConfig(fmt="json")
+    stream = io.StringIO()
+    _write_rows(columns, fixed, [cells], config, stream)
+    rows = np.column_stack([np.full(3, 2.5), fixed[1], *cells]).tolist()
+    expected = io.StringIO()
+    json.dump({"config": config.summary(), "columns": columns, "rows": rows}, expected, indent=1)
+    assert stream.getvalue() == expected.getvalue() + "\n"
+    assert "NaN" in stream.getvalue() and "-Infinity" in stream.getvalue()
+
+
+def test_json_of_no_rows_is_json_dump_of_an_empty_list():
+    stream = io.StringIO()
+    _write_rows(["a"], {}, [], RunConfig(fmt="json"), stream)
+    expected = json.dumps({"config": RunConfig(fmt="json").summary(), "columns": ["a"], "rows": []}, indent=1)
+    assert stream.getvalue() == expected + "\n"
 
 
 def _density_peak_bytes(t_steps):
@@ -1326,11 +1425,14 @@ class TestImportCost:
             added = sorted(set(sys.modules) - before)
             print([m for m in added if m.partition(".")[0] not in allowed
                    or m == "numpy.random" or m.startswith("numpy.random.")])
+            # the kernel's exact tables are built from plain ints, on its first call
+            print([m for m in ("fractions", "decimal") if m in added])
+            print(opfactor.cli._field_tables.cache_info().currsize)
         """)
         proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[]\n0\n"
 
     def test_time_chains_do_not_load_scipy(self, tmp_path):
         self.run_blocked(f"""
